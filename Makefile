@@ -1,8 +1,8 @@
 # Developer and CI entry points. `make ci` is what .github/workflows/ci.yml
-# runs: build, vet, the full test suite, the race-detector suite, a
-# parallel lbreport smoke run, the mutation-detection tests, and the
-# coverage gate. `make fuzz-short` and the explore smoke run as separate
-# CI jobs.
+# runs: build, vet, the full test suite, the benchmark module's vet and
+# self-tests, the race-detector suite, a parallel lbreport smoke run, the
+# mutation-detection tests, and the coverage gate. `make fuzz-short` and
+# the explore smoke run as separate CI jobs.
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -18,11 +18,11 @@ BENCH_SHA ?= $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo local)
 # exploration hot paths this codebase optimizes for, kept quick enough
 # for CI. Timing diffs only gate when baseline and current ran on the
 # same CPU model; allocation and paper-level metrics always gate.
-HOTPATH_BENCH ?= E1WakeupForcedSteps|ShmemLLSC|PsetChurn|ValuesEqual|MaxSteps|LLSCFingerprint|ExhaustiveExplore|MachineStep|VMStep|CampaignExec|TASStep|BWLLSC
+HOTPATH_BENCH ?= E1WakeupForcedSteps|E4UPTracking|E5Indistinguishability|ShmemLLSC|PsetChurn|ValuesEqual|MaxSteps|LLSCFingerprint|ExhaustiveExplore|MachineStep|VMStep|CampaignExec|TASStep|BWLLSC
 # Committed baseline artifact to diff against (first BENCH_*.json here).
 BENCH_BASELINE ?= $(firstword $(wildcard BENCH_*.json))
 
-.PHONY: build vet test race check smoke serve-smoke dist-smoke campaign-smoke restart-smoke bench bench-json bench-compare profile report mutation cover fuzz-short vm-equivalence tas-equivalence explore-smoke ci
+.PHONY: build vet test race check perfbench-check smoke serve-smoke dist-smoke campaign-smoke restart-smoke bench bench-json bench-compare profile report mutation cover fuzz-short vm-equivalence tas-equivalence explore-smoke ci
 
 build:
 	$(GO) build ./...
@@ -36,8 +36,15 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The short pre-commit loop: compile, vet, full test suite.
-check: build vet test
+# The short pre-commit loop: compile, vet, full test suite, and the
+# benchmark module.
+check: build vet test perfbench-check
+
+# perfbench/ is its own Go module, so the root build and test never compile
+# it: vet it and run its self-tests, so a change to the packages it calls
+# cannot break `bash perfbench/run.sh` unnoticed.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Smoke: the full report pipeline at quick sizes with a 4-worker sweep.
 smoke:
@@ -122,6 +129,7 @@ fuzz-short:
 	$(GO) test ./internal/shmem/ -run '^$$' -fuzz '^FuzzRegStateEqual$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/lockstep/ -run '^$$' -fuzz '^FuzzVMEquivalence$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/algos/tas/ -run '^$$' -fuzz '^FuzzTAS$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/wakeup/ -run '^$$' -fuzz '^FuzzPidCodec$$' -fuzztime $(FUZZTIME)
 
 # Differential proof that the bytecode VM and the goroutine interpreter are
 # observably identical: exhaustive lockstep exploration at n ∈ {2,3} for
@@ -149,4 +157,4 @@ explore-smoke:
 	$(GO) run ./cmd/explore -alg tas-tv -object tas -n 2
 	$(GO) run ./cmd/explore -alg tas-tournament -object tas -n 2 -llsc bw
 
-ci: build vet test race smoke mutation cover
+ci: build vet test perfbench-check race smoke mutation cover

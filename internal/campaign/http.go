@@ -7,6 +7,11 @@ import (
 	"net/http"
 )
 
+// maxSpecBytes bounds a campaign spec's body (413 beyond it). Specs are a
+// few hundred bytes; the bound keeps one client from growing the server
+// without limit.
+const maxSpecBytes = 1 << 20
+
 // RegisterRoutes mounts the campaign API on mux:
 //
 //	POST   /v1/campaigns      start a campaign; idempotent on the content hash
@@ -19,10 +24,15 @@ import (
 func RegisterRoutes(mux *http.ServeMux, m *Manager) {
 	mux.HandleFunc("POST /v1/campaigns", func(w http.ResponseWriter, r *http.Request) {
 		var spec Spec
-		dec := json.NewDecoder(r.Body)
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&spec); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("decoding campaign spec: %w", err))
+			code := http.StatusBadRequest
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			httpError(w, code, fmt.Errorf("decoding campaign spec: %w", err))
 			return
 		}
 		view, created, err := m.Start(&spec)

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -246,6 +247,12 @@ func TestCampaignHTTP(t *testing.T) {
 	}
 	if resp, _ := post(`{"stray":"field"}`); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown field: %d", resp.StatusCode)
+	}
+	if resp, _ := post(`{"alg":"` + strings.Repeat("a", maxSpecBytes) + `"}`); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized spec: %d, want 413", resp.StatusCode)
+	}
+	if n := len(m.List()); n != 1 {
+		t.Fatalf("%d campaigns after the oversized POST, want 1", n)
 	}
 
 	waitTerminal(t, m, v.ID)

@@ -47,18 +47,40 @@ func (s StepRecord) String() string {
 	return fmt.Sprintf("p%d: %v -> %v", s.Pid, s.Op, s.Resp)
 }
 
+// StateKey is state(p, r, Σ) in operational form: the components of
+// machine.HistoryDigest — the event count, the running FNV-1a sum of the
+// process's history, and whether history tracking was on. Equal keys mean
+// equal histories, hence equal local states (Lemma 5.2). Comparing keys is
+// two word compares; a key is rendered (String) only to report a
+// divergence.
+type StateKey struct {
+	Events  int
+	Sum     uint64
+	Enabled bool
+}
+
+// String renders the key exactly as machine.HistoryKey does.
+func (k StateKey) String() string {
+	if !k.Enabled {
+		return "disabled"
+	}
+	return fmt.Sprintf("ev%d:%016x", k.Events, k.Sum)
+}
+
 // Round captures everything that happened in one round of a run, plus
-// end-of-round snapshots.
+// end-of-round snapshots. Per-process fields are dense slices indexed by
+// pid.
 type Round struct {
 	// R is the 1-based round number.
 	R int
 	// Returned lists processes that entered a termination state during
-	// Phase 1 of this round, with their return values.
+	// Phase 1 of this round, with their return values (nil if none did).
 	Returned map[int]shmem.Value
 	// Groups holds the pids of G1 (LL/validate), G2 (move), G3 (swap) and
 	// G4 (SC), each in scheduling order.
 	Groups [4][]int
-	// MovePlan is f_r: the move operation of each process in G2.
+	// MovePlan is f_r: the move operation of each process in G2 (nil if
+	// G2 is empty).
 	MovePlan moveplan.Plan
 	// Sigma is σ_r, the secretive complete schedule used for G2.
 	Sigma moveplan.Schedule
@@ -67,14 +89,16 @@ type Round struct {
 	Steps []StepRecord
 	// MemSnap is the end-of-round register snapshot.
 	MemSnap map[int]shmem.RegState
-	// StateKeys maps each pid to its end-of-round machine history key
-	// (the operational form of state(p, r, Σ)).
-	StateKeys map[int]string
-	// NumTosses maps each pid to numtosses(p, r, Σ).
-	NumTosses map[int]int
-	// UPProc and UPReg are the UP sets at the end of this round. They are
-	// populated only for (All,A)-runs; (S,A)-runs reuse the all-run's sets.
-	UPProc map[int]PidSet
+	// StateKeys[p] is p's end-of-round history digest (the operational
+	// form of state(p, r, Σ)).
+	StateKeys []StateKey
+	// NumTosses[p] is numtosses(p, r, Σ).
+	NumTosses []int
+	// UPProc[p] and UPReg are the UP sets at the end of this round. They
+	// are populated only for (All,A)-runs in history mode; (S,A)-runs
+	// reuse the all-run's sets. UPProc[p] is the very set of the round
+	// before whenever UP(p, r) = UP(p, r−1).
+	UPProc []PidSet
 	UPReg  map[int]PidSet
 }
 
@@ -91,16 +115,16 @@ func (r *Round) successfulSC(reg int) int {
 	return -1
 }
 
-// swappers returns the pids that performed swap on reg this round, in
-// execution order.
-func (r *Round) swappers(reg int) []int {
-	var out []int
-	for _, s := range r.Steps {
-		if s.Op.Kind == shmem.OpSwap && s.Op.Reg == reg {
-			out = append(out, s.Pid)
+// swapperBefore returns the pid of the last swap on reg among steps[:i],
+// or -1. Swaps all execute in Phase 4, so for a swap at index i this is
+// the swapper immediately before it on the same register.
+func swapperBefore(steps []StepRecord, i, reg int) int {
+	for i--; i >= 0; i-- {
+		if s := steps[i]; s.Op.Kind == shmem.OpSwap && s.Op.Reg == reg {
+			return s.Pid
 		}
 	}
-	return out
+	return -1
 }
 
 // movedInto reports whether any process performed a move into reg this
@@ -129,20 +153,22 @@ type AllRun struct {
 	Rounds []*Round
 	// Returns maps each terminated pid to its return value.
 	Returns map[int]shmem.Value
-	// Steps maps each pid to its total shared-access step count.
-	Steps map[int]int
-	// FirstStepRound maps each pid to the round of its first shared-memory
-	// step (absent if it never stepped).
-	FirstStepRound map[int]int
+	// Steps[p] is p's total shared-access step count.
+	Steps []int
+	// FirstStepRound[p] is the round of p's first shared-memory step (0 if
+	// it never stepped; rounds are numbered from 1).
+	FirstStepRound []int
 	// NoHistory records that the run was executed without history digests,
 	// end-of-round snapshots, or per-round UP sets (pure measurement mode);
 	// such a run cannot be compared with CheckIndist or used with RunSub.
 	NoHistory bool
 
-	// curUPProc and curUPReg are the latest UP sets; in history mode they
-	// are also recorded per round.
-	curUPProc map[int]PidSet
+	// curUPProc[p] and curUPReg are the latest UP sets; in history mode
+	// they are also recorded per round.
+	curUPProc []PidSet
 	curUPReg  map[int]PidSet
+	// up is updateUP's scratch, reused every round.
+	up upScratch
 	// lemma51Err records the first incremental Lemma 5.1 violation.
 	lemma51Err error
 }
@@ -186,10 +212,7 @@ func (a *AllRun) UPRegAt(reg, r int) PidSet {
 // FinalUPProc returns UP(p, r_final): p's knowledge set at the end of the
 // run. Available in both history and NoHistory modes.
 func (a *AllRun) FinalUPProc(pid int) PidSet {
-	if s, ok := a.curUPProc[pid]; ok {
-		return s
-	}
-	return NewPidSet(pid)
+	return a.curUPProc[pid]
 }
 
 // Config tunes a run.
@@ -231,9 +254,13 @@ func RunAll(alg machine.Algorithm, n int, ta machine.TossAssignment, cfg Config)
 		TA:             ta,
 		MemInit:        cfg.MemInit,
 		Returns:        make(map[int]shmem.Value, n),
-		Steps:          make(map[int]int, n),
-		FirstStepRound: make(map[int]int, n),
+		Steps:          make([]int, n),
+		FirstStepRound: make([]int, n),
 		NoHistory:      cfg.NoHistory,
+		curUPProc:      make([]PidSet, n),
+	}
+	for pid := range run.curUPProc {
+		run.curUPProc[pid] = NewPidSet(pid) // UP(p, 0) = {p}
 	}
 	if cfg.NoHistory {
 		for _, m := range ms {
@@ -241,28 +268,38 @@ func RunAll(alg machine.Algorithm, n int, ta machine.TossAssignment, cfg Config)
 		}
 	}
 
+	// live, and in NoHistory mode the Steps and Groups of every round, are
+	// buffers reused from round to round.
+	var live []int
+	var reuse Round
 	for r := 1; ; r++ {
 		if r > cfg.maxRounds(n) {
 			return run, fmt.Errorf("%w: %s with n=%d after %d rounds", ErrTooManyRounds, alg.Name(), n, r-1)
 		}
-		round := &Round{
-			R:         r,
-			Returned:  make(map[int]shmem.Value),
-			MovePlan:  make(moveplan.Plan),
-			StateKeys: make(map[int]string, n),
-			NumTosses: make(map[int]int, n),
+		round := &Round{R: r}
+		if cfg.NoHistory {
+			round.Steps = reuse.Steps[:0]
+			for g := range round.Groups {
+				round.Groups[g] = reuse.Groups[g][:0]
+			}
 		}
 
 		// Phase 1: drain coin tosses; collect returns; partition the rest.
-		live, err := phase1(ms, nil, ta, round, run.Returns)
+		var err error
+		live, err = phase1(ms, nil, ta, round, run.Returns, live[:0])
 		if err != nil {
 			return run, err
 		}
 		if len(live) > 0 {
 			partition(ms, live, round)
+			if len(round.MovePlan) > 0 {
+				round.Sigma = moveplan.Secretive(round.MovePlan)
+				// The move group executes in σ_r order.
+				round.Groups[1] = []int(round.Sigma)
+			}
 			execRound(mem, ms, round, run.Steps) // phases 2–5
 			for _, pid := range live {
-				if _, ok := run.FirstStepRound[pid]; !ok {
+				if run.FirstStepRound[pid] == 0 {
 					run.FirstStepRound[pid] = r
 				}
 			}
@@ -273,17 +310,14 @@ func RunAll(alg machine.Algorithm, n int, ta machine.TossAssignment, cfg Config)
 		// that per-round histories cover every return.
 		if len(live) > 0 || len(round.Returned) > 0 {
 			if !cfg.NoHistory {
-				round.MemSnap = mem.Snapshot()
-				for _, m := range ms {
-					round.StateKeys[m.ID()] = m.HistoryKey()
-					round.NumTosses[m.ID()] = m.NumTosses()
-				}
+				snapshot(mem, ms, round)
 			}
 			updateUP(run, round)
 			if cfg.NoHistory {
-				// Measurement mode: drop the heavy per-round payloads once
-				// the UP update has consumed them (memory would otherwise
-				// grow as rounds × n × |UP|).
+				// Measurement mode: drop the per-round payloads once the UP
+				// update has consumed them (memory would otherwise grow as
+				// rounds × n), keeping their buffers for the next round.
+				reuse.Steps, reuse.Groups = round.Steps, round.Groups
 				round.Steps = nil
 				round.Groups = [4][]int{}
 				round.MovePlan = nil
@@ -299,11 +333,23 @@ func RunAll(alg machine.Algorithm, n int, ta machine.TossAssignment, cfg Config)
 	return run, nil
 }
 
+// snapshot records the end-of-round register snapshot, history digests
+// and toss counts.
+func snapshot(mem *shmem.Memory, ms []*machine.Machine, round *Round) {
+	round.MemSnap = mem.Snapshot()
+	round.StateKeys = make([]StateKey, len(ms))
+	round.NumTosses = make([]int, len(ms))
+	for _, m := range ms {
+		k := &round.StateKeys[m.ID()]
+		k.Events, k.Sum, k.Enabled = m.HistoryDigest()
+		round.NumTosses[m.ID()] = m.NumTosses()
+	}
+}
+
 // phase1 drains tosses for every machine whose pid passes the filter
-// (nil filter = all machines), recording returns. It returns the pids that
-// are live (not yet terminated), in increasing order.
-func phase1(ms []*machine.Machine, only *PidSet, ta machine.TossAssignment, round *Round, returns map[int]shmem.Value) ([]int, error) {
-	var live []int
+// (nil filter = all machines), recording returns. It appends the pids that
+// are live (not yet terminated) to live, in increasing order.
+func phase1(ms []*machine.Machine, only *PidSet, ta machine.TossAssignment, round *Round, returns map[int]shmem.Value, live []int) ([]int, error) {
 	for _, m := range ms {
 		pid := m.ID()
 		if only != nil && !only.Contains(pid) {
@@ -324,6 +370,9 @@ func phase1(ms []*machine.Machine, only *PidSet, ta machine.TossAssignment, roun
 			case machine.ActCrash:
 				return nil, fmt.Errorf("core: process %d crashed in round %d: %w", pid, round.R, m.Crashed())
 			case machine.ActReturn:
+				if round.Returned == nil {
+					round.Returned = make(map[int]shmem.Value)
+				}
 				round.Returned[pid] = a.Ret
 				returns[pid] = a.Ret
 				break drain
@@ -337,30 +386,64 @@ func phase1(ms []*machine.Machine, only *PidSet, ta machine.TossAssignment, roun
 }
 
 // partition splits the live pids into G1..G4 by pending operation kind and
-// fills the round's move plan and secretive schedule.
+// fills the round's move plan. The caller orders the move group. Groups
+// without storage of their own are carved out of one array.
 func partition(ms []*machine.Machine, live []int, round *Round) {
-	for _, pid := range live {
-		op := ms[pid].Peek().Op
-		switch op.Kind {
-		case shmem.OpLL, shmem.OpValidate:
-			round.Groups[0] = append(round.Groups[0], pid)
-		case shmem.OpMove:
-			round.Groups[1] = append(round.Groups[1], pid)
-			round.MovePlan[pid] = moveplan.Move{Src: op.Src, Dst: op.Reg}
-		case shmem.OpSwap:
-			round.Groups[2] = append(round.Groups[2], pid)
-		case shmem.OpSC:
-			round.Groups[3] = append(round.Groups[3], pid)
+	g := &round.Groups
+	if cap(g[0])+cap(g[1])+cap(g[2])+cap(g[3]) == 0 {
+		var sizes [4]int
+		for _, pid := range live {
+			if i := groupOf(ms[pid].Peek().Op.Kind); i >= 0 {
+				sizes[i]++
+			}
+		}
+		buf := make([]int, len(live))
+		for i, n := range sizes {
+			g[i], buf = buf[:0:n], buf[n:]
 		}
 	}
-	round.Sigma = moveplan.Secretive(round.MovePlan)
-	// The move group executes in σ_r order.
-	round.Groups[1] = []int(round.Sigma)
+	for _, pid := range live {
+		op := ms[pid].Peek().Op
+		i := groupOf(op.Kind)
+		if i < 0 {
+			continue
+		}
+		g[i] = append(g[i], pid)
+		if op.Kind == shmem.OpMove {
+			if round.MovePlan == nil {
+				round.MovePlan = make(moveplan.Plan)
+			}
+			round.MovePlan[pid] = moveplan.Move{Src: op.Src, Dst: op.Reg}
+		}
+	}
+}
+
+// groupOf returns the group (0..3 for G1..G4) that executes operations of
+// kind k, or -1.
+func groupOf(k shmem.OpKind) int {
+	switch k {
+	case shmem.OpLL, shmem.OpValidate:
+		return 0
+	case shmem.OpMove:
+		return 1
+	case shmem.OpSwap:
+		return 2
+	case shmem.OpSC:
+		return 3
+	}
+	return -1
 }
 
 // execRound performs phases 2–5: each group's processes execute their one
 // pending operation in the group's scheduling order.
-func execRound(mem *shmem.Memory, ms []*machine.Machine, round *Round, steps map[int]int) {
+func execRound(mem *shmem.Memory, ms []*machine.Machine, round *Round, steps []int) {
+	if cap(round.Steps) == 0 {
+		n := 0
+		for _, group := range round.Groups {
+			n += len(group)
+		}
+		round.Steps = make([]StepRecord, 0, n)
+	}
 	for _, group := range round.Groups {
 		for _, pid := range group {
 			m := ms[pid]

@@ -6,6 +6,7 @@ import (
 
 	"jayanti98/internal/machine"
 	"jayanti98/internal/shmem"
+	"jayanti98/internal/wakeup"
 )
 
 // setRegisterWakeup is a minimal correct wakeup algorithm used to exercise
@@ -463,5 +464,23 @@ func TestMaxStepsAndUPAccessors(t *testing.T) {
 	}
 	if up := run.UPRegAt(99, 0); up.Len() != 0 {
 		t.Fatalf("UP(R99,0) = %v", up)
+	}
+}
+
+// TestRunAllAllocs pins the allocation count of a NoHistory (All,A)-run of
+// the set-register wakeup algorithm at n = 64: 2080 SC attempts, each
+// allocating its encoded argument and the interface box it travels in,
+// plus a few hundred per-round and per-process allocations. Per-round map
+// churn or per-step UP-set clones would push it far past the pin.
+func TestRunAllAllocs(t *testing.T) {
+	const n, maxAllocs = 64, 5050 // measured: 4922
+	defer machine.SetDefaultEngine(machine.SetDefaultEngine(machine.EngineVM))
+	got := testing.AllocsPerRun(5, func() {
+		if _, err := RunAll(wakeup.SetRegister(), n, machine.ZeroTosses, Config{NoHistory: true}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > maxAllocs {
+		t.Fatalf("RunAll(set-register, n=%d, NoHistory) allocates %.0f times, want ≤ %d", n, got, maxAllocs)
 	}
 }

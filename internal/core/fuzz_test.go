@@ -84,7 +84,10 @@ func addSeeds(f *testing.F) {
 }
 
 // FuzzLemma51AndDeterminism runs random programs under the adversary and
-// checks the 4^r UP bound plus run determinism.
+// checks the 4^r UP bound plus run determinism. The rerun is in NoHistory
+// mode, so it is also a differential check of the in-place UP buffers
+// against the history-mode sets: same returns, step counts, final UP sets
+// and Lemma 5.1 verdict.
 func FuzzLemma51AndDeterminism(f *testing.F) {
 	addSeeds(f)
 	f.Fuzz(func(t *testing.T, seed int64) {
@@ -96,20 +99,27 @@ func FuzzLemma51AndDeterminism(f *testing.F) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if err := CheckLemma51(run1); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+		lemma1 := CheckLemma51(run1)
+		if lemma1 != nil {
+			t.Fatalf("seed %d: %v", seed, lemma1)
 		}
-		run2, err := RunAll(alg, n, ta, Config{})
+		run2, err := RunAll(alg, n, ta, Config{NoHistory: true})
 		if err != nil {
 			t.Fatalf("seed %d: rerun: %v", seed, err)
 		}
-		// Determinism: identical returns and step counts.
+		if lemma2 := CheckLemma51(run2); fmt.Sprint(lemma1) != fmt.Sprint(lemma2) {
+			t.Fatalf("seed %d: Lemma 5.1 verdicts differ: %v vs %v", seed, lemma1, lemma2)
+		}
+		// Determinism: identical returns, step counts and knowledge.
 		for pid := 0; pid < n; pid++ {
 			if !shmem.ValuesEqual(run1.Returns[pid], run2.Returns[pid]) {
 				t.Fatalf("seed %d: p%d returns differ: %v vs %v", seed, pid, run1.Returns[pid], run2.Returns[pid])
 			}
 			if run1.Steps[pid] != run2.Steps[pid] {
 				t.Fatalf("seed %d: p%d step counts differ: %d vs %d", seed, pid, run1.Steps[pid], run2.Steps[pid])
+			}
+			if a, b := run1.FinalUPProc(pid), run2.FinalUPProc(pid); !a.Equal(b) {
+				t.Fatalf("seed %d: final UP(p%d) differs: %v vs %v", seed, pid, a, b)
 			}
 		}
 	})

@@ -10,12 +10,12 @@ import (
 
 // PidSet is a set of process identifiers, represented as a bitset. The UP
 // sets of Section 5.3 and the subset S of the (S,A)-run are PidSets; the
-// adversary clones and unions them for every process every round, so the
+// adversary unions them for every process every round, so the
 // representation is chosen for O(n/64) bulk operations.
 //
-// The zero value... is not useful; construct with NewPidSet. PidSet values
-// stored in run records are treated as immutable — mutate only sets you
-// created or cloned.
+// The zero value is the empty set ∅. PidSet values stored in run records
+// are immutable — mutate only sets you created or cloned — which is what
+// lets a round record share an unchanged UP set with the round before it.
 type PidSet struct {
 	words []uint64
 	count int
@@ -90,6 +90,31 @@ func (s *PidSet) UnionWith(o PidSet) {
 		count += bits.OnesCount64(s.words[i])
 	}
 	s.count = count
+}
+
+// union returns s ∪ o. When o ⊆ s the result is s itself (callers rely on
+// stored sets being immutable); otherwise it is a fresh set built with one
+// allocation.
+func (s PidSet) union(o PidSet) PidSet {
+	if o.SubsetOf(s) {
+		return s
+	}
+	out := PidSet{words: make([]uint64, max(len(s.words), len(o.words)))}
+	copy(out.words, s.words)
+	out.UnionWith(o)
+	return out
+}
+
+// copyFrom makes s a copy of o, reusing s's storage.
+func (s *PidSet) copyFrom(o PidSet) {
+	s.words = append(s.words[:0], o.words...)
+	s.count = o.count
+}
+
+// reset empties s in place, keeping its storage.
+func (s *PidSet) reset() {
+	clear(s.words)
+	s.count = 0
 }
 
 // Union returns a fresh set containing the elements of all the given sets.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"jayanti98/internal/machine"
-	"jayanti98/internal/moveplan"
 	"jayanti98/internal/shmem"
 )
 
@@ -24,20 +23,26 @@ type SubRun struct {
 	Rounds []*Round
 	// Returns maps each terminated pid to its return value.
 	Returns map[int]shmem.Value
-	// Steps maps each pid to its total shared-access step count.
-	Steps map[int]int
+	// Steps[p] is p's total shared-access step count.
+	Steps []int
 }
 
 // Participants returns S_r for 1 ≤ r ≤ len(All.Rounds): the processes
 // scheduled in round r of the sub-run.
 func (s *SubRun) Participants(r int) PidSet {
-	out := NewPidSet()
+	var out PidSet
+	s.participants(r, &out)
+	return out
+}
+
+// participants computes S_r into dst, reusing its storage.
+func (s *SubRun) participants(r int, dst *PidSet) {
+	dst.reset()
 	for pid := 0; pid < s.All.N; pid++ {
 		if s.All.UPProcAt(pid, r-1).SubsetOf(s.S) {
-			out.Add(pid)
+			dst.Add(pid)
 		}
 	}
-	return out
 }
 
 // RunSub executes the (S,A)-run corresponding to all, for exactly as many
@@ -59,48 +64,41 @@ func RunSub(all *AllRun, s PidSet) (*SubRun, error) {
 		All:     all,
 		S:       s,
 		Returns: make(map[int]shmem.Value, all.N),
-		Steps:   make(map[int]int, all.N),
+		Steps:   make([]int, all.N),
 	}
 
+	var sr PidSet
+	var live []int
 	for r := 1; r <= len(all.Rounds); r++ {
-		round := &Round{
-			R:         r,
-			Returned:  make(map[int]shmem.Value),
-			MovePlan:  make(moveplan.Plan),
-			StateKeys: make(map[int]string, all.N),
-			NumTosses: make(map[int]int, all.N),
-		}
-		sr := sub.Participants(r)
+		round := &Round{R: r}
+		sub.participants(r, &sr)
 
 		// Phase 1 over S_r only.
-		live, err := phase1(ms, &sr, all.TA, round, sub.Returns)
+		var err error
+		live, err = phase1(ms, &sr, all.TA, round, sub.Returns, live[:0])
 		if err != nil {
 			return sub, fmt.Errorf("(S,A)-run: %w", err)
 		}
 		if len(live) > 0 {
 			partition(ms, live, round)
-			// Claim A.3: every mover here also moved in the all-run, so the
-			// all-run's σ_r restricted to this round's move group is a
-			// complete schedule for it. A process moving here but not in
-			// the all-run would witness a divergence — surface it.
-			allSigma := all.Rounds[r-1].Sigma
-			keep := make(map[int]bool, len(round.Groups[1]))
-			for _, pid := range round.Groups[1] {
-				if _, ok := all.Rounds[r-1].MovePlan[pid]; !ok {
-					return sub, fmt.Errorf("(S,A)-run: process %d moves in round %d of the sub-run but not in the all-run (Claim A.3 violated)", pid, r)
+			if len(round.MovePlan) > 0 {
+				// Claim A.3: every mover here also moved in the all-run, so
+				// the all-run's σ_r restricted to this round's move group is
+				// a complete schedule for it. A process moving here but not
+				// in the all-run would witness a divergence — surface it.
+				keep := make(map[int]bool, len(round.Groups[1]))
+				for _, pid := range round.Groups[1] {
+					if _, ok := all.Rounds[r-1].MovePlan[pid]; !ok {
+						return sub, fmt.Errorf("(S,A)-run: process %d moves in round %d of the sub-run but not in the all-run (Claim A.3 violated)", pid, r)
+					}
+					keep[pid] = true
 				}
-				keep[pid] = true
+				round.Sigma = all.Rounds[r-1].Sigma.Restrict(keep)
+				round.Groups[1] = []int(round.Sigma)
 			}
-			round.Sigma = allSigma.Restrict(keep)
-			round.Groups[1] = []int(round.Sigma)
 			execRound(mem, ms, round, sub.Steps)
 		}
-
-		round.MemSnap = mem.Snapshot()
-		for _, m := range ms {
-			round.StateKeys[m.ID()] = m.HistoryKey()
-			round.NumTosses[m.ID()] = m.NumTosses()
-		}
+		snapshot(mem, ms, round)
 		sub.Rounds = append(sub.Rounds, round)
 	}
 	return sub, nil
@@ -125,72 +123,93 @@ func (e *IndistError) Error() string {
 //
 //   - for every process p with UP(p,r) ⊆ S: state(p,r) and numtosses(p,r)
 //     agree across the two runs (state equality is checked operationally as
-//     history-key equality, which is sufficient);
+//     history-digest equality, which is sufficient);
 //   - for every register R with UP(R,r) ⊆ S: val(R,r) agrees, and for every
 //     process p with UP(p,r) ⊆ S, p ∈ Pset(R,r) in the all-run iff it is in
 //     the sub-run.
 //
 // It returns the first violation found, or nil.
 func CheckIndist(all *AllRun, sub *SubRun) error {
+	var inS PidSet
 	for i := range all.Rounds {
 		r := i + 1
 		aRound, sRound := all.Rounds[i], sub.Rounds[i]
 
-		inS := NewPidSet()
-		for pid := 0; pid < all.N; pid++ {
-			if all.UPProcAt(pid, r).SubsetOf(sub.S) {
+		inS.reset()
+		for pid, up := range aRound.UPProc {
+			if up.SubsetOf(sub.S) {
 				inS.Add(pid)
 			}
 		}
 
-		var procErr *IndistError
-		inS.Each(func(pid int) {
-			if procErr != nil {
-				return
-			}
-			if aRound.StateKeys[pid] != sRound.StateKeys[pid] {
-				procErr = &IndistError{Round: r, What: "process", Index: pid,
-					Detail: fmt.Sprintf("state diverged:\n  all: %s\n  sub: %s",
-						aRound.StateKeys[pid], sRound.StateKeys[pid])}
-				return
-			}
-			if aRound.NumTosses[pid] != sRound.NumTosses[pid] {
-				procErr = &IndistError{Round: r, What: "process", Index: pid,
-					Detail: fmt.Sprintf("numtosses %d vs %d", aRound.NumTosses[pid], sRound.NumTosses[pid])}
-			}
-		})
-		if procErr != nil {
-			return procErr
-		}
-
-		for _, reg := range unionRegs(aRound.MemSnap, sRound.MemSnap) {
-			if !all.UPRegAt(reg, r).SubsetOf(sub.S) {
+		for pid := range aRound.UPProc {
+			if !inS.Contains(pid) {
 				continue
 			}
-			av, aok := aRound.MemSnap[reg]
-			sv, sok := sRound.MemSnap[reg]
-			if !aok {
-				av = shmem.RegState{Val: initVal(all, reg)}
+			if a, s := aRound.StateKeys[pid], sRound.StateKeys[pid]; a != s {
+				return &IndistError{Round: r, What: "process", Index: pid,
+					Detail: fmt.Sprintf("state diverged:\n  all: %s\n  sub: %s", a, s)}
 			}
-			if !sok {
-				sv = shmem.RegState{Val: initVal(all, reg)}
+			if a, s := aRound.NumTosses[pid], sRound.NumTosses[pid]; a != s {
+				return &IndistError{Round: r, What: "process", Index: pid,
+					Detail: fmt.Sprintf("numtosses %d vs %d", a, s)}
 			}
-			if !shmem.ValuesEqual(av.Val, sv.Val) {
-				return &IndistError{Round: r, What: "register", Index: reg,
-					Detail: fmt.Sprintf("value %v vs %v", av.Val, sv.Val)}
+		}
+
+		for reg := range aRound.MemSnap {
+			if err := checkRegister(all, sub, r, reg, inS); err != nil {
+				return err
 			}
-			aPset, sPset := NewPidSet(av.Pset...), NewPidSet(sv.Pset...)
-			var psetErr *IndistError
-			inS.Each(func(pid int) {
-				if psetErr == nil && aPset.Contains(pid) != sPset.Contains(pid) {
-					psetErr = &IndistError{Round: r, What: "register", Index: reg,
-						Detail: fmt.Sprintf("Pset membership of p%d: %t vs %t",
-							pid, aPset.Contains(pid), sPset.Contains(pid))}
-				}
-			})
-			if psetErr != nil {
-				return psetErr
+		}
+		for reg := range sRound.MemSnap {
+			if _, ok := aRound.MemSnap[reg]; ok {
+				continue // checked above
 			}
+			if err := checkRegister(all, sub, r, reg, inS); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// checkRegister checks register reg at the end of round r: if
+// UP(reg, r) ⊆ S, its value must agree across the two runs, and so must
+// the Pset membership of every process in inS.
+func checkRegister(all *AllRun, sub *SubRun, r, reg int, inS PidSet) error {
+	if !all.UPRegAt(reg, r).SubsetOf(sub.S) {
+		return nil
+	}
+	av, aok := all.Rounds[r-1].MemSnap[reg]
+	sv, sok := sub.Rounds[r-1].MemSnap[reg]
+	if !aok {
+		av = shmem.RegState{Val: initVal(all, reg)}
+	}
+	if !sok {
+		sv = shmem.RegState{Val: initVal(all, reg)}
+	}
+	if !shmem.ValuesEqual(av.Val, sv.Val) {
+		return &IndistError{Round: r, What: "register", Index: reg,
+			Detail: fmt.Sprintf("value %v vs %v", av.Val, sv.Val)}
+	}
+	// Both Psets are sorted: merge them, and report the smallest process
+	// of inS that is in exactly one.
+	a, s := av.Pset, sv.Pset
+	for len(a) > 0 || len(s) > 0 {
+		var pid int
+		var inA bool
+		switch {
+		case len(s) == 0 || len(a) > 0 && a[0] < s[0]:
+			pid, inA, a = a[0], true, a[1:]
+		case len(a) == 0 || s[0] < a[0]:
+			pid, s = s[0], s[1:]
+		default: // in both
+			a, s = a[1:], s[1:]
+			continue
+		}
+		if inS.Contains(pid) {
+			return &IndistError{Round: r, What: "register", Index: reg,
+				Detail: fmt.Sprintf("Pset membership of p%d: %t vs %t", pid, inA, !inA)}
 		}
 	}
 	return nil
@@ -201,22 +220,4 @@ func initVal(all *AllRun, reg int) shmem.Value {
 		return nil
 	}
 	return all.MemInit(reg)
-}
-
-func unionRegs(a, b map[int]shmem.RegState) []int {
-	seen := make(map[int]bool, len(a)+len(b))
-	var regs []int
-	for reg := range a {
-		if !seen[reg] {
-			seen[reg] = true
-			regs = append(regs, reg)
-		}
-	}
-	for reg := range b {
-		if !seen[reg] {
-			seen[reg] = true
-			regs = append(regs, reg)
-		}
-	}
-	return regs
 }

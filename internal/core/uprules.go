@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"jayanti98/internal/moveplan"
 	"jayanti98/internal/shmem"
@@ -37,122 +38,146 @@ import (
 //  6. successful SC on R:         UP(p,r) = UP(p,r−1) ∪ UP(R,r−1).
 //  7. unsuccessful SC on R:       UP(p,r) = UP(p,r−1) ∪ UP(R,r).
 //  8. no shared-memory operation: UP(p,r) = UP(p,r−1).
+//
+// UP sets stored in run records are immutable. In history mode a process
+// whose set did not change shares the round-(r−1) set, and a register takes
+// its writer's set without copying. In NoHistory mode no round keeps its
+// sets, so UP(·, r) is computed in place into the buffer that held
+// UP(·, r−2) while UP(·, r−1) stays readable in the other.
 func updateUP(run *AllRun, round *Round) {
-	r := round.R
-	if run.curUPProc == nil {
-		run.curUPProc = make(map[int]PidSet, run.N)
-		run.curUPReg = make(map[int]PidSet)
-	}
-	prevProc := func(pid int) PidSet {
-		if s, ok := run.curUPProc[pid]; ok {
-			return s
-		}
-		return NewPidSet(pid)
-	}
-	prevReg := func(reg int) PidSet {
-		if s, ok := run.curUPReg[reg]; ok {
-			return s
-		}
-		return NewPidSet()
-	}
+	// UP(p, r−1) and UP(R, r−1); an absent register's set is ∅.
+	prev := run.curUPProc
+	prevReg := func(reg int) PidSet { return run.curUPReg[reg] }
 
-	tracker := moveplan.Eval(round.MovePlan, round.Sigma)
+	var tracker *moveplan.Tracker
+	if len(round.MovePlan) > 0 {
+		tracker = moveplan.Eval(round.MovePlan, round.Sigma)
+	}
 	// moveUP(R) is the union of rule 3's UP-of-source and UPs-of-movers.
 	moveUP := func(reg int) PidSet {
 		s := prevReg(tracker.Source(reg)).Clone()
 		for _, q := range tracker.Movers(reg) {
-			s.UnionWith(prevProc(q))
+			s.UnionWith(prev[q])
 		}
 		return s
 	}
 
-	// Registers. Copy the previous round's sets forward (rule 4; the
-	// stored sets are immutable, so sharing is safe), then overwrite the
-	// registers written this round.
-	upReg := make(map[int]PidSet, len(run.curUPReg))
-	for reg, s := range run.curUPReg {
-		upReg[reg] = s
-	}
-	written := writtenRegisters(round)
-	for _, reg := range written {
-		switch p := round.successfulSC(reg); {
-		case p >= 0: // rule 1
-			upReg[reg] = prevProc(p).Clone()
-		default:
-			if sw := round.swappers(reg); len(sw) > 0 { // rule 2
-				upReg[reg] = prevProc(sw[len(sw)-1]).Clone()
-			} else if round.movedInto(reg) { // rule 3
-				upReg[reg] = moveUP(reg)
-			}
+	// Registers: UP(R, r) for each register written this round. Every
+	// other register keeps UP(R, r−1) (rule 4).
+	up := &run.up
+	up.written = writtenRegisters(round, up.written[:0])
+	up.regs = up.regs[:0]
+	for _, reg := range up.written {
+		s := prevReg(reg)
+		if p := round.successfulSC(reg); p >= 0 { // rule 1
+			s = prev[p]
+		} else if p := swapperBefore(round.Steps, len(round.Steps), reg); p >= 0 { // rule 2
+			s = prev[p]
+		} else if round.movedInto(reg) { // rule 3
+			s = moveUP(reg)
 		}
+		up.regs = append(up.regs, s)
 	}
-	if !run.NoHistory {
-		round.UPReg = upReg
-	}
-	// NOTE: run.curUPReg is replaced only after the process rules below,
-	// which still need UP(·, r−1) through prevReg.
-
 	// curReg is UP(R, r), needed by process rule 7.
 	curReg := func(reg int) PidSet {
-		if s, ok := upReg[reg]; ok {
-			return s
+		if i := slices.Index(up.written, reg); i >= 0 {
+			return up.regs[i]
 		}
-		return NewPidSet()
+		return prevReg(reg)
 	}
 
-	// Processes.
-	stepOf := make(map[int]StepRecord, len(round.Steps))
-	for _, s := range round.Steps {
-		stepOf[s.Pid] = s
-	}
-	upProc := make(map[int]PidSet, run.N)
-	for pid := 0; pid < run.N; pid++ {
-		up := prevProc(pid).Clone()
-		step, acted := stepOf[pid]
-		if !acted { // rule 8
-			upProc[pid] = up
-			continue
+	// Processes: start from UP(p, r−1) (rules 2 and 8), then fold in what
+	// each process's one operation revealed.
+	var next []PidSet
+	if run.NoHistory {
+		next = up.spare
+		if next == nil {
+			next = make([]PidSet, run.N)
 		}
+		for pid := range next {
+			next[pid].copyFrom(prev[pid])
+		}
+	} else {
+		next = append([]PidSet(nil), prev...)
+	}
+	for i, step := range round.Steps {
+		var learned PidSet
 		reg := step.Op.Reg
 		switch step.Op.Kind {
 		case shmem.OpLL, shmem.OpValidate: // rule 1
-			up.UnionWith(prevReg(reg))
+			learned = prevReg(reg)
 		case shmem.OpMove: // rule 2
+			continue
 		case shmem.OpSwap:
-			sw := round.swappers(reg)
-			switch {
-			case sw[0] != pid: // rule 5
-				up.UnionWith(prevProc(prevSwapper(sw, pid)))
+			switch q := swapperBefore(round.Steps, i, reg); {
+			case q >= 0: // rule 5
+				learned = prev[q]
 			case round.movedInto(reg): // rule 4
-				up.UnionWith(moveUP(reg))
+				learned = moveUP(reg)
 			default: // rule 3
-				up.UnionWith(prevReg(reg))
+				learned = prevReg(reg)
 			}
 		case shmem.OpSC:
 			if step.Resp.OK { // rule 6
-				up.UnionWith(prevReg(reg))
+				learned = prevReg(reg)
 			} else { // rule 7
-				up.UnionWith(curReg(reg))
+				learned = curReg(reg)
 			}
 		}
-		upProc[pid] = up
+		if run.NoHistory {
+			next[step.Pid].UnionWith(learned)
+		} else {
+			next[step.Pid] = prev[step.Pid].union(learned)
+		}
 	}
-	if !run.NoHistory {
-		round.UPProc = upProc
-	}
-	run.curUPProc = upProc
-	run.curUPReg = upReg
 
 	// Incremental Lemma 5.1 check (so NoHistory runs can still report it).
 	if run.lemma51Err == nil {
-		run.lemma51Err = checkLemma51Round(run.N, r, upProc, upReg, written)
+		run.lemma51Err = checkLemma51Round(round.R, next, up.written, up.regs)
 	}
+
+	if run.NoHistory {
+		// Registers copy their sets into storage of their own: the
+		// process buffer they may point into is overwritten next round.
+		if run.curUPReg == nil {
+			run.curUPReg = make(map[int]PidSet)
+		}
+		for i, reg := range up.written {
+			s := run.curUPReg[reg]
+			s.copyFrom(up.regs[i])
+			run.curUPReg[reg] = s
+		}
+		up.spare = prev
+	} else {
+		upReg := make(map[int]PidSet, len(run.curUPReg)+len(up.written))
+		for reg, s := range run.curUPReg {
+			upReg[reg] = s
+		}
+		for i, reg := range up.written {
+			upReg[reg] = up.regs[i]
+		}
+		round.UPProc = next
+		round.UPReg = upReg
+		run.curUPReg = upReg
+	}
+	run.curUPProc = next
+}
+
+// upScratch is the per-run scratch of updateUP.
+type upScratch struct {
+	// written lists the registers written in the current round and regs
+	// their UP(R, r), index for index.
+	written []int
+	regs    []PidSet
+	// spare is the NoHistory buffer UP(·, r) is computed into.
+	spare []PidSet
 }
 
 // checkLemma51Round verifies |UP(X, r)| ≤ 4^r for the just-updated sets.
 // Only registers written this round can have grown, so only they are
 // checked (unwritten registers carry forward already-checked sets).
-func checkLemma51Round(n, r int, upProc map[int]PidSet, upReg map[int]PidSet, written []int) error {
+func checkLemma51Round(r int, upProc []PidSet, written []int, upReg []PidSet) error {
+	n := len(upProc)
 	bound := 1
 	for i := 0; i < r && bound < n; i++ {
 		bound *= 4
@@ -165,50 +190,27 @@ func checkLemma51Round(n, r int, upProc map[int]PidSet, upReg map[int]PidSet, wr
 			return fmt.Errorf("core: |UP(p%d, %d)| = %d exceeds 4^%d = %d", pid, r, up.Len(), r, bound)
 		}
 	}
-	for _, reg := range written {
-		if up, ok := upReg[reg]; ok && up.Len() > bound {
+	for i, reg := range written {
+		if up := upReg[i]; up.Len() > bound {
 			return fmt.Errorf("core: |UP(R%d, %d)| = %d exceeds 4^%d = %d", reg, r, up.Len(), r, bound)
 		}
 	}
 	return nil
 }
 
-// writtenRegisters returns the registers whose value may have changed this
-// round: targets of successful SCs, swaps, and moves.
-func writtenRegisters(round *Round) []int {
-	seen := make(map[int]bool)
-	var regs []int
-	add := func(reg int) {
-		if !seen[reg] {
-			seen[reg] = true
-			regs = append(regs, reg)
-		}
-	}
+// writtenRegisters appends to regs, once each, the registers whose value
+// may have changed this round: targets of successful SCs, swaps, and moves.
+// A round writes few distinct registers, so a linear scan dedupes them.
+func writtenRegisters(round *Round, regs []int) []int {
 	for _, s := range round.Steps {
-		switch s.Op.Kind {
-		case shmem.OpSwap, shmem.OpMove:
-			add(s.Op.Reg)
-		case shmem.OpSC:
-			if s.Resp.OK {
-				add(s.Op.Reg)
+		switch {
+		case s.Op.Kind == shmem.OpSwap, s.Op.Kind == shmem.OpMove, s.Op.Kind == shmem.OpSC && s.Resp.OK:
+			if !slices.Contains(regs, s.Op.Reg) {
+				regs = append(regs, s.Op.Reg)
 			}
 		}
 	}
 	return regs
-}
-
-// prevSwapper returns the swapper immediately before pid in the round's
-// swap order on one register.
-func prevSwapper(sw []int, pid int) int {
-	for i, p := range sw {
-		if p == pid {
-			if i == 0 {
-				panic(fmt.Sprintf("core: pid %d is the first swapper", pid))
-			}
-			return sw[i-1]
-		}
-	}
-	panic(fmt.Sprintf("core: pid %d not among swappers %v", pid, sw))
 }
 
 // CheckLemma51 verifies Lemma 5.1 on a completed run: for every process or

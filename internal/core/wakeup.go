@@ -80,8 +80,7 @@ func CheckWakeupRun(run *AllRun) error {
 		}
 	}
 	for pid := 0; pid < run.N; pid++ {
-		first, stepped := run.FirstStepRound[pid]
-		if !stepped || first >= firstOne {
+		if first := run.FirstStepRound[pid]; first == 0 || first >= firstOne {
 			return fmt.Errorf("core: process returned 1 in round %d before process %d took any step", firstOne, pid)
 		}
 	}

@@ -29,7 +29,8 @@ var SSEHeartbeat = 15 * time.Second
 //
 // Submissions run as the tenant stamped on the request context by the
 // tenant middleware (the default tenant when the API runs open). A
-// tenant at its queued-jobs cap gets 429 with Retry-After.
+// tenant at its queued-jobs cap gets 429 with Retry-After; a spec body
+// over 1 MiB gets 413.
 //
 // Everything except the event stream is JSON; errors are
 // {"error": "..."} with a matching status code. The result field of a
@@ -51,10 +52,10 @@ func NewHandler(s *Scheduler) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var spec Spec
-		dec := json.NewDecoder(r.Body)
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&spec); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("decoding spec: %w", err))
+			httpError(w, decodeStatus(err), fmt.Errorf("decoding spec: %w", err))
 			return
 		}
 		view, created, err := s.SubmitAs(tenant.FromContext(r.Context()), &spec)
@@ -258,6 +259,20 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
 	_ = enc.Encode(v)
+}
+
+// maxSpecBytes bounds a submitted spec's body. Specs are a few hundred
+// bytes; the bound keeps one client from growing the server without limit.
+const maxSpecBytes = 1 << 20
+
+// decodeStatus maps a body-decoding error to its status code: 413 for a
+// body over maxSpecBytes, 400 for anything else.
+func decodeStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 func httpError(w http.ResponseWriter, code int, err error) {

@@ -415,6 +415,20 @@ func TestHTTPErrorPaths(t *testing.T) {
 	}
 }
 
+// TestHTTPOversizedSpec413: a spec body past the limit is refused with
+// 413 before it is buffered whole, and no job is created.
+func TestHTTPOversizedSpec413(t *testing.T) {
+	s, srv := newTestServer(t, Options{Workers: 1})
+	body := `{"kind":"report","report":{"quick":true,"experiments":["E1","` + strings.Repeat("a", maxSpecBytes) + `"]}}`
+	resp, out := doJSON(t, http.MethodPost, srv.URL+"/v1/jobs", body)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized POST: %d %s, want 413", resp.StatusCode, out)
+	}
+	if jobs := s.List(); len(jobs) != 0 {
+		t.Fatalf("oversized POST created %d jobs", len(jobs))
+	}
+}
+
 func TestHTTPHealthz(t *testing.T) {
 	_, srv := newTestServer(t, Options{Workers: 1})
 	resp, body := doJSON(t, http.MethodGet, srv.URL+"/healthz", "")

@@ -23,8 +23,12 @@ import (
 // compiled-chunk initializer below.
 func registerPidsNatives() {
 	// pids.decode(dst, v): DecodeBits(v, dst) — clears dst (nil allowed)
-	// and parses the register rendering v into it.
+	// and parses the register rendering v into it. A string is read in
+	// place, without boxing it into an interface.
 	vmachine.RegisterNative("pids.decode", func(_, _ int, args []vmachine.Value) vmachine.Value {
+		if args[1].Kind == vmachine.KStr {
+			return vmachine.Set(decodeString(args[1].S, setArg(args[0])))
+		}
 		return vmachine.Set(DecodeBits(args[1].Box(), setArg(args[0])))
 	})
 	// pids.encode(set): the canonical register rendering of set.

@@ -25,6 +25,7 @@ package wakeup
 
 import (
 	"fmt"
+	"math/bits"
 	"strconv"
 	"strings"
 
@@ -50,17 +51,72 @@ func EncodePids(pids map[int]bool) string {
 // EncodeBits is EncodePids for a bitset: it renders set in the same
 // canonical format (a bitset iterates in increasing order, so no sort is
 // needed). The algorithm bodies use the bitset form on their LL/SC retry
-// loops — profiling the adversary benchmarks showed the map+sort+join
-// round-trip of the original encoding dominating every wakeup run.
+// loops, where the encoding runs on every SC attempt, so it sizes the
+// rendering exactly up front and writes the digits itself: one
+// allocation, the string.
 func EncodeBits(set shmem.PidBits) string {
-	buf := make([]byte, 0, 4*set.Count())
-	set.Each(func(p int) {
-		if len(buf) > 0 {
-			buf = append(buf, ',')
+	n := set.Count()
+	if n == 0 {
+		return ""
+	}
+	// n−1 commas, one digit per pid, and one more digit for every pid
+	// ≥ 10, every pid ≥ 100, and so on.
+	size := 2*n - 1
+	for t := 10; ; t *= 10 {
+		c := countFrom(set, t)
+		if c == 0 {
+			break
 		}
-		buf = strconv.AppendInt(buf, int64(p), 10)
-	})
-	return string(buf)
+		size += c
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for i, w := range set {
+		for ; w != 0; w &= w - 1 {
+			if b.Len() > 0 {
+				b.WriteByte(',')
+			}
+			writeDecimal(&b, i<<6+bits.TrailingZeros64(w))
+		}
+	}
+	return b.String()
+}
+
+// countFrom returns the number of elements of set that are ≥ t.
+func countFrom(set shmem.PidBits, t int) int {
+	w := shmem.WordOf(t)
+	if w >= len(set) {
+		return 0
+	}
+	c := bits.OnesCount64(set[w] &^ shmem.MaskUpTo(t&63))
+	for _, x := range set[w+1:] {
+		c += bits.OnesCount64(x)
+	}
+	return c
+}
+
+// writeDecimal writes p ≥ 0 in decimal. Pids below 1000 — every system
+// size the experiments run — take a branch with no loop.
+func writeDecimal(b *strings.Builder, p int) {
+	switch {
+	case p < 10:
+		b.WriteByte(byte('0' + p))
+	case p < 100:
+		b.WriteByte(byte('0' + p/10))
+		b.WriteByte(byte('0' + p%10))
+	case p < 1000:
+		b.WriteByte(byte('0' + p/100))
+		b.WriteByte(byte('0' + p/10%10))
+		b.WriteByte(byte('0' + p%10))
+	default:
+		var digits [20]byte
+		i := len(digits)
+		for ; p > 0; p /= 10 {
+			i--
+			digits[i] = byte('0' + p%10)
+		}
+		b.Write(digits[i:])
+	}
 }
 
 // DecodePids decodes EncodePids output (nil and "" decode to the empty set).
@@ -72,22 +128,45 @@ func DecodePids(v shmem.Value) map[int]bool {
 
 // DecodeBits decodes EncodePids/EncodeBits output into dst (cleared
 // first), reusing dst's backing array — the retry loops decode on every
-// LL, so the register hot path stays allocation-light.
+// LL, so the register hot path stays allocation-light. A value that is not
+// a string decodes to the empty set; a string that is not a comma-separated
+// list of integers panics.
 func DecodeBits(v shmem.Value, dst shmem.PidBits) shmem.PidBits {
-	dst.Clear()
 	s, _ := v.(string)
-	for s != "" {
-		part := s
-		if i := strings.IndexByte(s, ','); i >= 0 {
-			part, s = s[:i], s[i+1:]
-		} else {
-			s = ""
+	return decodeString(s, dst)
+}
+
+// maxPlainDigits is the longest run of decimal digits that cannot overflow
+// an int.
+const maxPlainDigits = 9 * strconv.IntSize / 32
+
+// decodeString is DecodeBits on the string itself. It parses canonical
+// parts — plain digits, at most maxPlainDigits of them — in one pass;
+// anything else (an empty part, a sign, a space, a long part) goes through
+// strconv.Atoi, so it accepts exactly the strings and values Atoi does and
+// panics on the rest.
+func decodeString(s string, dst shmem.PidBits) shmem.PidBits {
+	dst.Clear()
+	for rest := s; rest != ""; {
+		p, i := 0, 0
+		for ; i < len(rest) && i < maxPlainDigits && '0' <= rest[i] && rest[i] <= '9'; i++ {
+			p = p*10 + int(rest[i]-'0')
 		}
-		p, err := strconv.Atoi(part)
-		if err != nil {
-			panic(fmt.Sprintf("wakeup: corrupt pid set register %q", v))
+		if i == 0 || i < len(rest) && rest[i] != ',' {
+			i = strings.IndexByte(rest, ',')
+			if i < 0 {
+				i = len(rest)
+			}
+			var err error
+			if p, err = strconv.Atoi(rest[:i]); err != nil {
+				panic(fmt.Sprintf("wakeup: corrupt pid set register %q", s))
+			}
 		}
 		dst.Add(p)
+		if i < len(rest) {
+			i++ // the comma
+		}
+		rest = rest[i:]
 	}
 	return dst
 }
