@@ -130,6 +130,7 @@ fuzz-short:
 	$(GO) test ./internal/lockstep/ -run '^$$' -fuzz '^FuzzVMEquivalence$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/algos/tas/ -run '^$$' -fuzz '^FuzzTAS$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wakeup/ -run '^$$' -fuzz '^FuzzPidCodec$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/linz/ -run '^$$' -fuzz '^FuzzOnlineMemo$$' -fuzztime $(FUZZTIME)
 
 # Differential proof that the bytecode VM and the goroutine interpreter are
 # observably identical: exhaustive lockstep exploration at n ∈ {2,3} for

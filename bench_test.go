@@ -541,6 +541,41 @@ func BenchmarkExhaustiveExplore(b *testing.B) {
 	b.ReportMetric(float64(runs)/b.Elapsed().Seconds(), "runs/sec")
 }
 
+// BenchmarkExhaustiveExploreOps measures the two exhaustive searches that
+// set the explore workload's latency: group-update at n=2 (its median op)
+// and central at n=3 (its 90th percentile). Next to runs/sec it reports
+// the pinned States and Runs, which bench-compare gates exactly.
+func BenchmarkExhaustiveExploreOps(b *testing.B) {
+	cases := []struct {
+		alg         string
+		n           int
+		states, run int
+	}{
+		{alg: "group-update", n: 2, states: 384, run: 607},
+		{alg: "central", n: 3, states: 507, run: 700},
+	}
+	for _, tc := range cases {
+		b.Run(fmt.Sprintf("%s/n=%d", tc.alg, tc.n), func(b *testing.B) {
+			var runs int
+			var rep *explore.Report
+			for i := 0; i < b.N; i++ {
+				var err error
+				rep, err = explore.Exhaustive(explore.Config{Alg: tc.alg, Object: "fetch-increment", N: tc.n, OpsPerProc: 1}, 1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rep.Failure != nil || rep.States != tc.states || rep.Runs != tc.run {
+					b.Fatalf("unexpected report: states=%d runs=%d failure=%v", rep.States, rep.Runs, rep.Failure)
+				}
+				runs += rep.Runs
+			}
+			b.ReportMetric(float64(runs)/b.Elapsed().Seconds(), "runs/sec")
+			b.ReportMetric(float64(rep.States), "states")
+			b.ReportMetric(float64(rep.Runs), "runs")
+		})
+	}
+}
+
 // BenchmarkCampaignExec measures campaign-round execution throughput —
 // the coverage-guided hot path (guided runs with state-digest tracing,
 // corpus mutation, slot-order folds) that a long-lived campaign spends

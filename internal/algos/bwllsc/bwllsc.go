@@ -226,7 +226,7 @@ func (m *Memory) AppendFingerprint(dst []byte) []byte {
 	for _, i := range m.touched {
 		r := m.regs[i]
 		dst = binary.AppendUvarint(dst, uint64(i))
-		m.fpScratch = fmt.Appendf(m.fpScratch[:0], "%v", r.head.Load().val)
+		m.fpScratch = shmem.AppendFmt(m.fpScratch[:0], r.head.Load().val)
 		dst = binary.AppendUvarint(dst, uint64(len(m.fpScratch)))
 		dst = append(dst, m.fpScratch...)
 		dst = r.pset().AppendBinary(dst)

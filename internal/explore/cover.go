@@ -73,7 +73,7 @@ func RunGuided(cfg Config, prefix []int, seed int64, tossRange int64) (*CoverRec
 	rng := rand.New(rand.NewSource(seed))
 	tossRng := rand.New(rand.NewSource(sweep.Derive(seed, 1)))
 	cfg.Tosses = func(int, int) int64 { return tossRng.Int63n(tossRange) }
-	r, err := newRunner(cfg)
+	r, err := newRunner(cfg, nil)
 	if err != nil {
 		return nil, err
 	}

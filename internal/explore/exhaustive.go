@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"jayanti98/internal/linz"
 	"jayanti98/internal/sweep"
 )
 
@@ -16,8 +17,10 @@ type Report struct {
 	// steps are counted once per branch; the count is nevertheless
 	// deterministic at every worker count.
 	States int
-	// Runs counts prefix executions (every DFS node re-executes its prefix
-	// from scratch).
+	// Runs counts the DFS nodes visited (the root included). A node either
+	// continues its parent's runner by one step or, when a sibling already
+	// took that runner, rebuilds one and re-executes its prefix; both count
+	// once, so Runs is the same number the from-scratch search reported.
 	Runs int
 	// Complete counts runs in which every process terminated.
 	Complete int
@@ -35,12 +38,15 @@ type Report struct {
 }
 
 // exhaustiveWorker explores the subtree under one first step with its own
-// visited set.
+// visited set and online-checker memo. The memo lives as long as the
+// branch: every runner of the branch checks its history on it, so a
+// re-executed prefix's checker events are map lookups.
 type exhaustiveWorker struct {
 	ctx       context.Context
 	cfg       Config
 	visited   map[string]bool
-	keyBuf    []byte // reused memo-key scratch (appendMemoKey)
+	memo      *linz.Memo // nil until the first runner creates it
+	keyBuf    []byte     // reused memo-key scratch (appendMemoKey)
 	runs      int
 	complete  int
 	truncated int
@@ -62,10 +68,10 @@ func Exhaustive(cfg Config, workers int) (*Report, error) {
 
 // ExhaustiveCtx is Exhaustive under a context: cancellation aborts the
 // search — both across branches (no new branch is dispatched) and inside a
-// branch (the DFS checks ctx before every prefix re-execution) — and
-// returns ctx.Err(). A cancelled search yields no report.
+// branch (the DFS checks ctx at every node) — and returns ctx.Err(). A
+// cancelled search yields no report and leaves no runner open.
 func ExhaustiveCtx(ctx context.Context, cfg Config, workers int) (*Report, error) {
-	root, err := newRunner(cfg)
+	root, err := newRunner(cfg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -100,7 +106,7 @@ func ExhaustiveCtx(ctx context.Context, cfg Config, workers int) (*Report, error
 	}
 	results, err := sweep.MapCtx(ctx, workers, len(branches), func(i int) (branchResult, error) {
 		w := &exhaustiveWorker{ctx: ctx, cfg: cfg, visited: make(map[string]bool)}
-		f, rec, err := w.dfs([]int{branches[i]})
+		f, rec, err := w.dfs([]int{branches[i]}, nil)
 		if err != nil {
 			return branchResult{}, err
 		}
@@ -122,27 +128,39 @@ func ExhaustiveCtx(ctx context.Context, cfg Config, workers int) (*Report, error
 	return rep, nil
 }
 
-// dfs executes prefix from scratch and recurses on every enabled process.
-// It returns the first failure found in its subtree (with the failing
-// run's record), or nil if the subtree is clean.
-func (e *exhaustiveWorker) dfs(prefix []int) (*Failure, *RunRecord, error) {
+// dfs visits the DFS node reached by prefix and recurses on every enabled
+// process. When r is non-nil it is the live runner of the parent node,
+// which has executed all of prefix but its last pid: the node steps only
+// that pid. Otherwise the node builds a runner and executes prefix from
+// scratch. Either way the node owns r and closes it on every exit, unless
+// it hands r on to its first child. It returns the first failure found in
+// its subtree (with the failing run's record), or nil if the subtree is
+// clean.
+func (e *exhaustiveWorker) dfs(prefix []int, r *runner) (*Failure, *RunRecord, error) {
 	if err := e.ctx.Err(); err != nil {
+		if r != nil {
+			r.close()
+		}
 		return nil, nil, err
 	}
-	r, err := newRunner(e.cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer r.close()
 	e.runs++
-	for _, pid := range prefix {
-		if r.fail != nil {
-			break
+	if r != nil {
+		if !r.step(prefix[len(prefix)-1]) && r.fail == nil {
+			r.close()
+			return nil, nil, fmt.Errorf("explore: internal: pid %d not enabled after its parent node", prefix[len(prefix)-1])
 		}
-		if !r.step(pid) && r.fail == nil {
-			return nil, nil, fmt.Errorf("explore: internal: prefix pid %d not enabled during re-execution", pid)
+	} else {
+		var err error
+		if r, err = e.replay(prefix); err != nil {
+			return nil, nil, err
 		}
 	}
+	handed := false
+	defer func() {
+		if !handed {
+			r.close()
+		}
+	}()
 	if r.fail != nil {
 		return r.fail, r.record(), nil
 	}
@@ -168,15 +186,39 @@ func (e *exhaustiveWorker) dfs(prefix []int) (*Failure, *RunRecord, error) {
 		return nil, nil, nil
 	}
 	e.visited[key] = true
-	next := r.enabled()
-	// Free the run's goroutines before recursing: the DFS is as deep as
-	// the budget, and each live runner holds cfg.N goroutines.
-	r.close()
-	for _, pid := range next {
-		f, rec, err := e.dfs(append(prefix[:len(prefix):len(prefix)], pid))
+	// The first child continues this node's runner; later siblings
+	// rebuild theirs, because a machine goroutine cannot be forked. At
+	// most one runner (cfg.N goroutines) is therefore live at a time,
+	// however deep the DFS goes.
+	for i, pid := range r.enabled() {
+		var live *runner
+		if i == 0 {
+			live, handed = r, true
+		}
+		f, rec, err := e.dfs(append(prefix[:len(prefix):len(prefix)], pid), live)
 		if f != nil || err != nil {
 			return f, rec, err
 		}
 	}
 	return nil, nil, nil
+}
+
+// replay builds a runner on the worker's memo and executes prefix on it
+// from scratch.
+func (e *exhaustiveWorker) replay(prefix []int) (*runner, error) {
+	r, err := newRunner(e.cfg, e.memo)
+	if err != nil {
+		return nil, err
+	}
+	e.memo = r.memo
+	for _, pid := range prefix {
+		if r.fail != nil {
+			break
+		}
+		if !r.step(pid) && r.fail == nil {
+			r.close()
+			return nil, fmt.Errorf("explore: internal: prefix pid %d not enabled during re-execution", pid)
+		}
+	}
+	return r, nil
 }

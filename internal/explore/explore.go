@@ -16,15 +16,18 @@
 // Three entry points:
 //
 //   - Exhaustive enumerates every schedule up to the step budget by
-//     depth-first search, re-executing each prefix from scratch (machine
-//     goroutines cannot be forked) and pruning prefixes that reach an
-//     already-visited state. The memoization key is the product of the
-//     machine history digests (operational local state, Lemma 5.2), the
-//     memory fingerprint, and the online checker's configuration-set key —
-//     the last component is what makes pruning sound for linearizability:
-//     two prefixes that agree on machines and memory can still admit
-//     different real-time orders, and the config set captures exactly that
-//     residue.
+//     depth-first search, pruning prefixes that reach an already-visited
+//     state. Each node hands its live runner to its first child, which
+//     executes one more step; later siblings rebuild a runner and
+//     re-execute their prefix, because machine goroutines cannot be
+//     forked. The runners of one branch share an online-checker memo
+//     (linz.Memo), so re-executed events cost a lookup each. The
+//     memoization key is the product of the machine history digests
+//     (operational local state, Lemma 5.2), the memory fingerprint, and
+//     the online checker's configuration-set key — the last component is
+//     what makes pruning sound for linearizability: two prefixes that
+//     agree on machines and memory can still admit different real-time
+//     orders, and the config set captures exactly that residue.
 //   - Fuzz samples random schedules (and coin tosses) for sizes where
 //     exhaustive search is infeasible, with per-sample seeds derived via
 //     sweep.Derive so every sample is reproducible in isolation.
@@ -312,6 +315,7 @@ type runner struct {
 	log     *eventLog
 	ta      machine.TossAssignment
 
+	memo     *linz.Memo // shared by the runners of one search
 	online   *linz.Online
 	consumed int // prefix of log already fed to the checker
 	pending  map[int]pendingOp
@@ -325,14 +329,16 @@ type runner struct {
 }
 
 // newRunner builds the system and advances every process to its first
-// shared-memory operation (or termination). The returned runner must be
-// closed.
-func newRunner(cfg Config) (*runner, error) {
+// shared-memory operation (or termination). Its online checker shares
+// memo's sets and transitions; a nil memo gives the runner a private one,
+// which r.memo then holds for the caller to reuse. The returned runner
+// must be closed.
+func newRunner(cfg Config, memo *linz.Memo) (*runner, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if spec, ok := algos.For(cfg.Alg); ok {
-		return newRawRunner(cfg, spec)
+		return newRawRunner(cfg, spec, memo)
 	}
 	w, err := workloadFor(cfg.Object)
 	if err != nil {
@@ -351,6 +357,9 @@ func newRunner(cfg Config) (*runner, error) {
 	if err != nil {
 		return nil, err
 	}
+	if memo == nil {
+		memo = linz.NewMemo(typ, cfg.N)
+	}
 	r := &runner{
 		cfg:     cfg,
 		budget:  budget,
@@ -359,7 +368,8 @@ func newRunner(cfg Config) (*runner, error) {
 		mem:     mem,
 		log:     &eventLog{},
 		ta:      cfg.tosses(),
-		online:  linz.NewOnline(typ, cfg.N),
+		memo:    memo,
+		online:  memo.NewOnline(),
 		pending: make(map[int]pendingOp),
 		tossLog: make([][]int64, cfg.N),
 	}
@@ -394,7 +404,7 @@ func newRunner(cfg Config) (*runner, error) {
 // real-time order (a completed loser before the winner's first step is a
 // genuine test&set violation, and the doorway-less tournament mutant would
 // produce exactly that).
-func newRawRunner(cfg Config, spec algos.Spec) (*runner, error) {
+func newRawRunner(cfg Config, spec algos.Spec, memo *linz.Memo) (*runner, error) {
 	if cfg.Object != spec.Object {
 		return nil, fmt.Errorf("explore: algorithm %s implements workload %q, got %q", spec.Name, spec.Object, cfg.Object)
 	}
@@ -414,6 +424,9 @@ func newRawRunner(cfg Config, spec algos.Spec) (*runner, error) {
 	if err != nil {
 		return nil, err
 	}
+	if memo == nil {
+		memo = linz.NewMemo(typ, cfg.N)
+	}
 	r := &runner{
 		cfg:     cfg,
 		budget:  budget,
@@ -424,7 +437,8 @@ func newRawRunner(cfg Config, spec algos.Spec) (*runner, error) {
 		mem:     mem,
 		log:     &eventLog{},
 		ta:      cfg.tosses(),
-		online:  linz.NewOnline(typ, cfg.N),
+		memo:    memo,
+		online:  memo.NewOnline(),
 		pending: make(map[int]pendingOp),
 		tossLog: make([][]int64, cfg.N),
 	}
@@ -670,7 +684,7 @@ func (r *runner) record() *RunRecord {
 // the schedule, on the first failure, or when all processes terminate; a
 // completed run is post-hoc checked with linz.Check.
 func RunSchedule(cfg Config, schedule []int) (*RunRecord, error) {
-	r, err := newRunner(cfg)
+	r, err := newRunner(cfg, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"jayanti98/internal/linz"
 	"jayanti98/internal/sweep"
 )
 
@@ -86,10 +87,25 @@ func FuzzCtx(ctx context.Context, cfg Config, opt FuzzOptions) (*FuzzReport, err
 	if opt.Offset < 0 {
 		return nil, fmt.Errorf("explore: fuzz sample offset %d negative", opt.Offset)
 	}
+	// Samples share online-checker memos, one per concurrently running
+	// sample: a sample takes a free memo (or starts one) and hands it back
+	// when it is done.
+	memos := make(chan *linz.Memo, min(sweep.Workers(opt.Workers), opt.Samples))
 	results, err := sweep.MapCtx(ctx, opt.Workers, opt.Samples, func(item int) (sampleResult, error) {
 		i := opt.Offset + item // global sample index in the Seed's stream
 		seed := sweep.Derive(opt.Seed, i)
-		rec, err := fuzzOne(cfg, seed, tossRange)
+		var memo *linz.Memo
+		select {
+		case memo = <-memos:
+		default:
+		}
+		rec, memo, err := fuzzOne(cfg, seed, tossRange, memo)
+		if memo != nil {
+			select {
+			case memos <- memo:
+			default:
+			}
+		}
 		if err != nil {
 			return sampleResult{}, fmt.Errorf("explore: sample %d (seed %d): %w", i, seed, err)
 		}
@@ -154,14 +170,15 @@ func FuzzCtx(ctx context.Context, cfg Config, opt FuzzOptions) (*FuzzReport, err
 	return rep, nil
 }
 
-// fuzzOne runs a single random schedule to completion, failure, or budget.
-func fuzzOne(cfg Config, seed int64, tossRange int64) (*RunRecord, error) {
+// fuzzOne runs a single random schedule to completion, failure, or budget,
+// checking it on memo (nil: a new one). It returns the memo it used.
+func fuzzOne(cfg Config, seed int64, tossRange int64, memo *linz.Memo) (*RunRecord, *linz.Memo, error) {
 	rng := rand.New(rand.NewSource(seed))
 	tossRng := rand.New(rand.NewSource(sweep.Derive(seed, 1)))
 	cfg.Tosses = func(int, int) int64 { return tossRng.Int63n(tossRange) }
-	r, err := newRunner(cfg)
+	r, err := newRunner(cfg, memo)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer r.close()
 	for r.fail == nil && !r.done() {
@@ -173,8 +190,8 @@ func fuzzOne(cfg Config, seed int64, tossRange int64) (*RunRecord, error) {
 	}
 	if r.done() {
 		if err := r.finalCheck(); err != nil {
-			return nil, err
+			return nil, r.memo, err
 		}
 	}
-	return r.record(), nil
+	return r.record(), r.memo, nil
 }

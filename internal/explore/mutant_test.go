@@ -3,6 +3,7 @@
 package explore
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -34,6 +35,33 @@ func TestMutantCaughtByExhaustive(t *testing.T) {
 		t.Fatalf("want %s, got %v", FailNonLinearizable, rep.Failure)
 	}
 	t.Logf("caught: %v\nschedule: %v", rep.Failure, rep.Record.Schedule)
+}
+
+// TestMutantExhaustiveMatchesReference: on the broken construction the
+// live search reports exactly the replaying reference's failure and
+// failing record, at one and four workers, and the two records shrink to
+// the same replay.
+func TestMutantExhaustiveMatchesReference(t *testing.T) {
+	cfg := Config{Alg: BrokenGroupUpdate, Object: "fetch-increment", N: 2, OpsPerProc: 1}
+	rep := checkAgainstReference(t, cfg)
+	if rep.Failure == nil || rep.Record == nil {
+		t.Fatalf("the search missed the seeded bug: %+v", rep)
+	}
+	ref, err := referenceExhaustive(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := RunSchedule(cfg, Shrink(cfg, rep.Record.Schedule, rep.Failure.Kind))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := RunSchedule(cfg, Shrink(cfg, ref.Record.Schedule, ref.Failure.Kind))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) || got.Failure == nil {
+		t.Fatalf("shrunk replays differ:\n  live      %+v\n  reference %+v", got, want)
+	}
 }
 
 func TestMutantFuzzShrinkAndReplay(t *testing.T) {

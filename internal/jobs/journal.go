@@ -65,10 +65,30 @@ func (j *job) journalRecordLocked() JobRecord {
 // and counted, never fatal: the in-memory scheduler stays authoritative
 // for this life, and the worst a lost write costs after a crash is
 // re-running one deterministic job.
-func (s *Scheduler) journal(j *job) {
+func (s *Scheduler) journal(j *job) { s.journalAs(j, nil) }
+
+// journalSeam, when non-nil, runs between a journal record's snapshot and
+// its write. Tests use it to interleave other writers of the same job.
+var journalSeam func(JobRecord)
+
+// journalAs snapshots j, lets edit adjust the record (nil: none) and
+// writes it, all under j.journalMu. Submit, the worker and Cancel journal
+// one job from different goroutines; holding the lock from snapshot to
+// write makes their records land in snapshot order, so the last record on
+// disk is always the job's latest state, never a stale one written late.
+// It reports whether the write succeeded.
+func (s *Scheduler) journalAs(j *job, edit func(*JobRecord)) bool {
+	j.journalMu.Lock()
+	defer j.journalMu.Unlock()
 	j.mu.Lock()
 	rec := j.journalRecordLocked()
 	j.mu.Unlock()
+	if edit != nil {
+		edit(&rec)
+	}
+	if journalSeam != nil {
+		journalSeam(rec)
+	}
 	data, err := json.Marshal(rec)
 	if err == nil {
 		err = s.cache.PutJobRecord(rec.ID, data)
@@ -76,9 +96,10 @@ func (s *Scheduler) journal(j *job) {
 	if err != nil {
 		s.met.journalErrors.Inc()
 		s.jobLogger(rec.ID, kindOf(rec.Spec)).Warn("journal write failed", "error", err.Error())
-		return
+		return false
 	}
 	s.met.journalWrites.Inc()
+	return true
 }
 
 // kindOf tolerates the nil specs malformed journal records can carry.

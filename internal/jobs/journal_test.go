@@ -84,6 +84,84 @@ func TestJournalTerminalJobSurvivesRestart(t *testing.T) {
 	}
 }
 
+// TestJournalStaleSnapshotNeverLandsLast pins the lost-update fix: Submit
+// journals its "queued" snapshot after unlocking the scheduler, so a
+// worker can run the job and journal "running" and "done" between that
+// snapshot and its write. The test keeps the one worker busy with a
+// blocker job until Submit has taken its snapshot, then the seam releases
+// the blocker and holds the queued record until the job finishes. Without
+// a per-job journal lock the worker gets through, and the stale queued
+// record lands last: a restart would re-run a finished job. With the lock
+// the worker waits for the queued write, the seam gives up after a while,
+// and the done record lands last.
+func TestJournalStaleSnapshotNeverLandsLast(t *testing.T) {
+	release := make(chan struct{})
+	swapRunSpec(t, func(ctx context.Context, spec *Spec, p *Progress, parallel int) ([]byte, error) {
+		if spec.Explore.Seed == 8 {
+			<-release
+		}
+		return echoRunSpec(ctx, spec, p, parallel)
+	})
+	dir := t.TempDir()
+	blocker, spec := fuzzSpec(8), fuzzSpec(9)
+	id, err := spec.ID()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s *Scheduler
+	held := false
+	orig := journalSeam
+	journalSeam = func(rec JobRecord) {
+		if rec.ID != id || held {
+			return
+		}
+		held = true
+		if rec.Status != StatusQueued {
+			t.Errorf("first journal record of the job has status %s, want queued", rec.Status)
+		}
+		s.mu.Lock()
+		j := s.jobs[id]
+		s.mu.Unlock()
+		close(release)
+		select {
+		case <-j.done:
+		case <-time.After(250 * time.Millisecond):
+		}
+	}
+	t.Cleanup(func() { journalSeam = orig })
+
+	s = newDirScheduler(t, dir, Options{Workers: 1})
+	bv, _, err := s.Submit(blocker)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitStatus(t, s, bv.ID, StatusRunning)
+	if _, _, err := s.Submit(spec); err != nil {
+		t.Fatal(err)
+	}
+	// Wait, not waitStatus: the job's done channel closes only after its
+	// last journal write.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if final, err := s.Wait(ctx, id); err != nil || final.Status != StatusDone {
+		t.Fatalf("job ended %+v, %v", final, err)
+	}
+	if !held {
+		t.Fatal("the seam never saw the job's journal record")
+	}
+	data, ok := s.cache.GetJobRecord(id)
+	if !ok {
+		t.Fatal("journal record missing")
+	}
+	var rec JobRecord
+	if err := json.Unmarshal(data, &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Status != StatusDone {
+		t.Fatalf("last journal record has status %s, want done: a stale snapshot landed after the job finished", rec.Status)
+	}
+}
+
 // TestJournalReplayReenqueuesEveryKind: queued and running records of
 // every job kind — report, sweep, explore, and an in-flight campaign
 // round — are re-enqueued at boot and run to completion.

@@ -130,6 +130,10 @@ type job struct {
 	progress *Progress
 	cancel   context.CancelFunc
 	done     chan struct{} // closed on terminal status
+
+	// journalMu makes each journal record's snapshot and write one step
+	// (journalAs). Never taken while holding mu or the scheduler's mu.
+	journalMu sync.Mutex
 }
 
 // JobView is an immutable snapshot of a job, the unit the HTTP layer
@@ -949,22 +953,14 @@ func (s *Scheduler) journalTerminal(j *job, status Status) {
 	draining := s.draining
 	s.mu.Unlock()
 	if status == StatusCanceled && !tombstoned && draining {
-		j.mu.Lock()
-		rec := j.journalRecordLocked()
-		j.mu.Unlock()
-		rec.Status = StatusQueued
-		rec.Error = ""
-		rec.Started, rec.Finished = nil, nil
-		data, err := json.Marshal(rec)
-		if err == nil {
-			err = s.cache.PutJobRecord(rec.ID, data)
+		asQueued := func(rec *JobRecord) {
+			rec.Status = StatusQueued
+			rec.Error = ""
+			rec.Started, rec.Finished = nil, nil
 		}
-		if err != nil {
-			s.met.journalErrors.Inc()
-			return
+		if s.journalAs(j, asQueued) {
+			s.jobLogger(j.id, j.spec.Kind).Info("drained job journaled as queued for resume")
 		}
-		s.met.journalWrites.Inc()
-		s.jobLogger(j.id, j.spec.Kind).Info("drained job journaled as queued for resume")
 		return
 	}
 	s.journal(j)

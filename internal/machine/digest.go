@@ -27,7 +27,8 @@ const (
 
 // digest is an inline FNV-1a accumulator.
 type digest struct {
-	sum uint64
+	sum     uint64
+	scratch []byte // reused value rendering (writeValue)
 }
 
 func newDigest() digest { return digest{sum: fnvOffset64} }
@@ -47,6 +48,14 @@ func (d *digest) writeString(s string) {
 	d.writeWord(uint64(len(s)))
 	for i := 0; i < len(s); i++ {
 		d.writeByte(s[i])
+	}
+}
+
+// writeBytes encodes b exactly as writeString(string(b)).
+func (d *digest) writeBytes(b []byte) {
+	d.writeWord(uint64(len(b)))
+	for _, c := range b {
+		d.writeByte(c)
 	}
 }
 
@@ -90,6 +99,13 @@ func (d *digest) writeValue(v shmem.Value) {
 	case string:
 		d.writeByte(valString)
 		d.writeString(x)
+	case shmem.FmtAppender:
+		// Values that render themselves (construction logs) encode
+		// exactly as the fmt fallback below, without fmt.
+		d.writeByte(valOther)
+		d.writeString(x.FmtType())
+		d.scratch = x.AppendFmt(d.scratch[:0])
+		d.writeBytes(d.scratch)
 	default:
 		// Exotic values (slices installed by memory initializers, objtype
 		// states) fall back to their type name and rendering; slower, but

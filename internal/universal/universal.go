@@ -30,10 +30,12 @@ package universal
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"jayanti98/internal/machine"
 	"jayanti98/internal/objtype"
+	"jayanti98/internal/shmem"
 )
 
 // Record is one announced operation: the invoking process, its per-process
@@ -49,9 +51,43 @@ func (r Record) String() string {
 	return fmt.Sprintf("p%d#%d:%v", r.Pid, r.Seq, r.Op)
 }
 
+// appendString appends exactly the bytes of r.String().
+func (r Record) appendString(dst []byte) []byte {
+	dst = append(dst, 'p')
+	dst = strconv.AppendInt(dst, int64(r.Pid), 10)
+	dst = append(dst, '#')
+	dst = strconv.AppendInt(dst, int64(r.Seq), 10)
+	dst = append(dst, ':')
+	dst = append(dst, r.Op.Name...)
+	if r.Op.Arg == nil {
+		return append(dst, "()"...)
+	}
+	dst = append(dst, '(')
+	dst = shmem.AppendFmt(dst, r.Op.Arg)
+	return append(dst, ')')
+}
+
 // Log is an immutable sequence of records. Logs stored in shared registers
 // must never be modified in place; all log operations copy.
 type Log []Record
+
+// AppendFmt appends exactly the bytes fmt's %v writes for l: the records'
+// String renderings, space-separated, in brackets. Logs are the register
+// values of every construction, and memory fingerprints and history
+// digests render them on every step (shmem.FmtAppender).
+func (l Log) AppendFmt(dst []byte) []byte {
+	dst = append(dst, '[')
+	for i, r := range l {
+		if i > 0 {
+			dst = append(dst, ' ')
+		}
+		dst = r.appendString(dst)
+	}
+	return append(dst, ']')
+}
+
+// FmtType returns fmt's %T of a Log.
+func (Log) FmtType() string { return "universal.Log" }
 
 // Contains reports whether the log holds the record with identity
 // (pid, seq).

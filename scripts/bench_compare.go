@@ -9,8 +9,8 @@
 //     tolerance (-time-tol, default 1.0 — i.e. fail only past 2× worse),
 //     because wall clock is the noisiest signal. Direction-aware: ns/op
 //     regresses upward, */sec regresses downward. When the two artifacts
-//     record different CPU models the comparison is cross-machine and
-//     timing violations downgrade to warnings.
+//     record different CPU models or GOMAXPROCS the comparison is
+//     cross-machine and timing violations downgrade to warnings.
 //   - allocation (B/op, allocs/op): moderate tolerance (-alloc-tol,
 //     default 0.35). Allocation counts are near-deterministic and
 //     machine-independent, so these gate even cross-machine.
@@ -18,9 +18,13 @@
 //     b.ReportMetric (winner-steps, log4n-bound, forced-steps/op, …) —
 //     is deterministic by construction and must match exactly.
 //
-// Benchmarks present in only one artifact are skipped (reported, not
-// failed), so a quick hot-path-pattern run can be compared against a
-// full-suite baseline.
+// Benchmarks are matched by name without the -GOMAXPROCS suffix `go test`
+// appends ("BenchmarkExhaustiveExplore-2"), so artifacts from runners with
+// different CPU counts still compare. A GOMAXPROCS difference counts as a
+// different machine: timing only warns, allocation and exact metrics
+// still gate. Benchmarks present in only one artifact are skipped
+// (reported, not failed), so a quick hot-path-pattern run can be compared
+// against a full-suite baseline.
 package main
 
 import (
@@ -62,6 +66,31 @@ type compareConfig struct {
 	sameCPU bool
 }
 
+// procsSuffix returns the -GOMAXPROCS suffix shared by every benchmark
+// name in out ("-2"), or "" when the names carry none (go test omits it at
+// GOMAXPROCS=1) or do not agree on one.
+func procsSuffix(out *Output) string {
+	suffix := ""
+	for i, b := range out.Benchmarks {
+		j := strings.LastIndexByte(b.Name, '-')
+		if j < 0 || j == len(b.Name)-1 || strings.Trim(b.Name[j+1:], "0123456789") != "" {
+			return ""
+		}
+		if i > 0 && b.Name[j:] != suffix {
+			return ""
+		}
+		suffix = b.Name[j:]
+	}
+	return suffix
+}
+
+// sameMachine reports whether two artifacts ran on the same CPU model at
+// the same GOMAXPROCS, the condition for timing to gate.
+func sameMachine(baseline, current *Output) bool {
+	cpu := baseline.Env["cpu"]
+	return cpu != "" && cpu == current.Env["cpu"] && procsSuffix(baseline) == procsSuffix(current)
+}
+
 // violation is one metric that regressed past its class tolerance.
 type violation struct {
 	bench, unit       string
@@ -94,18 +123,19 @@ func regressed(base, cur, tol float64, higherIsBetter bool) bool {
 // the skipped benchmark names (present in only one artifact). Failures are
 // the gating subset of the violations.
 func compare(baseline, current *Output, cfg compareConfig) (violations []violation, skipped []string) {
+	baseSuffix, curSuffix := procsSuffix(baseline), procsSuffix(current)
 	curByName := map[string]*Benchmark{}
 	for _, b := range current.Benchmarks {
-		curByName[b.Name] = b
+		curByName[strings.TrimSuffix(b.Name, curSuffix)] = b
 	}
-	seen := map[string]bool{}
+	seen := map[*Benchmark]bool{}
 	for _, base := range baseline.Benchmarks {
-		cur := curByName[base.Name]
+		cur := curByName[strings.TrimSuffix(base.Name, baseSuffix)]
 		if cur == nil {
 			skipped = append(skipped, base.Name+" (baseline only)")
 			continue
 		}
-		seen[base.Name] = true
+		seen[cur] = true
 		for _, unit := range unitNames(base.Mean) {
 			bv := base.Mean[unit]
 			cv, ok := cur.Mean[unit]
@@ -135,7 +165,7 @@ func compare(baseline, current *Output, cfg compareConfig) (violations []violati
 		}
 	}
 	for _, b := range current.Benchmarks {
-		if !seen[b.Name] {
+		if !seen[b] {
 			skipped = append(skipped, b.Name+" (current only)")
 		}
 	}

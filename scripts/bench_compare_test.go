@@ -181,3 +181,83 @@ func TestRegressedZeroBaseline(t *testing.T) {
 		t.Error("throughput appearing where baseline had none is not a regression")
 	}
 }
+
+func TestProcsSuffix(t *testing.T) {
+	cases := []struct {
+		names []string
+		want  string
+	}{
+		{[]string{"BenchmarkA-2", "BenchmarkB/n=4-2"}, "-2"},
+		{[]string{"BenchmarkA-16"}, "-16"},
+		// GOMAXPROCS=1: go test appends nothing.
+		{[]string{"BenchmarkA", "BenchmarkB/n=4", "BenchmarkC/set-register/n=4"}, ""},
+		// Names that disagree carry no common suffix.
+		{[]string{"BenchmarkA-2", "BenchmarkB-4"}, ""},
+		{[]string{"BenchmarkA-2", "BenchmarkB"}, ""},
+		{[]string{"BenchmarkA-"}, ""},
+		{nil, ""},
+	}
+	for _, tc := range cases {
+		out := &Output{}
+		for _, name := range tc.names {
+			out.Benchmarks = append(out.Benchmarks, &Benchmark{Name: name})
+		}
+		if got := procsSuffix(out); got != tc.want {
+			t.Errorf("procsSuffix(%v) = %q, want %q", tc.names, got, tc.want)
+		}
+	}
+}
+
+// TestCompareAcrossGOMAXPROCS: a baseline recorded at GOMAXPROCS=2 still
+// gates a run at 4 or at 1 — names match without the suffix — but, as on
+// a different CPU model, timing only warns.
+func TestCompareAcrossGOMAXPROCS(t *testing.T) {
+	baseline := mkOutput("cpuA", map[string]map[string]float64{
+		"BenchmarkHot-2":          {"ns/op": 100, "allocs/op": 10, "runs": 607},
+		"BenchmarkSub/n=4-2":      {"ns/op": 100},
+		"BenchmarkBaselineOnly-2": {"ns/op": 100},
+	})
+	for _, suffix := range []string{"-4", ""} {
+		current := mkOutput("cpuA", map[string]map[string]float64{
+			"BenchmarkHot" + suffix:     {"ns/op": 300, "allocs/op": 20, "runs": 608},
+			"BenchmarkSub/n=4" + suffix: {"ns/op": 100},
+		})
+		cfg := compareConfig{timeTol: 1.0, allocTol: 0.35, sameCPU: sameMachine(baseline, current)}
+		if cfg.sameCPU {
+			t.Fatalf("suffix %q: a GOMAXPROCS difference counted as the same machine", suffix)
+		}
+		v, skipped := compare(baseline, current, cfg)
+		if len(skipped) != 1 || skipped[0] != "BenchmarkBaselineOnly-2 (baseline only)" {
+			t.Fatalf("suffix %q: skipped = %v, want only the baseline-only benchmark", suffix, skipped)
+		}
+		gating := map[string]bool{}
+		for _, viol := range v {
+			gating[viol.unit] = viol.gating
+		}
+		if len(v) != 3 || !gating["allocs/op"] || !gating["runs"] || gating["ns/op"] {
+			t.Fatalf("suffix %q: violations %v, want gating allocs/op and runs, warn-only ns/op", suffix, v)
+		}
+	}
+}
+
+func TestSameMachine(t *testing.T) {
+	at := func(cpu, suffix string) *Output {
+		return mkOutput(cpu, map[string]map[string]float64{"BenchmarkHot" + suffix: {"ns/op": 1}})
+	}
+	cases := []struct {
+		baseline, current *Output
+		want              bool
+	}{
+		{at("cpuA", "-2"), at("cpuA", "-2"), true},
+		{at("cpuA", ""), at("cpuA", ""), true},
+		{at("cpuA", "-2"), at("cpuA", "-4"), false},
+		{at("cpuA", "-2"), at("cpuA", ""), false},
+		{at("cpuA", "-2"), at("cpuB", "-2"), false},
+		{at("", "-2"), at("", "-2"), false},
+	}
+	for i, tc := range cases {
+		if got := sameMachine(tc.baseline, tc.current); got != tc.want {
+			t.Errorf("case %d: sameMachine = %t, want %t", i, got, tc.want)
+		}
+	}
+}

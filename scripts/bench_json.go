@@ -78,7 +78,7 @@ func main() {
 		cfg := compareConfig{
 			timeTol:  *timeTol,
 			allocTol: *allocTol,
-			sameCPU:  baseline.Env["cpu"] != "" && baseline.Env["cpu"] == current.Env["cpu"],
+			sameCPU:  sameMachine(baseline, current),
 		}
 		if failures := runCompare(os.Stdout, baseline, current, cfg); failures > 0 {
 			os.Exit(1)
