@@ -17,10 +17,9 @@ type Report struct {
 	// steps are counted once per branch; the count is nevertheless
 	// deterministic at every worker count.
 	States int
-	// Runs counts the DFS nodes visited (the root included). A node either
-	// continues its parent's runner by one step or, when a sibling already
-	// took that runner, rebuilds one and re-executes its prefix; both count
-	// once, so Runs is the same number the from-scratch search reported.
+	// Runs counts the DFS nodes visited, the root included. A node counts
+	// once whether it continued its parent's runner by one step or rebuilt
+	// a runner and re-executed its prefix.
 	Runs int
 	// Complete counts runs in which every process terminated.
 	Complete int

@@ -122,18 +122,16 @@ type configSet struct {
 // Not safe for concurrent use: neither it nor its checkers may be used
 // from two goroutines at once.
 type Memo struct {
-	typ  objtype.Type
-	cap  int
-	sets map[string]*configSet // by canonical Key
-	next map[string]*configSet // transition key → successor set
-	init *configSet
+	typ   objtype.Type
+	limit int                   // config-set cap (onlineConfigCap)
+	sets  map[string]*configSet // by canonical Key
+	next  map[string]*configSet // transition key → successor set
+	init  *configSet
 
-	// Scratch of the transition key, config renderings and closure.
+	// Scratch of the transition key and of config renderings.
 	buf    []byte
 	cfgBuf []byte
 	procs  []int
-	pend   []pendingOp
-	queue  []onlineConfig
 }
 
 // NewMemo creates an empty memo for n-process objects of the given type.
@@ -143,10 +141,10 @@ func NewMemo(typ objtype.Type, n int) *Memo {
 
 func newMemo(typ objtype.Type, n, limit int) *Memo {
 	m := &Memo{
-		typ:  typ,
-		cap:  limit,
-		sets: make(map[string]*configSet),
-		next: make(map[string]*configSet),
+		typ:   typ,
+		limit: limit,
+		sets:  make(map[string]*configSet),
+		next:  make(map[string]*configSet),
 	}
 	init := onlineConfig{state: typ.Init(n), lin: map[int]objtype.Value{}}
 	m.init = m.intern(map[string]onlineConfig{m.render(init): init})
@@ -269,7 +267,7 @@ func (m *Memo) step(tag byte, from *configSet, pending []pendingOp, proc int, op
 		}
 	}
 	configs := make(map[string]onlineConfig, len(from.configs))
-	after := m.pend[:0]
+	after := make([]pendingOp, 0, len(pending)+1)
 	if tag == transInvoke {
 		maps.Copy(configs, from.configs)
 		after = append(after, pending...)
@@ -299,7 +297,6 @@ func (m *Memo) step(tag byte, from *configSet, pending []pendingOp, proc int, op
 			}
 		}
 	}
-	m.pend = after
 	if err := m.closure(configs, after); err != nil {
 		return nil, err
 	}
@@ -313,11 +310,10 @@ func (m *Memo) step(tag byte, from *configSet, pending []pendingOp, proc int, op
 // closure extends configs with every configuration reachable by
 // linearizing pending-but-unlinearized operations, in any order.
 func (m *Memo) closure(configs map[string]onlineConfig, pending []pendingOp) error {
-	queue := m.queue[:0]
+	queue := make([]onlineConfig, 0, len(configs))
 	for _, c := range configs {
 		queue = append(queue, c)
 	}
-	defer func() { m.queue = queue[:0] }()
 	for len(queue) > 0 {
 		c := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
@@ -330,8 +326,8 @@ func (m *Memo) closure(configs map[string]onlineConfig, pending []pendingOp) err
 			if _, seen := configs[string(m.cfgBuf)]; seen {
 				continue
 			}
-			if len(configs) >= m.cap {
-				return fmt.Errorf("linz: online: config set exceeded %d entries (history too concurrent for online checking)", m.cap)
+			if len(configs) >= m.limit {
+				return fmt.Errorf("linz: online: config set exceeded %d entries (history too concurrent for online checking)", m.limit)
 			}
 			lin := make(map[int]objtype.Value, len(c.lin)+1)
 			for q, v := range c.lin {
