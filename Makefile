@@ -105,9 +105,10 @@ report:
 	$(GO) run ./cmd/lbreport -o EXPERIMENTS.report.md
 
 # Prove the schedule explorer detects real bugs: the deliberately broken
-# construction behind the mutation tag must be caught, shrunk, and replayed.
+# construction behind the mutation tag must be caught, shrunk, and replayed,
+# and its compiled twin must match its Go body step for step (lockstep).
 mutation:
-	$(GO) test -tags mutation ./internal/explore/ ./internal/universal/ ./internal/campaign/ ./internal/algos/tas/
+	$(GO) test -tags mutation ./internal/explore/ ./internal/universal/ ./internal/campaign/ ./internal/algos/tas/ ./internal/lockstep/
 
 # Coverage gate: fail if internal/... statement coverage drops below
 # COVER_MIN percent.

@@ -62,14 +62,18 @@ func BenchmarkE1WakeupForcedSteps(b *testing.B) {
 // BenchmarkE2RandomizedWakeup estimates the expected winner cost of the
 // randomized double-register algorithm (Lemma 3.1 / Theorem 6.1) through
 // the parallel sweep engine, at the same worker count cmd/lbreport uses.
+// Every iteration samples the same fixed seed, so the reported
+// E-winner-steps — which bench-compare gates exactly — does not depend on
+// how many iterations the benchmark ran.
 func BenchmarkE2RandomizedWakeup(b *testing.B) {
+	const seed = 1
 	for _, n := range []int{4, 16, 64} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			var mean float64
 			for i := 0; i < b.N; i++ {
 				res, err := lowerbound.ExpectedComplexityParallel(
 					func(int) machine.Algorithm { return wakeup.DoubleRegister() },
-					n, 10, int64(i), runtime.GOMAXPROCS(0))
+					n, 10, seed, runtime.GOMAXPROCS(0))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -541,26 +545,34 @@ func BenchmarkExhaustiveExplore(b *testing.B) {
 	b.ReportMetric(float64(runs)/b.Elapsed().Seconds(), "runs/sec")
 }
 
-// BenchmarkExhaustiveExploreOps measures the two exhaustive searches that
-// set the explore workload's latency: group-update at n=2 (its median op)
-// and central at n=3 (its 90th percentile). Next to runs/sec it reports
-// the pinned States and Runs, which bench-compare gates exactly.
+// BenchmarkExhaustiveExploreOps measures exhaustive searches of the
+// explore workload (perfbench): group-update at n=2, central at n=3 (the
+// op the workload weights most), and tas-tournament at n=2 on both LL/SC
+// backends, the slowest of its exhaustive ops before runners were forked.
+// Next to runs/sec it reports the pinned States and Runs, which
+// bench-compare gates exactly.
 func BenchmarkExhaustiveExploreOps(b *testing.B) {
 	cases := []struct {
-		alg         string
-		n           int
-		states, run int
+		alg, object, llsc string
+		n                 int
+		states, run       int
 	}{
-		{alg: "group-update", n: 2, states: 384, run: 607},
-		{alg: "central", n: 3, states: 507, run: 700},
+		{alg: "group-update", object: "fetch-increment", n: 2, states: 384, run: 607},
+		{alg: "central", object: "fetch-increment", n: 3, states: 507, run: 700},
+		{alg: "tas-tournament", object: "tas", llsc: "native", n: 2, states: 1594, run: 2741},
+		{alg: "tas-tournament", object: "tas", llsc: "bw", n: 2, states: 1594, run: 2741},
 	}
 	for _, tc := range cases {
-		b.Run(fmt.Sprintf("%s/n=%d", tc.alg, tc.n), func(b *testing.B) {
+		name := fmt.Sprintf("%s/n=%d", tc.alg, tc.n)
+		if tc.llsc != "" {
+			name += "/" + tc.llsc
+		}
+		b.Run(name, func(b *testing.B) {
 			var runs int
 			var rep *explore.Report
 			for i := 0; i < b.N; i++ {
 				var err error
-				rep, err = explore.Exhaustive(explore.Config{Alg: tc.alg, Object: "fetch-increment", N: tc.n, OpsPerProc: 1}, 1)
+				rep, err = explore.Exhaustive(explore.Config{Alg: tc.alg, Object: tc.object, N: tc.n, OpsPerProc: 1, LLSC: tc.llsc}, 1)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -32,6 +32,8 @@ package bwllsc
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -247,6 +249,48 @@ func (m *Memory) ReadQuiesced(i int) shmem.Value {
 		return m.initVal(i)
 	}
 	return nil
+}
+
+// staleNode is what a clone's stale announcements point to. No register
+// ever installs it (every install allocates a fresh node), so it is never
+// a head, which is all a stale announcement must guarantee.
+var staleNode = &node{}
+
+// Clone implements llsc.Backend by remapping node identities: each
+// register of the clone gets a fresh head node holding the same value,
+// every announcement of the origin's head becomes an announcement of the
+// clone's new head, and every stale announcement becomes staleNode. In the
+// clone an announcement therefore equals the head exactly when it did in
+// the origin, so every LL link — and the derived pset, hence the
+// fingerprint — carries over, while the two memories share no node that
+// a head can hold: a CAS on either can never succeed against the other's
+// nodes.
+func (m *Memory) Clone() llsc.Backend {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	c := &Memory{
+		n:       m.n,
+		regs:    make(map[int]*register, len(m.regs)),
+		touched: slices.Clone(m.touched),
+		steps:   maps.Clone(m.steps),
+		initVal: m.initVal,
+	}
+	for i, r := range m.regs {
+		head := r.head.Load()
+		cr := &register{ann: make([]atomic.Pointer[node], m.n)}
+		fresh := &node{val: head.val}
+		cr.head.Store(fresh)
+		for p := range r.ann {
+			switch a := r.ann[p].Load(); {
+			case a == head:
+				cr.ann[p].Store(fresh)
+			case a != nil:
+				cr.ann[p].Store(staleNode)
+			}
+		}
+		c.regs[i] = cr
+	}
+	return c
 }
 
 // Handle is one process's port to the memory. It implements machine.Port.

@@ -199,3 +199,92 @@ func TestBackendInterface(t *testing.T) {
 		}
 	}
 }
+
+// TestCloneKeepsLinks: cloning remaps node identities, yet in the clone an
+// announcement equals the head exactly when it did in the origin. The
+// hand-built state has a stale LL (p1, overtaken by p0's SC), a live one
+// (p2), and a process that never linked (p3); after cloning, both memories
+// must answer SCs exactly as a cloned native backend does, and SCs on the
+// clone must not consume the origin's links.
+func TestCloneKeepsLinks(t *testing.T) {
+	build := func(m llsc.Backend) {
+		m.Apply(0, shmem.Op{Kind: shmem.OpLL, Reg: 0})
+		m.Apply(1, shmem.Op{Kind: shmem.OpLL, Reg: 0})
+		m.Apply(0, shmem.Op{Kind: shmem.OpSC, Reg: 0, Arg: "a"})
+		m.Apply(2, shmem.Op{Kind: shmem.OpLL, Reg: 0})
+		m.Apply(1, shmem.Op{Kind: shmem.OpLL, Reg: 1})
+	}
+	native, bw := llsc.New(4), bwllsc.New(4)
+	build(native)
+	build(bw)
+	nc, bc := native.Clone(), bw.Clone()
+	if !bytes.Equal(bc.AppendFingerprint(nil), native.AppendFingerprint(nil)) {
+		t.Fatalf("bw clone %q, native %q", bc.Fingerprint(), native.Fingerprint())
+	}
+	originFP := bw.AppendFingerprint(nil)
+	scs := []struct{ pid, reg int }{{1, 0}, {3, 0}, {2, 0}, {2, 0}, {1, 1}, {0, 1}}
+	for _, sc := range scs {
+		op := shmem.Op{Kind: shmem.OpSC, Reg: sc.reg, Arg: sc.pid}
+		rn, rb := nc.Apply(sc.pid, op), bc.Apply(sc.pid, op)
+		if rn.OK != rb.OK || !shmem.ValuesEqual(rn.Val, rb.Val) {
+			t.Fatalf("SC by p%d on R%d: native clone %v, bw clone %v", sc.pid, sc.reg, rn, rb)
+		}
+		if !bytes.Equal(nc.AppendFingerprint(nil), bc.AppendFingerprint(nil)) {
+			t.Fatalf("after SC by p%d on R%d: native clone %q, bw clone %q", sc.pid, sc.reg, nc.Fingerprint(), bc.Fingerprint())
+		}
+	}
+	if !bytes.Equal(originFP, bw.AppendFingerprint(nil)) {
+		t.Fatal("SCs on the clone changed the origin")
+	}
+	// p2's link in the origin survived the clone's successful SC.
+	if r := bw.Apply(2, shmem.Op{Kind: shmem.OpSC, Reg: 0, Arg: "b"}); !r.OK {
+		t.Fatalf("origin SC by p2 = %v, want success", r)
+	}
+}
+
+// TestCloneDifferential: from random states, a Blelloch–Wei clone and a
+// native clone answer random suffixes identically, byte for byte.
+func TestCloneDifferential(t *testing.T) {
+	const npids, nregs = 4, 4
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		a, b := llsc.New(npids), bwllsc.New(npids)
+		op := func() shmem.Op {
+			op := shmem.Op{Reg: rng.Intn(nregs)}
+			switch rng.Intn(5) {
+			case 0, 1:
+				op.Kind = shmem.OpLL
+			case 2:
+				op.Kind, op.Arg = shmem.OpSC, rng.Intn(100)
+			case 3:
+				op.Kind, op.Arg = shmem.OpSwap, rng.Intn(100)
+			default:
+				op.Kind, op.Src = shmem.OpMove, rng.Intn(nregs)
+			}
+			return op
+		}
+		for i := 0; i < 40; i++ {
+			pid, o := rng.Intn(npids), op()
+			a.Apply(pid, o)
+			b.Apply(pid, o)
+		}
+		ac, bc := a.Clone(), b.Clone()
+		origin := b.AppendFingerprint(nil)
+		for i := 0; i < 40; i++ {
+			pid, o := rng.Intn(npids), op()
+			if i%2 == 1 {
+				o.Kind, o.Arg = shmem.OpSC, i
+			}
+			ra, rb := ac.Apply(pid, o), bc.Apply(pid, o)
+			if ra.OK != rb.OK || !shmem.ValuesEqual(ra.Val, rb.Val) {
+				t.Fatalf("seed %d step %d %v: native clone %v, bw clone %v", seed, i, o, ra, rb)
+			}
+			if !bytes.Equal(ac.AppendFingerprint(nil), bc.AppendFingerprint(nil)) {
+				t.Fatalf("seed %d step %d: fingerprints diverge:\n  native %q\n  bw     %q", seed, i, ac.Fingerprint(), bc.Fingerprint())
+			}
+		}
+		if !bytes.Equal(origin, b.AppendFingerprint(nil)) || !bytes.Equal(origin, a.AppendFingerprint(nil)) {
+			t.Fatalf("seed %d: stepping the clones moved an origin", seed)
+		}
+	}
+}

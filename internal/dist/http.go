@@ -19,7 +19,8 @@ import (
 // Status codes carry the protocol's verdicts: 404 for a shard the
 // coordinator no longer tracks (job finished or canceled — abandon), 409
 // for a stale lease (the shard was re-leased — abandon), 400 for a
-// corrupt upload (hash mismatch — retry the upload).
+// corrupt upload (hash mismatch — retry the upload), 413 for a body over
+// its route's limit (resending it cannot help — abandon).
 
 // LeaseRequest is the worker's poll.
 type LeaseRequest struct {
@@ -54,12 +55,25 @@ type HeartbeatRequest struct {
 	Lease  int64  `json:"lease"`
 }
 
+// Request body limits. A body past its limit is answered 413 before the
+// server buffers more of it, so no client can make lbserver hold an
+// arbitrarily large upload. The largest result upload the dist tests and
+// `make dist-smoke` produce is 682 bytes (a sweep shard); 1 MiB leaves
+// over 1000× headroom for fuzz shards that carry shrunk replays, and
+// matches the jobs API's spec bound. Lease and heartbeat bodies are a
+// worker name and a lease token (at most 31 bytes measured), so 4 KiB is
+// ample.
+const (
+	maxResultBytes  = 1 << 20
+	maxControlBytes = 4 << 10
+)
+
 // RegisterRoutes mounts the shard protocol on mux.
 func (c *Coordinator) RegisterRoutes(mux *http.ServeMux) {
 	mux.HandleFunc("POST /v1/shards/lease", func(w http.ResponseWriter, r *http.Request) {
 		var req LeaseRequest
-		if err := decodeBody(r, &req); err != nil {
-			distError(w, http.StatusBadRequest, err)
+		if err := decodeBody(w, r, maxControlBytes, &req); err != nil {
+			distError(w, decodeStatus(err), err)
 			return
 		}
 		if req.Worker == "" {
@@ -82,8 +96,8 @@ func (c *Coordinator) RegisterRoutes(mux *http.ServeMux) {
 
 	mux.HandleFunc("POST /v1/shards/{id}/result", func(w http.ResponseWriter, r *http.Request) {
 		var req ResultRequest
-		if err := decodeBody(r, &req); err != nil {
-			distError(w, http.StatusBadRequest, err)
+		if err := decodeBody(w, r, maxResultBytes, &req); err != nil {
+			distError(w, decodeStatus(err), err)
 			return
 		}
 		err := c.Result(r.PathValue("id"), req.Lease, req.Hash, []byte(req.Payload))
@@ -96,8 +110,8 @@ func (c *Coordinator) RegisterRoutes(mux *http.ServeMux) {
 
 	mux.HandleFunc("POST /v1/shards/{id}/heartbeat", func(w http.ResponseWriter, r *http.Request) {
 		var req HeartbeatRequest
-		if err := decodeBody(r, &req); err != nil {
-			distError(w, http.StatusBadRequest, err)
+		if err := decodeBody(w, r, maxControlBytes, &req); err != nil {
+			distError(w, decodeStatus(err), err)
 			return
 		}
 		if err := c.Heartbeat(r.PathValue("id"), req.Lease); err != nil {
@@ -126,13 +140,24 @@ func statusFor(err error) int {
 	}
 }
 
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// decodeBody decodes a JSON body of at most limit bytes into v.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("dist: decoding request: %w", err)
 	}
 	return nil
+}
+
+// decodeStatus maps a decodeBody error to its status code: 413 for a body
+// over the limit, 400 for anything else.
+func decodeStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 func distJSON(w http.ResponseWriter, code int, v any) {

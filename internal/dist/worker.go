@@ -279,6 +279,10 @@ func (w *Worker) execute(ctx context.Context, grant *LeaseResponse) error {
 			return nil
 		case err == nil && (status == http.StatusConflict || status == http.StatusNotFound):
 			return fmt.Errorf("dist: shard %s upload rejected with %d (lease lost)", grant.ShardID, status)
+		case err == nil && status == http.StatusRequestEntityTooLarge:
+			// The same payload would be refused again: give the shard up
+			// and let its lease expire.
+			return fmt.Errorf("dist: shard %s upload of %d bytes rejected with 413 (over the server's limit)", grant.ShardID, len(payload))
 		}
 		if attempt >= w.opts.MaxRetries {
 			if err == nil {

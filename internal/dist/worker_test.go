@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -217,6 +219,20 @@ func TestProtocolHTTPStatusCodes(t *testing.T) {
 		t.Fatalf("stale lease: %d, want 409", resp.StatusCode)
 	}
 
+	// An upload past the result limit: 413, and the shard stays leased —
+	// the oversize body is neither accepted nor a lost lease.
+	huge := json.RawMessage(`"` + strings.Repeat("x", maxResultBytes) + `"`)
+	raw, err = json.Marshal(ResultRequest{Worker: "w1", Lease: grant.Lease, Hash: HashPayload(huge), Payload: huge})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp := post("/v1/shards/"+grant.ShardID+"/result", string(raw)); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize upload: %d, want 413", resp.StatusCode)
+	}
+	if resp := post("/v1/shards/"+grant.ShardID+"/heartbeat", `{"worker":"w1","lease":1,"pad":"`+strings.Repeat("x", maxControlBytes)+`"}`); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize heartbeat: %d, want 413", resp.StatusCode)
+	}
+
 	// The ledger snapshot shows the in-flight job.
 	resp, err := client.Get(srv.URL + "/v1/shards")
 	if err != nil {
@@ -230,6 +246,45 @@ func TestProtocolHTTPStatusCodes(t *testing.T) {
 	if len(st.Jobs) != 1 || st.Jobs[0].ID != "job1" || st.Jobs[0].Leased != 1 {
 		t.Fatalf("snapshot = %+v", st)
 	}
+	// The lease survived the refused uploads: the real payload lands.
+	raw, err = json.Marshal(ResultRequest{Worker: "w1", Lease: grant.Lease, Hash: HashPayload(payload), Payload: payload})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp := post("/v1/shards/"+grant.ShardID+"/result", string(raw)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("upload after the refused ones: %d, want 200", resp.StatusCode)
+	}
 	cancel()
 	<-done
+}
+
+// TestWorkerDoesNotRetry413: a result the server refuses as too large is
+// abandoned after one attempt; resending the same bytes cannot succeed.
+func TestWorkerDoesNotRetry413(t *testing.T) {
+	var uploads atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/shards/{id}/heartbeat", func(w http.ResponseWriter, r *http.Request) {
+		distJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	})
+	mux.HandleFunc("POST /v1/shards/{id}/result", func(w http.ResponseWriter, r *http.Request) {
+		uploads.Add(1)
+		distJSON(w, http.StatusRequestEntityTooLarge, map[string]string{"error": "too large"})
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	w, err := NewWorker(WorkerOptions{
+		Server: srv.URL, ID: "w1", MaxRetries: 3,
+		BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond,
+		Obs: obs.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grant := &LeaseResponse{ShardID: "job1.0", Lease: 1, TTLMillis: 60_000, Spec: testSpec(t), Range: Range{Lo: 0, Hi: 1}}
+	if err := w.execute(context.Background(), grant); err == nil || !strings.Contains(err.Error(), "413") {
+		t.Fatalf("execute = %v, want a 413 error", err)
+	}
+	if got := uploads.Load(); got != 1 {
+		t.Fatalf("%d upload attempts, want 1", got)
+	}
 }

@@ -8,14 +8,17 @@ import (
 
 // TestExhaustiveGoldenEngines re-runs the quick exhaustive-golden cases
 // under each forced execution engine and asserts the Report counters are
-// identical to the pinned values. The explorer's construction closures
-// carry no compiled chunk, so EngineVM exercises the documented fallback
-// path to the goroutine driver; the zoo's TAS algorithms are NewCompiled
-// pairs, so for them EngineVM genuinely runs the bytecode twin — the same
-// counts on both engines prove the twins' yield sequences, register values
-// and history digests coincide action for action. This pins that flipping
-// the process-level default engine (as cmd -engine flags and LB_ENGINE do)
-// cannot perturb state enumeration, memoization, or completion counting.
+// identical to the pinned values. Every explore system carries a compiled
+// chunk — the constructions their workload body around the construction's
+// compiled Invoke twin (body.go, universal.InvokeStmts), the zoo's TAS
+// algorithms their own twin — so EngineVM runs bytecode everywhere (and
+// forks runners instead of replaying prefixes), while EngineGoroutine runs
+// the direct-style bodies and the replaying fallback. The same counts on
+// both engines prove the twins' yield sequences, register values, history
+// digests and event logs coincide action for action. This pins that
+// flipping the process-level default engine (as cmd -engine flags and
+// LB_ENGINE do) cannot perturb state enumeration, memoization, or
+// completion counting.
 //
 // Deliberately NOT parallel: SetDefaultEngine is process-global state.
 func TestExhaustiveGoldenEngines(t *testing.T) {
@@ -51,5 +54,40 @@ func TestExhaustiveGoldenEngines(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRunnerEngines: every explore system runs on the VM under EngineAuto
+// and on goroutines under EngineGoroutine. Without it a silent fallback to
+// the goroutine engine would keep every count and hide the lost speed.
+//
+// Deliberately NOT parallel: SetDefaultEngine is process-global state.
+func TestRunnerEngines(t *testing.T) {
+	cfgs := []Config{
+		{Alg: "central", Object: "fetch-increment", N: 2, OpsPerProc: 1},
+		{Alg: "group-update", Object: "queue", N: 3, OpsPerProc: 2},
+		{Alg: "herlihy", Object: "tas", N: 2, OpsPerProc: 1},
+		{Alg: "tas-tv", Object: "tas", N: 2, OpsPerProc: 1},
+		{Alg: "tas-tournament", Object: "tas", N: 3, OpsPerProc: 1, LLSC: "bw"},
+	}
+	for eng, want := range map[machine.Engine]string{machine.EngineAuto: "vm", machine.EngineGoroutine: "goroutine"} {
+		prev := machine.SetDefaultEngine(eng)
+		for _, cfg := range cfgs {
+			r, err := newRunner(cfg, nil)
+			if err != nil {
+				machine.SetDefaultEngine(prev)
+				t.Fatal(err)
+			}
+			for pid, m := range r.ms {
+				if got := m.EngineName(); got != want {
+					t.Errorf("%s n=%d under %s: machine %d on engine %q, want %q", cfg.Alg, cfg.N, eng, pid, got, want)
+				}
+			}
+			if r.forkable() != (want == "vm") {
+				t.Errorf("%s n=%d under %s: forkable = %v", cfg.Alg, cfg.N, eng, r.forkable())
+			}
+			r.close()
+		}
+		machine.SetDefaultEngine(prev)
 	}
 }

@@ -18,8 +18,9 @@ type Report struct {
 	// deterministic at every worker count.
 	States int
 	// Runs counts the DFS nodes visited, the root included. A node counts
-	// once whether it continued its parent's runner by one step or rebuilt
-	// a runner and re-executed its prefix.
+	// once however it got its runner: a fork of its parent's, the parent's
+	// own, or (goroutine engine only) a rebuilt runner that re-executed
+	// the prefix.
 	Runs int
 	// Complete counts runs in which every process terminated.
 	Complete int
@@ -38,8 +39,10 @@ type Report struct {
 
 // exhaustiveWorker explores the subtree under one first step with its own
 // visited set and online-checker memo. The memo lives as long as the
-// branch: every runner of the branch checks its history on it, so a
-// re-executed prefix's checker events are map lookups.
+// branch: every runner of the branch — forks included — checks its
+// history on it, so repeated checker events are map lookups. Neither the
+// memo nor a runner is goroutine-safe, so forks never leave their
+// branch's worker.
 type exhaustiveWorker struct {
 	ctx       context.Context
 	cfg       Config
@@ -128,13 +131,13 @@ func ExhaustiveCtx(ctx context.Context, cfg Config, workers int) (*Report, error
 }
 
 // dfs visits the DFS node reached by prefix and recurses on every enabled
-// process. When r is non-nil it is the live runner of the parent node,
-// which has executed all of prefix but its last pid: the node steps only
-// that pid. Otherwise the node builds a runner and executes prefix from
-// scratch. Either way the node owns r and closes it on every exit, unless
-// it hands r on to its first child. It returns the first failure found in
-// its subtree (with the failing run's record), or nil if the subtree is
-// clean.
+// process. When r is non-nil it is a live runner that has executed all of
+// prefix but its last pid — the parent's own runner or a fork of it — and
+// the node steps only that pid. Otherwise the node builds a runner and
+// executes prefix from scratch. Either way the node owns r and closes it
+// on every exit, unless it hands r on to a child. It returns the first
+// failure found in its subtree (with the failing run's record), or nil if
+// the subtree is clean.
 func (e *exhaustiveWorker) dfs(prefix []int, r *runner) (*Failure, *RunRecord, error) {
 	if err := e.ctx.Err(); err != nil {
 		if r != nil {
@@ -185,13 +188,20 @@ func (e *exhaustiveWorker) dfs(prefix []int, r *runner) (*Failure, *RunRecord, e
 		return nil, nil, nil
 	}
 	e.visited[key] = true
-	// The first child continues this node's runner; later siblings
-	// rebuild theirs, because a machine goroutine cannot be forked. At
-	// most one runner (cfg.N goroutines) is therefore live at a time,
-	// however deep the DFS goes.
-	for i, pid := range r.enabled() {
+	// Every child but the last steps a fork of this node's runner, and the
+	// last continues the runner itself, so no prefix is ever re-executed.
+	// A node holds its runner until its last child, so at most depth + 1
+	// runners are live. Goroutine machines cannot be forked: then the
+	// first child continues the runner and later siblings rebuild theirs
+	// and replay their prefix, keeping one runner (cfg.N goroutines) live.
+	en := r.enabled()
+	forkable := r.forkable()
+	for i, pid := range en {
 		var live *runner
-		if i == 0 {
+		switch {
+		case forkable && i < len(en)-1:
+			live = r.fork()
+		case forkable || i == 0:
 			live, handed = r, true
 		}
 		f, rec, err := e.dfs(append(prefix[:len(prefix):len(prefix)], pid), live)

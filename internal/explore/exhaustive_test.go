@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"jayanti98/internal/machine"
 	"jayanti98/internal/sweep"
 )
 
@@ -141,9 +142,10 @@ func checkAgainstReference(t *testing.T, cfg Config) *Report {
 	return got
 }
 
-// TestExhaustiveMatchesReference: handing each node's runner to its first
-// child and sharing one checker memo per branch changes no Report field,
-// on every golden n=2 system and on central at n=3.
+// TestExhaustiveMatchesReference: forking each node's runner for its
+// children and sharing one checker memo per branch changes no Report
+// field, on every golden n=2 system (tas-tournament on both LL/SC
+// backends), on herlihy's queue workload and on central at n=3.
 func TestExhaustiveMatchesReference(t *testing.T) {
 	cases := []Config{
 		{Alg: "central", Object: "fetch-increment", N: 2, OpsPerProc: 1},
@@ -152,12 +154,21 @@ func TestExhaustiveMatchesReference(t *testing.T) {
 		{Alg: "herlihy", Object: "fetch-increment", N: 2, OpsPerProc: 1},
 		{Alg: "tas-tv", Object: "tas", N: 2, OpsPerProc: 1},
 		{Alg: "tas-tournament", Object: "tas", N: 2, OpsPerProc: 1},
+		{Alg: "tas-tournament", Object: "tas", N: 2, OpsPerProc: 1, LLSC: "bw"},
+		{Alg: "herlihy", Object: "queue", N: 2, OpsPerProc: 1},
 		// A failing search: budget exhaustion is a construction failure.
 		{Alg: "central", Object: "fetch-increment", N: 2, OpsPerProc: 1, Budget: 5},
 	}
 	for _, cfg := range cases {
 		cfg := cfg
-		t.Run(fmt.Sprintf("%s/n=%d/budget=%d", cfg.Alg, cfg.N, cfg.Budget), func(t *testing.T) {
+		name := fmt.Sprintf("%s/n=%d/budget=%d", cfg.Alg, cfg.N, cfg.Budget)
+		if cfg.LLSC != "" {
+			name += "/" + cfg.LLSC
+		}
+		if cfg.Object == "queue" {
+			name += "/queue"
+		}
+		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			rep := checkAgainstReference(t, cfg)
 			if (cfg.Budget != 0) != (rep.Failure != nil) {
@@ -195,33 +206,123 @@ func waitGoroutines(t *testing.T, base int, after string) {
 	}
 }
 
-// TestExhaustiveClosesEveryRunner: every runner a search builds or hands
-// on is closed exactly once, whether the search is clean, fails, or is
-// cancelled in the middle, so no machine goroutine outlives it.
+// TestExhaustiveClosesEveryRunner: every runner a search builds, forks or
+// hands on is closed exactly once, whether the search is clean, fails, or
+// is cancelled in the middle, so no machine goroutine outlives it. VM
+// machines own no goroutine, so the goroutine engine is what gives the
+// count teeth; the VM run checks that forking searches end cleanly too.
+//
+// Deliberately NOT parallel: SetDefaultEngine is process-global state.
 func TestExhaustiveClosesEveryRunner(t *testing.T) {
-	base := runtime.NumGoroutine()
-	rep, err := Exhaustive(Config{Alg: "group-update", Object: "fetch-increment", N: 2, OpsPerProc: 1}, 1)
-	if err != nil || rep.Failure != nil {
-		t.Fatalf("clean search: %v, %v", err, rep.Failure)
-	}
-	waitGoroutines(t, base, "a clean search")
-
-	rep, err = Exhaustive(Config{Alg: "central", Object: "fetch-increment", N: 2, OpsPerProc: 1, Budget: 5}, 1)
-	if err != nil || rep.Failure == nil {
-		t.Fatalf("failing search: %v, %+v", err, rep)
-	}
-	waitGoroutines(t, base, "a failing search")
-
-	// Cancel at several depths of the search, so that some cancellations
-	// find a node holding a handed-on runner.
-	for _, workers := range []int{1, 4} {
-		for _, after := range []int64{3, 40, 200, 201} {
-			ctx := &cancelAfter{Context: context.Background()}
-			ctx.n.Store(after)
-			if _, err := ExhaustiveCtx(ctx, Config{Alg: "central", Object: "fetch-increment", N: 3, OpsPerProc: 1}, workers); err != context.Canceled {
-				t.Fatalf("search cancelled after %d checks at %d workers: err = %v, want context.Canceled", after, workers, err)
+	for _, eng := range []machine.Engine{machine.EngineGoroutine, machine.EngineAuto} {
+		t.Run(eng.String(), func(t *testing.T) {
+			prev := machine.SetDefaultEngine(eng)
+			defer machine.SetDefaultEngine(prev)
+			base := runtime.NumGoroutine()
+			rep, err := Exhaustive(Config{Alg: "group-update", Object: "fetch-increment", N: 2, OpsPerProc: 1}, 1)
+			if err != nil || rep.Failure != nil {
+				t.Fatalf("clean search: %v, %v", err, rep.Failure)
 			}
-			waitGoroutines(t, base, fmt.Sprintf("a search cancelled after %d checks at %d workers", after, workers))
+			waitGoroutines(t, base, "a clean search")
+
+			rep, err = Exhaustive(Config{Alg: "central", Object: "fetch-increment", N: 2, OpsPerProc: 1, Budget: 5}, 1)
+			if err != nil || rep.Failure == nil {
+				t.Fatalf("failing search: %v, %+v", err, rep)
+			}
+			waitGoroutines(t, base, "a failing search")
+
+			// Cancel at several depths of the search, so that some
+			// cancellations find a node holding a handed-on runner.
+			for _, workers := range []int{1, 4} {
+				for _, after := range []int64{3, 40, 200, 201} {
+					ctx := &cancelAfter{Context: context.Background()}
+					ctx.n.Store(after)
+					if _, err := ExhaustiveCtx(ctx, Config{Alg: "central", Object: "fetch-increment", N: 3, OpsPerProc: 1}, workers); err != context.Canceled {
+						t.Fatalf("search cancelled after %d checks at %d workers: err = %v, want context.Canceled", after, workers, err)
+					}
+					waitGoroutines(t, base, fmt.Sprintf("a search cancelled after %d checks at %d workers", after, workers))
+				}
+			}
+		})
+	}
+}
+
+// stepAll steps r along schedule, failing the test if a pid is disabled.
+func stepAll(t *testing.T, r *runner, schedule []int) {
+	t.Helper()
+	for _, pid := range schedule {
+		if !r.step(pid) && r.fail == nil {
+			t.Fatalf("pid %d not enabled", pid)
 		}
+	}
+}
+
+// runnerState is everything a DFS node reads of a runner: its record, its
+// memo key and its memory fingerprint.
+type runnerState struct {
+	rec         *RunRecord
+	key, memory string
+}
+
+func stateOf(r *runner) runnerState {
+	return runnerState{rec: r.record(), key: string(r.appendMemoKey(nil)), memory: r.mem.Fingerprint()}
+}
+
+// TestRunnerFork: a forked runner and its origin, stepped along the same
+// suffix, reach the same record, memo key and memory fingerprint as a
+// runner that replayed the whole schedule; stepping the fork first never
+// changes the origin, and vice versa.
+func TestRunnerFork(t *testing.T) {
+	cases := []struct {
+		cfg            Config
+		prefix, suffix []int
+	}{
+		{Config{Alg: "group-update", Object: "fetch-increment", N: 3, OpsPerProc: 2}, []int{0, 1, 1, 2, 0}, []int{2, 2, 1, 0, 0, 1, 2, 1, 0}},
+		{Config{Alg: "herlihy", Object: "queue", N: 3, OpsPerProc: 1}, []int{1, 0, 2, 1}, []int{0, 0, 2, 1, 2, 0}},
+		{Config{Alg: "central", Object: "tas", N: 2, OpsPerProc: 1}, []int{0}, []int{1, 0, 1, 1}},
+		{Config{Alg: "tas-tournament", Object: "tas", N: 3, OpsPerProc: 1, LLSC: "bw"}, []int{0, 1, 2, 0}, []int{1, 2, 0, 1, 2, 2}},
+		{Config{Alg: "tas-tv", Object: "tas", N: 2, OpsPerProc: 1, Tosses: func(pid, j int) int64 { return int64(pid + j) }}, []int{0, 1}, []int{0, 1, 1, 0}},
+	}
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("%s/%s/n=%d", tc.cfg.Alg, tc.cfg.LLSC, tc.cfg.N), func(t *testing.T) {
+			ref, err := newRunner(tc.cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ref.close()
+			stepAll(t, ref, append(append([]int(nil), tc.prefix...), tc.suffix...))
+			want := stateOf(ref)
+
+			origin, err := newRunner(tc.cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer origin.close()
+			stepAll(t, origin, tc.prefix)
+			if !origin.forkable() {
+				t.Fatal("runner on the default engine is not forkable")
+			}
+			atFork := stateOf(origin)
+			fork := origin.fork()
+			defer fork.close()
+			if got := stateOf(fork); !reflect.DeepEqual(got, atFork) {
+				t.Fatalf("fork starts at\n  %+v\norigin is at\n  %+v", got, atFork)
+			}
+			stepAll(t, fork, tc.suffix)
+			if got := stateOf(origin); !reflect.DeepEqual(got, atFork) {
+				t.Fatalf("stepping the fork moved the origin to\n  %+v", got)
+			}
+			second := origin.fork()
+			defer second.close()
+			stepAll(t, origin, tc.suffix)
+			for name, r := range map[string]*runner{"fork": fork, "origin": origin} {
+				if got := stateOf(r); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s after the suffix:\n  %+v\nreplayed runner:\n  %+v", name, got, want)
+				}
+			}
+			if got := stateOf(second); !reflect.DeepEqual(got, atFork) {
+				t.Fatalf("stepping the origin moved its second fork to\n  %+v", got)
+			}
+		})
 	}
 }

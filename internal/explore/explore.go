@@ -17,12 +17,16 @@
 //
 //   - Exhaustive enumerates every schedule up to the step budget by
 //     depth-first search, pruning prefixes that reach an already-visited
-//     state. Each node hands its live runner to its first child, which
-//     executes one more step; later siblings rebuild a runner and
-//     re-execute their prefix, because machine goroutines cannot be
-//     forked. The runners of one branch share an online-checker memo
-//     (linz.Memo), so re-executed events cost a lookup each. The
-//     memoization key is the product of the machine history digests
+//     state. Every system runs on the bytecode VM — the constructions
+//     through their compiled Invoke twins (body.go) — so a runner can be
+//     forked: each node hands a fork of its runner to every enabled child
+//     but the last, and its own runner to the last, and every child
+//     executes exactly one more step. No prefix is re-executed. Under the
+//     goroutine engine, whose machines cannot be forked, the first child
+//     continues the runner and later siblings rebuild one and re-execute
+//     their prefix. The runners of one branch share an online-checker
+//     memo (linz.Memo), so repeated checker events cost a lookup each.
+//     The memoization key is the product of the machine history digests
 //     (operational local state, Lemma 5.2), the memory fingerprint, and
 //     the online checker's configuration-set key — the last component is
 //     what makes pruning sound for linearizability: two prefixes that
@@ -41,6 +45,7 @@ package explore
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -254,22 +259,27 @@ func (e event) String() string {
 	return fmt.Sprintf("p%d return %v -> %v", e.proc, e.op, e.resp)
 }
 
-// eventLog is the shared history log. Appends happen on workload-body
-// goroutines and reads on the engine goroutine, but never concurrently:
-// a body appends only between two yields to the engine, and the engine
-// reads only after receiving the body's next action, so every append
-// happens-before every subsequent read (the machine's channels carry the
-// ordering). The one exception — machine startup, when all bodies run
-// concurrently until their first yield — is closed by the leading marker
-// toss in the body (see runner's body closure).
+// eventLog is the shared history log. On the VM engine the compiled body's
+// natives append to it in-line, inside the scheduler's own resume call. On
+// the goroutine engine appends happen on workload-body goroutines and
+// reads on the engine goroutine, but never concurrently: a body appends
+// only between two yields to the engine, and the engine reads only after
+// receiving the body's next action, so every append happens-before every
+// subsequent read (the machine's channels carry the ordering). The one
+// exception — machine startup, when all bodies run concurrently until
+// their first yield — is closed by the leading marker toss in the body
+// (see bodyProgram). The log is append-only, which is what lets a forked
+// runner share its prefix (runner.fork).
 type eventLog struct {
 	events []event
 }
 
-// pendingOp is a recorded invocation awaiting its return event.
+// pendingOp is a recorded invocation awaiting its return event; open is
+// false when the process has none.
 type pendingOp struct {
 	op     objtype.Op
 	invoke int64
+	open   bool
 }
 
 // RunRecord is the observable outcome of one run.
@@ -296,7 +306,9 @@ type RunRecord struct {
 }
 
 // runner drives one run step by step. It is the single-goroutine engine
-// that Exhaustive, Fuzz, RunSchedule and Shrink all share.
+// that Exhaustive, Fuzz, RunSchedule and Shrink all share. A construction
+// runner is also the host value of its machines' compiled body
+// (universal.Host), which is how the body's natives reach its event log.
 type runner struct {
 	cfg    Config
 	budget int
@@ -306,6 +318,7 @@ type runner struct {
 	// engine — invoke at a process's first delivered step, return at its
 	// termination).
 	cons    universal.Construction
+	wl      workload // the construction workload (cons only)
 	raw     bool
 	spec    algos.Spec
 	typ     objtype.Type // the sequential spec the checkers run against
@@ -317,9 +330,9 @@ type runner struct {
 
 	memo     *linz.Memo // shared by the runners of one search
 	online   *linz.Online
-	consumed int // prefix of log already fed to the checker
-	pending  map[int]pendingOp
-	hist     []linz.Op // completed ops, in return order
+	consumed int         // prefix of log already fed to the checker
+	pending  []pendingOp // by pid
+	hist     []linz.Op   // completed ops, in return order
 
 	tossLog  [][]int64
 	executed []int
@@ -364,19 +377,22 @@ func newRunner(cfg Config, memo *linz.Memo) (*runner, error) {
 		cfg:     cfg,
 		budget:  budget,
 		cons:    cons,
+		wl:      w,
 		typ:     typ,
 		mem:     mem,
 		log:     &eventLog{},
 		ta:      cfg.tosses(),
 		memo:    memo,
 		online:  memo.NewOnline(),
-		pending: make(map[int]pendingOp),
+		pending: make([]pendingOp, cfg.N),
 		tossLog: make([][]int64, cfg.N),
 	}
-	// The body's one leading Toss is a start barrier: machines all run
-	// concurrently until their first yield, so nothing may touch the shared
-	// event log before it. Everything after is serialized by the engine.
-	alg := machine.New(cfg.Alg+"+"+cfg.Object, func(e *machine.Env) shmem.Value {
+	// The body's one leading Toss is a start barrier: goroutine machines
+	// all run concurrently until their first yield, so nothing may touch
+	// the shared event log before it. Everything after is serialized by
+	// the engine. bodyProgram is the same body compiled; the VM runs it,
+	// bound to r through the host value.
+	body := func(e *machine.Env) shmem.Value {
 		e.Toss()
 		pid := e.ID()
 		for i := 0; i < cfg.OpsPerProc; i++ {
@@ -386,7 +402,8 @@ func newRunner(cfg Config, memo *linz.Memo) (*runner, error) {
 			r.log.events = append(r.log.events, event{proc: pid, kind: evReturn, op: op, resp: resp})
 		}
 		return nil
-	})
+	}
+	alg := machine.NewHosted(cfg.Alg+"+"+cfg.Object, body, bodyChunks[cfg.Alg], r)
 	r.ms = machine.StartAll(alg, cfg.N)
 	for pid := 0; pid < cfg.N && r.fail == nil; pid++ {
 		r.advance(pid)
@@ -439,7 +456,7 @@ func newRawRunner(cfg Config, spec algos.Spec, memo *linz.Memo) (*runner, error)
 		ta:      cfg.tosses(),
 		memo:    memo,
 		online:  memo.NewOnline(),
-		pending: make(map[int]pendingOp),
+		pending: make([]pendingOp, cfg.N),
 		tossLog: make([][]int64, cfg.N),
 	}
 	r.ms = machine.StartAll(alg, cfg.N)
@@ -455,6 +472,48 @@ func (r *runner) close() {
 	}
 	r.closed = true
 	machine.CloseAll(r.ms)
+}
+
+// forkable reports whether every machine runs on the VM engine, whose
+// state fork can copy; a goroutine machine's cannot be.
+func (r *runner) forkable() bool {
+	for _, m := range r.ms {
+		if m.EngineName() != "vm" {
+			return false
+		}
+	}
+	return true
+}
+
+// fork returns an independent copy of a forkable runner at its current
+// state: forked machines bound to the copy (machine.Machine.Fork), a
+// cloned memory and online checker, and the append-only logs shared up to
+// their current length (a full slice expression makes the copy's first
+// append reallocate, and the origin only ever writes past that length).
+// The copy shares the memo, so it must stay on the origin's goroutine.
+// Stepping either runner never changes the other.
+func (r *runner) fork() *runner {
+	f := *r
+	var host any
+	if !r.raw {
+		host = &f
+	}
+	f.ms = make([]*machine.Machine, len(r.ms))
+	for i, m := range r.ms {
+		f.ms[i] = m.Fork(host)
+	}
+	f.invoked = slices.Clone(r.invoked)
+	f.mem = r.mem.Clone()
+	f.log = &eventLog{events: slices.Clip(r.log.events)}
+	f.online = r.online.Clone()
+	f.pending = slices.Clone(r.pending)
+	f.hist = slices.Clip(r.hist)
+	f.tossLog = make([][]int64, len(r.tossLog))
+	for pid, ts := range r.tossLog {
+		f.tossLog[pid] = slices.Clip(ts)
+	}
+	f.executed = slices.Clip(r.executed)
+	return &f
 }
 
 // advance drains pid's coin tosses until its next shared-memory operation,
@@ -492,11 +551,11 @@ func (r *runner) drainEvents() {
 		ts := int64(r.consumed + 1)
 		var err error
 		if ev.kind == evInvoke {
-			r.pending[ev.proc] = pendingOp{op: ev.op, invoke: ts}
+			r.pending[ev.proc] = pendingOp{op: ev.op, invoke: ts, open: true}
 			err = r.online.Invoke(ev.proc, ev.op)
 		} else {
 			po := r.pending[ev.proc]
-			delete(r.pending, ev.proc)
+			r.pending[ev.proc] = pendingOp{}
 			r.hist = append(r.hist, linz.Op{Proc: ev.proc, Op: ev.op, Response: ev.resp, Invoke: po.invoke, Return: ts})
 			err = r.online.Return(ev.proc, ev.resp)
 		}
@@ -634,7 +693,7 @@ func (r *runner) history() *linz.History {
 		h.Add(op.Proc, op.Op, op.Response, op.Invoke, op.Return)
 	}
 	for pid := 0; pid < r.cfg.N; pid++ {
-		if po, ok := r.pending[pid]; ok {
+		if po := r.pending[pid]; po.open {
 			h.AddPending(pid, po.op, po.invoke)
 		}
 	}

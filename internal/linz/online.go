@@ -352,6 +352,16 @@ func withoutProc(lin map[int]objtype.Value, proc int) map[int]objtype.Value {
 	return out
 }
 
+// Clone returns an independent checker at o's point in the history, on
+// the same memo. Config sets are interned and immutable, so the clone
+// shares o's set and copies only its outstanding operations; feeding
+// events to either never changes the other.
+func (o *Online) Clone() *Online {
+	c := *o
+	c.pending = slices.Clone(o.pending)
+	return &c
+}
+
 // find returns the index of proc's outstanding op in o.pending, or where
 // it would be inserted and false.
 func (o *Online) find(proc int) (int, bool) {

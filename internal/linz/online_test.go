@@ -249,3 +249,53 @@ func TestOnlineMatchesCheckOnRandomHistories(t *testing.T) {
 		}
 	}
 }
+
+// TestOnlineClone: a clone and its origin fed the same events agree on Ok,
+// Key and Events at every step, and events fed to the clone alone never
+// change the origin — including its outstanding operations.
+func TestOnlineClone(t *testing.T) {
+	typ := objtype.NewFetchIncrement(8)
+	o := NewOnline(typ, 3)
+	for _, p := range []int{0, 1} {
+		if err := o.Invoke(p, fi()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := o.Return(1, "0"); err != nil {
+		t.Fatal(err)
+	}
+	c := o.Clone()
+	key, events := o.Key(), o.Events()
+
+	// The clone alone: p0 returns a ticket that makes it inconsistent.
+	if err := c.Invoke(2, fi()); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Return(0, "5"); err != nil {
+		t.Fatal(err)
+	}
+	if c.Ok() {
+		t.Fatal("clone accepted an impossible ticket")
+	}
+	if !o.Ok() || o.Key() != key || o.Events() != events || o.Violation() != "" {
+		t.Fatalf("feeding the clone changed the origin: ok=%v key %q → %q", o.Ok(), key, o.Key())
+	}
+	// The origin still has p0 outstanding and p2 idle.
+	if err := o.Invoke(0, fi()); err == nil {
+		t.Fatal("origin lost p0's outstanding operation to the clone")
+	}
+
+	// Same events on a fresh clone and the origin: same observables.
+	d := o.Clone()
+	for _, ch := range []*Online{o, d} {
+		if err := ch.Invoke(2, fi()); err != nil {
+			t.Fatal(err)
+		}
+		if err := ch.Return(0, "1"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if o.Ok() != d.Ok() || o.Key() != d.Key() || o.Events() != d.Events() {
+		t.Fatalf("origin (%v, %q) and clone (%v, %q) diverged on equal events", o.Ok(), o.Key(), d.Ok(), d.Key())
+	}
+}

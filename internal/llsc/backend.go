@@ -35,6 +35,11 @@ type Backend interface {
 	// ReadQuiesced returns register i's value without charging a step or
 	// perturbing the fingerprint.
 	ReadQuiesced(reg int) shmem.Value
+	// Clone returns an independent memory in the same state: equal
+	// fingerprints and step counts now, and every operation sequence then
+	// gives both the same responses. Operations on either never change
+	// the other. Exhaustive exploration forks its runners with it.
+	Clone() Backend
 }
 
 var _ Backend = (*Memory)(nil)

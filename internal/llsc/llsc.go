@@ -19,6 +19,8 @@ package llsc
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -204,6 +206,24 @@ func (m *Memory) ReadQuiesced(i int) shmem.Value {
 		return m.initVal(i)
 	}
 	return nil
+}
+
+// Clone implements Backend: a deep copy of the register file (values are
+// immutable and shared; Psets are copied) and of the step counters.
+func (m *Memory) Clone() Backend {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	c := &Memory{
+		n:       m.n,
+		regs:    make(map[int]*register, len(m.regs)),
+		touched: slices.Clone(m.touched),
+		steps:   maps.Clone(m.steps),
+		initVal: m.initVal,
+	}
+	for i, r := range m.regs {
+		c.regs[i] = &register{val: r.val, pset: slices.Clone(r.pset)}
+	}
+	return c
 }
 
 // Handle is one process's port to the memory. It implements machine.Port.

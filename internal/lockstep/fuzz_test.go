@@ -13,19 +13,21 @@ func mix64(z uint64) uint64 {
 }
 
 // FuzzVMEquivalence is the differential fuzz target: the fuzzer picks a
-// construction, a system size, a toss seed and an arbitrary schedule, and
-// the lockstep harness asserts the two engines agree on every observable
-// at every step. Any counterexample the fuzzer ever finds is a real
-// compiler or VM bug, minimized to a replayable schedule.
+// compiled algorithm — a wakeup algorithm, or a universal construction
+// running two fetch&increment or queue operations per process — a system
+// size, a toss seed and an arbitrary schedule, and the lockstep harness
+// asserts the two engines agree on every observable at every step. Any
+// counterexample the fuzzer ever finds is a real compiler or VM bug,
+// minimized to a replayable schedule.
 func FuzzVMEquivalence(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint64(0), []byte{0, 1, 0, 1, 0, 1, 0, 1})
 	f.Add(uint8(1), uint8(1), uint64(7), []byte{2, 0, 1, 2, 2, 0, 1, 1, 0, 2})
 	f.Add(uint8(2), uint8(2), uint64(42), []byte{0, 0, 0, 3, 2, 1})
 	f.Add(uint8(3), uint8(1), uint64(9), []byte{1, 1, 1, 1, 0, 2, 0, 2, 0, 1, 2})
 	f.Fuzz(func(t *testing.T, algIdx, nRaw uint8, tossSeed uint64, sched []byte) {
-		algs := constructions()
-		alg := algs[int(algIdx)%len(algs)]
 		n := 2 + int(nRaw)%3 // n ∈ {2, 3, 4}
+		algs := append(constructions(), fuzzWorkloads(t, n)...)
+		alg := algs[int(algIdx)%len(algs)]
 		if len(sched) > 512 {
 			sched = sched[:512]
 		}

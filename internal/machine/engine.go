@@ -98,6 +98,7 @@ type Compiled interface {
 type compiledAlgorithm struct {
 	funcAlgorithm
 	chunk *vmachine.Chunk
+	host  any
 }
 
 func (a *compiledAlgorithm) Chunk() *vmachine.Chunk { return a.chunk }
@@ -109,9 +110,22 @@ func NewCompiled(name string, body Body, chunk *vmachine.Chunk) Algorithm {
 	if chunk == nil {
 		panic("machine: NewCompiled with nil chunk")
 	}
+	return NewHosted(name, body, chunk, nil)
+}
+
+// NewHosted is NewCompiled for a chunk whose natives reach per-run state
+// through the Exec host value (vmachine.HostE): every VM machine started
+// from the algorithm binds host. The direct-style body reaches the same
+// state through its closure, so both engines observe one run's state, and
+// the chunk itself stays compiled once and shared.
+func NewHosted(name string, body Body, chunk *vmachine.Chunk, host any) Algorithm {
+	if chunk == nil {
+		panic("machine: NewHosted with nil chunk")
+	}
 	return &compiledAlgorithm{
 		funcAlgorithm: funcAlgorithm{name: name, body: body},
 		chunk:         chunk,
+		host:          host,
 	}
 }
 
@@ -126,7 +140,11 @@ func StartEngine(alg Algorithm, id, n int, eng Engine) *Machine {
 		}
 	}
 	if chunk != nil {
-		m.drv = startVMDriver(chunk, id, n)
+		var host any
+		if ca, ok := alg.(*compiledAlgorithm); ok {
+			host = ca.host
+		}
+		m.drv = startVMDriver(chunk, id, n, host)
 		m.engine = "vm"
 	} else {
 		m.drv = startGoDriver(alg, id, n)

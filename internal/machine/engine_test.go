@@ -166,3 +166,63 @@ func TestDigestTypeSensitivity(t *testing.T) {
 		t.Fatal(`digest does not distinguish "1" from int(1)`)
 	}
 }
+
+// TestForkIndependence: a fork of a VM machine and its origin, driven with
+// the same inputs, report the same actions, counts and history digests;
+// driving the fork differently never changes the origin; the fork reads
+// its own host. A goroutine machine cannot fork.
+func TestForkIndependence(t *testing.T) {
+	chunk := vmachine.MustCompile(&vmachine.Program{
+		Name: "fork-test",
+		Body: []vmachine.Stmt{
+			vmachine.AssignS{Name: "v", E: vmachine.LLE{Reg: vmachine.ConstE{V: vmachine.Int(0)}}},
+			vmachine.AssignS{Name: "c", E: vmachine.TossE{}},
+			vmachine.SCS{Ok: "ok", Reg: vmachine.ConstE{V: vmachine.Int(0)}, Val: vmachine.VarE{Name: "c"}},
+			vmachine.ReturnS{E: vmachine.HostE{}},
+		},
+	})
+	body := func(e *Env) shmem.Value {
+		e.LL(0)
+		e.SC(0, e.Toss())
+		return "origin"
+	}
+	alg := NewHosted("fork-test", body, chunk, "origin")
+	m := StartEngine(alg, 0, 1, EngineVM)
+	defer m.Close()
+	m.DeliverOpResponse(shmem.Response{OK: true, Val: 3})
+	if m.Peek().Kind != ActToss {
+		t.Fatalf("pending %v, want toss", m.Peek().Kind)
+	}
+
+	// Same inputs: same observables.
+	same := m.Fork("fork")
+	for _, mc := range []*Machine{m, same} {
+		mc.DeliverToss(7)
+		mc.DeliverOpResponse(shmem.Response{OK: true, Val: 3})
+	}
+	if m.HistoryKey() == "disabled" || m.HistoryKey() != same.HistoryKey() || m.Steps() != same.Steps() || m.NumTosses() != same.NumTosses() {
+		t.Fatalf("origin (%s, %d steps, %d tosses) and fork (%s, %d, %d) diverged on equal inputs",
+			m.HistoryKey(), m.Steps(), m.NumTosses(), same.HistoryKey(), same.Steps(), same.NumTosses())
+	}
+	if m.Peek().Ret != "origin" || same.Peek().Ret != "fork" {
+		t.Fatalf("returned %v and %v, want each machine's own host", m.Peek().Ret, same.Peek().Ret)
+	}
+
+	// Different inputs: the origin does not move.
+	o := StartEngine(alg, 0, 1, EngineVM)
+	defer o.Close()
+	o.DeliverOpResponse(shmem.Response{OK: true})
+	before := o.HistoryKey()
+	f := o.Fork(nil)
+	f.DeliverToss(1)
+	f.DeliverOpResponse(shmem.Response{OK: true})
+	if o.HistoryKey() != before || o.Peek().Kind != ActToss || o.NumTosses() != 0 || o.Steps() != 1 {
+		t.Fatalf("stepping the fork moved the origin: %s → %s, pending %v", before, o.HistoryKey(), o.Peek().Kind)
+	}
+
+	g := StartEngine(alg, 0, 1, EngineGoroutine)
+	defer g.Close()
+	if g.Fork(nil) != nil {
+		t.Fatal("a goroutine machine forked")
+	}
+}

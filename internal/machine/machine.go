@@ -17,8 +17,10 @@
 // parks the direct-style body on its own goroutine and shuttles actions and
 // responses over channels, and the VM engine single-steps a compiled
 // bytecode chunk in-line (package vmachine). Algorithms that carry a chunk
-// (NewCompiled) run on either; schedulers cannot tell them apart — package
-// lockstep proves that statement mechanically.
+// (NewCompiled, or NewHosted for a chunk bound to per-run state) run on
+// either; schedulers cannot tell them apart — package lockstep proves that
+// statement mechanically. A VM machine's whole state is copyable, so it
+// can also be forked (Machine.Fork); a goroutine machine cannot.
 //
 // A Machine also records the full history of inputs it consumed and actions
 // it emitted. Two machines running the same algorithm that consumed
@@ -355,6 +357,24 @@ func (m *Machine) HistoryDigest() (events int, sum uint64, enabled bool) {
 		return 0, 0, false
 	}
 	return m.events, m.dig.sum, true
+}
+
+// Fork returns an independent copy of a VM machine: its Exec (bound to
+// host, the fork's own per-run state; see NewHosted), pending action,
+// terminal state, step and toss counts and history digest. The fork and m
+// share only immutable values, so stepping either never changes the
+// other, and a fork stepped along the same inputs as m reports the same
+// actions, counts and digests. Fork returns nil for a goroutine machine:
+// a body parked mid-call on its goroutine cannot be copied.
+func (m *Machine) Fork(host any) *Machine {
+	d, ok := m.drv.(*vmDriver)
+	if !ok {
+		return nil
+	}
+	f := *m
+	f.drv = d.fork(host)
+	f.dig = digest{sum: m.dig.sum} // the render scratch is per machine
+	return &f
 }
 
 // Close abandons the machine: any underlying goroutine is unwound and

@@ -20,8 +20,18 @@ type vmDriver struct {
 	hasQueued bool
 }
 
-func startVMDriver(chunk *vmachine.Chunk, id, n int) *vmDriver {
-	return &vmDriver{x: vmachine.NewExec(chunk, id, n)}
+func startVMDriver(chunk *vmachine.Chunk, id, n int, host any) *vmDriver {
+	x := vmachine.NewExec(chunk, id, n)
+	x.SetHost(host)
+	return &vmDriver{x: x}
+}
+
+// fork copies the driver: a cloned Exec bound to host, and the queued
+// yield (immutable once produced).
+func (d *vmDriver) fork(host any) *vmDriver {
+	x := d.x.Clone()
+	x.SetHost(host)
+	return &vmDriver{x: x, queued: d.queued, hasQueued: d.hasQueued}
 }
 
 func actionOf(y vmachine.Yield) Action {

@@ -82,15 +82,20 @@ func (g *GroupUpdate) node(i int) int { return g.base + i }
 // leaf returns the heap index of pid's leaf.
 func (g *GroupUpdate) leaf(pid int) int { return g.leaves + pid }
 
-// Invoke implements Construction.
-func (g *GroupUpdate) Invoke(p machine.Port, op objtype.Op) objtype.Value {
-	pid := p.ID()
+// checkedLeaf is leaf for a pid Invoke has not yet range-checked.
+func (g *GroupUpdate) checkedLeaf(pid int) int {
 	if pid < 0 || pid >= g.n {
 		panic(fmt.Sprintf("universal: pid %d out of range for %d-process object", pid, g.n))
 	}
+	return g.leaf(pid)
+}
+
+// Invoke implements Construction.
+func (g *GroupUpdate) Invoke(p machine.Port, op objtype.Op) objtype.Value {
+	pid := p.ID()
 
 	// Announce: append a fresh record to the single-writer leaf.
-	leaf := g.leaf(pid)
+	leaf := g.checkedLeaf(pid)
 	mine := asLog(p.Read(g.node(leaf)))
 	seq := len(mine)
 	rec := Record{Pid: pid, Seq: seq, Op: op}

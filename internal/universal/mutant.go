@@ -37,10 +37,12 @@ type brokenGroupUpdate struct {
 func (g *brokenGroupUpdate) Name() string { return "group-update-broken" }
 
 // Invoke implements Construction: identical to GroupUpdate.Invoke except
-// for the argument order of the merge at internal nodes.
+// for the argument order of the merge at internal nodes. Its compiled twin
+// is InvokeStmts("group-update-broken", …), the Group-Update twin with the
+// same merge order.
 func (g *brokenGroupUpdate) Invoke(p machine.Port, op objtype.Op) objtype.Value {
 	pid := p.ID()
-	leaf := g.leaf(pid)
+	leaf := g.checkedLeaf(pid)
 	mine := asLog(p.Read(g.node(leaf)))
 	seq := len(mine)
 	rec := Record{Pid: pid, Seq: seq, Op: op}

@@ -377,3 +377,19 @@ func TestGroupUpdateStack(t *testing.T) {
 		}
 	}
 }
+
+// TestCompiledTwinsKnown: every construction New builds has a compiled
+// Invoke twin; an unknown name has none.
+func TestCompiledTwinsKnown(t *testing.T) {
+	for _, name := range Names() {
+		if _, err := InvokeStmts(name, "op", "resp"); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	if _, err := InvokeStmts("no-such-construction", "op", "resp"); err == nil {
+		t.Fatal("InvokeStmts accepted an unknown construction")
+	}
+	if _, err := InvokeStmts("group-update-broken", "op", "resp"); (err == nil) != MutantAvailable {
+		t.Fatalf("broken twin: err = %v with MutantAvailable = %v", err, MutantAvailable)
+	}
+}

@@ -31,6 +31,7 @@ type Opcode uint8
 //	OpSwap     A=prev, B=reg, C=val          yield swap(reg, val); locals[A]
 //	OpMove     A=src, B=dst                  yield move(src, dst)
 //	OpReturn   A=src                         yield return locals[A]; terminal
+//	OpHost     A=dst                         locals[A] = host value
 const (
 	OpConst Opcode = iota + 1
 	OpMov
@@ -50,6 +51,7 @@ const (
 	OpSwap
 	OpMove
 	OpReturn
+	OpHost
 )
 
 // String names the opcode in disassembly.
@@ -60,6 +62,7 @@ func (op Opcode) String() string {
 		OpJump: "JMP", OpJumpIfNot: "JNOT", OpCall: "CALL",
 		OpToss: "TOSS", OpLL: "LL", OpSC: "SC", OpValidate: "VALIDATE",
 		OpRead: "READ", OpSwap: "SWAP", OpMove: "MOVE", OpReturn: "RET",
+		OpHost: "HOST",
 	}
 	if int(op) < len(names) && names[op] != "" {
 		return names[op]
@@ -125,7 +128,7 @@ func (c *Chunk) Verify() error {
 			}
 		case OpMov:
 			err = firstErr(slot(in.A), slot(in.B))
-		case OpSelf, OpNProcs, OpToss:
+		case OpSelf, OpNProcs, OpToss, OpHost:
 			err = slot(in.A)
 		case OpEq, OpAdd, OpBand:
 			err = firstErr(slot(in.A), slot(in.B), slot(in.C))

@@ -225,6 +225,8 @@ func (c *compiler) exprTo(e Expr, dst int32) error {
 		c.emit(Instr{Op: OpSelf, A: dst})
 	case NProcsE:
 		c.emit(Instr{Op: OpNProcs, A: dst})
+	case HostE:
+		c.emit(Instr{Op: OpHost, A: dst})
 	case VarE:
 		slot, err := c.varSlot(e.Name)
 		if err != nil {

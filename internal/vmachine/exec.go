@@ -60,6 +60,8 @@ type Exec struct {
 	id, n  int
 	pc     int32
 	locals []Value
+	// host is the per-run value HostE evaluates to (see SetHost).
+	host any
 
 	// Resume bookkeeping: wait is the pending yield kind (0 before Start),
 	// waitOp the suspended instruction's opcode, wa/wb its result slots.
@@ -81,6 +83,12 @@ func NewExec(chunk *Chunk, id, n int) *Exec {
 
 // ID returns the executing process's identifier.
 func (x *Exec) ID() int { return x.id }
+
+// SetHost binds the value HostE evaluates to: the per-run state (an event
+// log, a workload) that the chunk's natives receive as an argument. The
+// chunk stays shared and immutable; only this Exec sees the binding. A
+// forked Exec (Clone) is re-pointed at its own run's state with SetHost.
+func (x *Exec) SetHost(h any) { x.host = h }
 
 // Chunk returns the compiled code this Exec runs.
 func (x *Exec) Chunk() *Chunk { return x.chunk }
@@ -151,6 +159,8 @@ func (x *Exec) run() (y Yield) {
 			locals[in.A] = Int(x.id)
 		case OpNProcs:
 			locals[in.A] = Int(x.n)
+		case OpHost:
+			locals[in.A] = Unbox(x.host)
 		case OpEq:
 			locals[in.A] = Bool(locals[in.B].Equal(locals[in.C]))
 		case OpAdd:
@@ -251,7 +261,9 @@ func (x *Exec) Restore(s State) {
 }
 
 // Clone returns an independent copy of the Exec, sharing only the immutable
-// chunk. Exploration uses this to fork a machine at a branch point.
+// chunk, the immutable non-set values in its locals and its host binding.
+// Exploration uses this to fork a machine at a branch point (see
+// machine.Machine.Fork, which re-points the clone's host).
 func (x *Exec) Clone() *Exec {
 	c := *x
 	c.locals = copyLocals(x.locals)

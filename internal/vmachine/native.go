@@ -15,7 +15,12 @@ import (
 // Natives run on the scheduler's goroutine inside a single VM step; they
 // must not block, and they may mutate set-kind arguments in place only
 // when the compiled program passes ownership (the pids.* codecs do: the
-// destination set is threaded through the call explicitly).
+// destination set is threaded through the call explicitly). A native that
+// needs per-run state (an event log, a construction instance) receives the
+// Exec's host value as an argument (HostE), never a process global, so one
+// chunk serves every run and a forked Exec is re-pointed at its own run.
+// Values a native returns into locals must be immutable or set-kind, so
+// that a cloned Exec can share them.
 //
 // A native that panics crashes the machine, exactly as a panicking
 // algorithm body crashes the interpreter: the panic value is captured and

@@ -29,6 +29,11 @@ type (
 	SelfE struct{}
 	// NProcsE is the process count (Env.N).
 	NProcsE struct{}
+	// HostE is the executing Exec's host value (Exec.SetHost), unboxed as
+	// a register value would be (nil when none is set). Natives that need
+	// per-run state take it as an argument instead of reaching for a
+	// process global.
+	HostE struct{}
 	// VarE reads a program variable.
 	VarE struct{ Name string }
 	// TossE is a coin toss (Env.Toss), yielding an int64 outcome.
@@ -55,6 +60,7 @@ type (
 func (ConstE) isExpr()  {}
 func (SelfE) isExpr()   {}
 func (NProcsE) isExpr() {}
+func (HostE) isExpr()   {}
 func (VarE) isExpr()    {}
 func (TossE) isExpr()   {}
 func (LLE) isExpr()     {}

@@ -318,3 +318,35 @@ func TestDisassembleSmoke(t *testing.T) {
 		}
 	}
 }
+
+// TestHostBinding: HostE evaluates to the Exec's own host binding — nil
+// before SetHost — and a clone re-pointed with SetHost sees its new host
+// while the origin keeps the old one.
+func TestHostBinding(t *testing.T) {
+	chunk := MustCompile(&Program{
+		Name: "host",
+		Body: []Stmt{
+			DoS{E: TossE{}},
+			ReturnS{E: HostE{}},
+		},
+	})
+	unbound := NewExec(chunk, 0, 1)
+	mustYield(t, unbound.Start(), YToss)
+	if y := mustYield(t, unbound.ResumeToss(0), YReturn); y.Ret != nil {
+		t.Fatalf("unbound host = %v, want nil", y.Ret)
+	}
+	x := NewExec(chunk, 0, 1)
+	x.SetHost("origin")
+	mustYield(t, x.Start(), YToss)
+	c := x.Clone()
+	c.SetHost("fork")
+	if y := mustYield(t, c.ResumeToss(0), YReturn); y.Ret != "fork" {
+		t.Fatalf("re-pointed clone read host %v, want fork", y.Ret)
+	}
+	if y := mustYield(t, x.ResumeToss(0), YReturn); y.Ret != "origin" {
+		t.Fatalf("origin read host %v after its clone was re-pointed", y.Ret)
+	}
+	if !strings.Contains(chunk.Disassemble(), "HOST") {
+		t.Fatalf("disassembly lacks HOST:\n%s", chunk.Disassemble())
+	}
+}
