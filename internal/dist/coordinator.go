@@ -87,6 +87,7 @@ type distJob struct {
 	shards    []*shard
 	remaining int
 	done      chan struct{} // closed when the last shard result is accepted
+	tooLarge  chan struct{} // closed when a shard result was refused as too large
 	progress  *jobs.Progress
 }
 
@@ -106,8 +107,9 @@ type Grant struct {
 // verifies uploaded payloads by content hash, and merges accepted shards
 // index-ordered into the job result.
 type Coordinator struct {
-	opts Options
-	now  func() time.Time // test seam
+	opts      Options
+	now       func() time.Time // test seam
+	maxResult int64            // result upload limit; maxResultBytes outside tests
 
 	mu       sync.Mutex
 	jobs     map[string]*distJob
@@ -137,12 +139,13 @@ func NewCoordinator(opts Options) *Coordinator {
 		opts.ActiveWindow = 4 * opts.LeaseTTL
 	}
 	c := &Coordinator{
-		opts:    opts,
-		now:     time.Now,
-		jobs:    make(map[string]*distJob),
-		byID:    make(map[string]*shard),
-		workers: make(map[string]time.Time),
-		logger:  opts.Logger,
+		opts:      opts,
+		now:       time.Now,
+		maxResult: maxResultBytes,
+		jobs:      make(map[string]*distJob),
+		byID:      make(map[string]*shard),
+		workers:   make(map[string]time.Time),
+		logger:    opts.Logger,
 	}
 	if c.logger == nil {
 		c.logger = obs.NopLogger()
@@ -156,7 +159,7 @@ func NewCoordinator(opts Options) *Coordinator {
 	c.met.leased = r.Counter("dist_shards_leased_total", "Shard leases granted (re-leases included).", nil)
 	c.met.completed = r.Counter("dist_shards_completed_total", "Shard results accepted after hash verification.", nil)
 	c.met.released = r.Counter("dist_shards_released_total", "Leases expired and re-queued (worker crashed or stalled).", nil)
-	c.met.rejected = r.Counter("dist_results_rejected_total", "Shard uploads rejected (stale lease or hash mismatch).", nil)
+	c.met.rejected = r.Counter("dist_results_rejected_total", "Shard uploads rejected (stale lease, hash mismatch, or over the size limit).", nil)
 	c.met.shardSeconds = r.Histogram("dist_shard_duration_seconds", "Lease-to-accept wall clock of completed shards.", nil, nil)
 	r.GaugeFunc("dist_workers_active", "Workers seen within the active window.", nil, func() float64 {
 		return float64(c.ActiveWorkers())
@@ -191,9 +194,10 @@ func (c *Coordinator) activeWorkersLocked() int {
 // Run implements jobs.Runner: partition, enqueue, wait for the fleet,
 // merge. It declines (handled=false) when the spec is not shardable or
 // no workers are active — including when every worker vanishes mid-run,
-// in which case the partial shard results are discarded and the
-// scheduler recomputes locally (determinism makes the recomputation
-// byte-identical, so abandoning is always safe).
+// or a shard's result is refused as too large (resultTooLarge). Then the
+// partial shard results are discarded and the scheduler recomputes
+// locally (determinism makes the recomputation byte-identical, so
+// abandoning is always safe).
 func (c *Coordinator) Run(ctx context.Context, id string, spec *jobs.Spec, p *jobs.Progress) ([]byte, bool, error) {
 	n, ok := Coords(spec)
 	if !ok || n == 0 {
@@ -219,6 +223,7 @@ func (c *Coordinator) Run(ctx context.Context, id string, spec *jobs.Spec, p *jo
 		spec:      spec,
 		remaining: len(ranges),
 		done:      make(chan struct{}),
+		tooLarge:  make(chan struct{}),
 		progress:  p,
 	}
 	for i, r := range ranges {
@@ -262,6 +267,11 @@ func (c *Coordinator) Run(ctx context.Context, id string, spec *jobs.Spec, p *jo
 				return nil, true, err
 			}
 			return merged, true, nil
+		case <-j.tooLarge: // resultTooLarge already removed the job
+			c.met.fallback.Inc()
+			span.SetAttr("abandoned", "result too large")
+			c.logger.Warn("shard result over the upload limit; abandoning distribution", "job_id", obs.ShortID(id))
+			return nil, false, nil
 		case <-ctx.Done():
 			c.remove(j)
 			span.SetAttr("error", ctx.Err().Error())
@@ -287,6 +297,10 @@ func (c *Coordinator) Run(ctx context.Context, id string, spec *jobs.Spec, p *jo
 func (c *Coordinator) remove(j *distJob) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.removeLocked(j)
+}
+
+func (c *Coordinator) removeLocked(j *distJob) {
 	if _, ok := c.jobs[j.id]; !ok {
 		return
 	}
@@ -412,6 +426,27 @@ func (c *Coordinator) Result(shardID string, lease int64, hash string, payload [
 		close(j.done)
 	}
 	return nil
+}
+
+// resultTooLarge records that an upload for shardID was refused for
+// exceeding the result limit. A shard's payload is a function of the spec
+// and range alone, so every worker would upload the same bytes and be
+// refused again: rather than let the lease expire and the shard be
+// re-leased forever, the job leaves the ledger at once (no further shard
+// of it is leased) and its Run declines, so the scheduler executes the
+// job locally. Uploads for shards the coordinator does not track, and for
+// jobs whose every shard is already accepted, change nothing.
+func (c *Coordinator) resultTooLarge(shardID string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s, ok := c.byID[shardID]
+	if !ok || s.job.remaining == 0 {
+		return
+	}
+	c.met.rejected.Inc()
+	c.logger.Warn("shard payload rejected: over the upload limit", "shard", shardID, "limit", c.maxResult)
+	c.removeLocked(s.job)
+	close(s.job.tooLarge)
 }
 
 // JobStats is one distributed job's shard ledger in summary form.

@@ -20,7 +20,8 @@ import (
 // coordinator no longer tracks (job finished or canceled — abandon), 409
 // for a stale lease (the shard was re-leased — abandon), 400 for a
 // corrupt upload (hash mismatch — retry the upload), 413 for a body over
-// its route's limit (resending it cannot help — abandon).
+// its route's limit (resending it cannot help — abandon; for a result the
+// coordinator also hands the job back to the scheduler to run locally).
 
 // LeaseRequest is the worker's poll.
 type LeaseRequest struct {
@@ -57,10 +58,14 @@ type HeartbeatRequest struct {
 
 // Request body limits. A body past its limit is answered 413 before the
 // server buffers more of it, so no client can make lbserver hold an
-// arbitrarily large upload. The largest result upload the dist tests and
-// `make dist-smoke` produce is 682 bytes (a sweep shard); 1 MiB leaves
-// over 1000× headroom for fuzz shards that carry shrunk replays, and
-// matches the jobs API's spec bound. Lease and heartbeat bodies are a
+// arbitrarily large upload. The result limit bounds memory, not what a
+// job may produce: the largest result upload the dist tests and `make
+// dist-smoke` produce is 682 bytes (a sweep shard), and 1 MiB, the jobs
+// API's spec bound, is over 1000× that, but a valid fuzz spec adds one
+// failure record (100+ bytes) per failing sample and can pass any fixed
+// limit. Such a shard's result is refused from every worker, so the
+// coordinator hands its job back to the scheduler (resultTooLarge), which
+// runs it locally to the same bytes. Lease and heartbeat bodies are a
 // worker name and a lease token (at most 31 bytes measured), so 4 KiB is
 // ample.
 const (
@@ -96,8 +101,12 @@ func (c *Coordinator) RegisterRoutes(mux *http.ServeMux) {
 
 	mux.HandleFunc("POST /v1/shards/{id}/result", func(w http.ResponseWriter, r *http.Request) {
 		var req ResultRequest
-		if err := decodeBody(w, r, maxResultBytes, &req); err != nil {
-			distError(w, decodeStatus(err), err)
+		if err := decodeBody(w, r, c.maxResult, &req); err != nil {
+			code := decodeStatus(err)
+			if code == http.StatusRequestEntityTooLarge {
+				c.resultTooLarge(r.PathValue("id"))
+			}
+			distError(w, code, err)
 			return
 		}
 		err := c.Result(r.PathValue("id"), req.Lease, req.Hash, []byte(req.Payload))

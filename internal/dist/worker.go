@@ -280,8 +280,9 @@ func (w *Worker) execute(ctx context.Context, grant *LeaseResponse) error {
 		case err == nil && (status == http.StatusConflict || status == http.StatusNotFound):
 			return fmt.Errorf("dist: shard %s upload rejected with %d (lease lost)", grant.ShardID, status)
 		case err == nil && status == http.StatusRequestEntityTooLarge:
-			// The same payload would be refused again: give the shard up
-			// and let its lease expire.
+			// The same payload would be refused again: give the shard up.
+			// The coordinator has already handed the job back to the
+			// scheduler, so no other worker is sent to recompute it.
 			return fmt.Errorf("dist: shard %s upload of %d bytes rejected with 413 (over the server's limit)", grant.ShardID, len(payload))
 		}
 		if attempt >= w.opts.MaxRetries {

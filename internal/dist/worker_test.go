@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -219,18 +220,12 @@ func TestProtocolHTTPStatusCodes(t *testing.T) {
 		t.Fatalf("stale lease: %d, want 409", resp.StatusCode)
 	}
 
-	// An upload past the result limit: 413, and the shard stays leased —
-	// the oversize body is neither accepted nor a lost lease.
-	huge := json.RawMessage(`"` + strings.Repeat("x", maxResultBytes) + `"`)
-	raw, err = json.Marshal(ResultRequest{Worker: "w1", Lease: grant.Lease, Hash: HashPayload(huge), Payload: huge})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp := post("/v1/shards/"+grant.ShardID+"/result", string(raw)); resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversize upload: %d, want 413", resp.StatusCode)
-	}
+	// An oversize heartbeat: 413, and the lease survives it.
 	if resp := post("/v1/shards/"+grant.ShardID+"/heartbeat", `{"worker":"w1","lease":1,"pad":"`+strings.Repeat("x", maxControlBytes)+`"}`); resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversize heartbeat: %d, want 413", resp.StatusCode)
+	}
+	if resp := post("/v1/shards/"+grant.ShardID+"/heartbeat", fmt.Sprintf(`{"worker":"w1","lease":%d}`, grant.Lease)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("heartbeat after the oversize one: %d, want 200", resp.StatusCode)
 	}
 
 	// The ledger snapshot shows the in-flight job.
@@ -246,16 +241,36 @@ func TestProtocolHTTPStatusCodes(t *testing.T) {
 	if len(st.Jobs) != 1 || st.Jobs[0].ID != "job1" || st.Jobs[0].Leased != 1 {
 		t.Fatalf("snapshot = %+v", st)
 	}
-	// The lease survived the refused uploads: the real payload lands.
+
+	// An upload past the result limit: 413, nothing accepted, and the job
+	// leaves the fleet — Run declines so the scheduler runs it locally,
+	// and the shard is not re-queued for another worker to recompute.
+	huge := json.RawMessage(`"` + strings.Repeat("x", maxResultBytes) + `"`)
+	raw, err = json.Marshal(ResultRequest{Worker: "w1", Lease: grant.Lease, Hash: HashPayload(huge), Payload: huge})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp := post("/v1/shards/"+grant.ShardID+"/result", string(raw)); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize upload: %d, want 413", resp.StatusCode)
+	}
+	select {
+	case out := <-done:
+		if out.handled || out.err != nil || out.payload != nil {
+			t.Fatalf("Run = (%s, handled=%v, err=%v), want declined", out.payload, out.handled, out.err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run kept the job after an oversize result")
+	}
+	if st := c.Snapshot(); len(st.Jobs) != 0 || st.PendingShards != 0 {
+		t.Fatalf("declined job left ledger state: %+v", st)
+	}
 	raw, err = json.Marshal(ResultRequest{Worker: "w1", Lease: grant.Lease, Hash: HashPayload(payload), Payload: payload})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp := post("/v1/shards/"+grant.ShardID+"/result", string(raw)); resp.StatusCode != http.StatusOK {
-		t.Fatalf("upload after the refused ones: %d, want 200", resp.StatusCode)
+	if resp := post("/v1/shards/"+grant.ShardID+"/result", string(raw)); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("upload after the job was declined: %d, want 404", resp.StatusCode)
 	}
-	cancel()
-	<-done
 }
 
 // TestWorkerDoesNotRetry413: a result the server refuses as too large is
@@ -286,5 +301,72 @@ func TestWorkerDoesNotRetry413(t *testing.T) {
 	}
 	if got := uploads.Load(); got != 1 {
 		t.Fatalf("%d upload attempts, want 1", got)
+	}
+}
+
+// TestOversizeResultRunsJobLocally drives the whole path with a real
+// worker and scheduler: every shard result is over the coordinator's
+// limit, so the first refused upload ends the distribution — no lease
+// expires and no shard is re-leased — and the scheduler completes the job
+// locally with the serial bytes.
+func TestOversizeResultRunsJobLocally(t *testing.T) {
+	c := newTestCoordinator(Options{LeaseTTL: time.Minute, MaxShards: 2})
+	c.maxResult = 64 // below every shard payload
+	srv := newProtocolServer(t, c)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	wg := startWorker(t, ctx, WorkerOptions{Server: srv.URL, ID: "w1", Parallel: 1})
+	defer func() {
+		cancel()
+		wg.Wait()
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for c.ActiveWorkers() < 1 {
+		if !time.Now().Before(deadline) {
+			t.Fatal("worker never polled")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	s, err := jobs.NewScheduler(jobs.Options{Workers: 1, Dist: c, Obs: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		sctx, scancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer scancel()
+		if err := s.Shutdown(sctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
+	spec := testSpec(t)
+	view, _, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Well under the one-minute lease: the job must not wait for it.
+	wctx, wcancel := context.WithTimeout(ctx, 20*time.Second)
+	defer wcancel()
+	final, err := s.Wait(wctx, view.ID)
+	if err != nil {
+		t.Fatalf("job never finished: %v", err)
+	}
+	if final.Status != jobs.StatusDone {
+		t.Fatalf("job status %s (%s), want done", final.Status, final.Error)
+	}
+	if serial := serialResult(t, spec); !bytes.Equal(final.Result, serial) {
+		t.Fatalf("local result differs from serial\nserial: %s\ngot:    %s", serial, final.Result)
+	}
+	if got := c.met.distributed.Value(); got != 1 {
+		t.Fatalf("dist_jobs_distributed_total = %d, want 1 (the fleet must have been offered the job)", got)
+	}
+	if got := c.met.leased.Value(); got != 1 {
+		t.Fatalf("dist_shards_leased_total = %d, want 1", got)
+	}
+	if got := c.met.released.Value(); got != 0 {
+		t.Fatalf("dist_shards_released_total = %d, want 0", got)
+	}
+	if got := c.met.fallback.Value(); got != 1 {
+		t.Fatalf("dist_jobs_fallback_total = %d, want 1", got)
 	}
 }

@@ -107,9 +107,6 @@ func (a *compiledAlgorithm) Chunk() *vmachine.Chunk { return a.chunk }
 // The goroutine engine runs body; the VM engine runs chunk; which one a
 // Machine uses is an Engine decision invisible to schedulers.
 func NewCompiled(name string, body Body, chunk *vmachine.Chunk) Algorithm {
-	if chunk == nil {
-		panic("machine: NewCompiled with nil chunk")
-	}
 	return NewHosted(name, body, chunk, nil)
 }
 
