@@ -11,10 +11,12 @@ import (
 
 // JobRecord is one entry of the scheduler's write-ahead job journal: the
 // durable form of a job's spec, tenant, and lifecycle, persisted as
-// <id>.job.json behind the cache's atomic-file layer on every status
-// transition. The record never carries the result — results live in the
-// content-addressed cache under the same ID — so the journal stays small
-// and a replayed terminal job is served byte-identically from the cache.
+// <id>.job.json behind the cache's atomic-file layer when the job is
+// accepted, canceled, or ends. Its start is not journaled: replay treats a
+// running record like a queued one. The record never carries the result —
+// results live in the content-addressed cache under the same ID — so the
+// journal stays small and a replayed terminal job is served
+// byte-identically from the cache.
 //
 // Replay semantics (see (*Scheduler).replayJournal): a tombstoned record
 // is terminal-canceled forever; a terminal record is rebuilt as a served

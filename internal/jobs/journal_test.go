@@ -86,8 +86,8 @@ func TestJournalTerminalJobSurvivesRestart(t *testing.T) {
 
 // TestJournalStaleSnapshotNeverLandsLast pins the lost-update fix: Submit
 // journals its "queued" snapshot after unlocking the scheduler, so a
-// worker can run the job and journal "running" and "done" between that
-// snapshot and its write. The test keeps the one worker busy with a
+// worker can run the job and journal "done" between that snapshot and its
+// write. The test keeps the one worker busy with a
 // blocker job until Submit has taken its snapshot, then the seam releases
 // the blocker and holds the queued record until the job finishes. Without
 // a per-job journal lock the worker gets through, and the stale queued

@@ -844,7 +844,10 @@ func (s *Scheduler) runJob(j *job) {
 	j.started = time.Now()
 	j.cancel = cancel
 	j.mu.Unlock()
-	s.journal(j)
+	// The start is not journaled. Replay re-enqueues a running record
+	// exactly like the queued one already on disk, so the write would
+	// change no recovery; it would only put a file write, and a wait for
+	// Submit's queued write (journalMu), into every job's run time.
 
 	// The job's context carries the correlation ID, logger, and a root
 	// span; the spec runners and the experiments registry hang their
