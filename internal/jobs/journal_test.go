@@ -87,13 +87,13 @@ func TestJournalTerminalJobSurvivesRestart(t *testing.T) {
 // TestJournalStaleSnapshotNeverLandsLast pins the lost-update fix: Submit
 // journals its "queued" snapshot after unlocking the scheduler, so a
 // worker can run the job and journal "done" between that snapshot and its
-// write. The test keeps the one worker busy with a
-// blocker job until Submit has taken its snapshot, then the seam releases
-// the blocker and holds the queued record until the job finishes. Without
-// a per-job journal lock the worker gets through, and the stale queued
-// record lands last: a restart would re-run a finished job. With the lock
-// the worker waits for the queued write, the seam gives up after a while,
-// and the done record lands last.
+// write. The test keeps the one worker busy with a blocker job until
+// Submit has taken its snapshot, then the seam releases the blocker and
+// holds the queued record until the job finishes. Without a per-job
+// journal lock the worker gets through, and the stale queued record lands
+// last: a restart would re-run a finished job. With the lock the worker
+// waits for the queued write, the seam gives up after a while, and the
+// done record lands last.
 func TestJournalStaleSnapshotNeverLandsLast(t *testing.T) {
 	release := make(chan struct{})
 	swapRunSpec(t, func(ctx context.Context, spec *Spec, p *Progress, parallel int) ([]byte, error) {
