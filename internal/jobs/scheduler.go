@@ -899,7 +899,6 @@ func (s *Scheduler) runJob(j *job) {
 
 	j.progress.Set(string(status), 0, 0)
 	j.progress.Close()
-	close(j.done)
 
 	s.mu.Lock()
 	switch status {
@@ -941,6 +940,9 @@ func (s *Scheduler) runJob(j *job) {
 	if status == StatusDone {
 		s.recordPhases(j)
 	}
+	// Last, so that Wait returns only after the job's counters, metrics
+	// and phase latencies are recorded.
+	close(j.done)
 }
 
 // journalTerminal writes a finished job's journal record. One special
