@@ -87,7 +87,8 @@ type distJob struct {
 	shards    []*shard
 	remaining int
 	done      chan struct{} // closed when the last shard result is accepted
-	tooLarge  chan struct{} // closed when a shard result was refused as too large
+	dropped   chan struct{} // closed when dropLocked gave the job up
+	reason    string        // why it was dropped, set before dropped closes
 	progress  *jobs.Progress
 }
 
@@ -194,7 +195,8 @@ func (c *Coordinator) activeWorkersLocked() int {
 // Run implements jobs.Runner: partition, enqueue, wait for the fleet,
 // merge. It declines (handled=false) when the spec is not shardable or
 // no workers are active — including when every worker vanishes mid-run,
-// or a shard's result is refused as too large (resultTooLarge). Then the
+// a shard's result is refused as too large (resultTooLarge), or a shard's
+// lease expires more than maxShardReleases times (expireLocked). Then the
 // partial shard results are discarded and the scheduler recomputes
 // locally (determinism makes the recomputation byte-identical, so
 // abandoning is always safe).
@@ -223,7 +225,7 @@ func (c *Coordinator) Run(ctx context.Context, id string, spec *jobs.Spec, p *jo
 		spec:      spec,
 		remaining: len(ranges),
 		done:      make(chan struct{}),
-		tooLarge:  make(chan struct{}),
+		dropped:   make(chan struct{}),
 		progress:  p,
 	}
 	for i, r := range ranges {
@@ -267,10 +269,10 @@ func (c *Coordinator) Run(ctx context.Context, id string, spec *jobs.Spec, p *jo
 				return nil, true, err
 			}
 			return merged, true, nil
-		case <-j.tooLarge: // resultTooLarge already removed the job
+		case <-j.dropped: // dropLocked already removed the job
 			c.met.fallback.Inc()
-			span.SetAttr("abandoned", "result too large")
-			c.logger.Warn("shard result over the upload limit; abandoning distribution", "job_id", obs.ShortID(id))
+			span.SetAttr("abandoned", j.reason)
+			c.logger.Warn("abandoning distribution", "job_id", obs.ShortID(id), "reason", j.reason)
 			return nil, false, nil
 		case <-ctx.Done():
 			c.remove(j)
@@ -317,18 +319,45 @@ func (c *Coordinator) removeLocked(j *distJob) {
 	c.pending = kept
 }
 
-// expireLocked re-queues every leased shard whose deadline has passed.
+// dropLocked takes j off the ledger (no further shard of it is leased,
+// and late results for it answer ErrUnknownShard) and wakes its Run,
+// which declines so the scheduler executes the job locally. Dropping a
+// job that is no longer on the ledger changes nothing.
+func (c *Coordinator) dropLocked(j *distJob, reason string) {
+	if _, ok := c.jobs[j.id]; !ok {
+		return
+	}
+	c.removeLocked(j)
+	j.reason = reason
+	close(j.dropped)
+}
+
+// maxShardReleases caps how often one shard goes back in the queue. A
+// shard whose execution kills or hangs every worker that leases it (a
+// poison shard) would otherwise be leased forever and its job never end;
+// the expiry past the cap drops the job instead, and it runs locally.
+const maxShardReleases = 3
+
+// expireLocked re-queues every leased shard whose deadline has passed, or
+// drops its job if the shard has been re-queued maxShardReleases times.
 func (c *Coordinator) expireLocked() {
 	now := c.now()
 	for _, s := range c.byID {
-		if s.state == shardLeased && s.deadline.Before(now) {
-			s.state = shardPending
-			s.releases++
-			c.pending = append(c.pending, s)
-			c.met.released.Inc()
-			c.logger.Warn("lease expired; shard re-queued",
-				"shard", s.id(), "worker", s.worker, "releases", s.releases)
+		if s.state != shardLeased || !s.deadline.Before(now) {
+			continue
 		}
+		if s.releases == maxShardReleases {
+			c.logger.Warn("lease expired past the re-lease cap; dropping job",
+				"shard", s.id(), "worker", s.worker, "releases", s.releases)
+			c.dropLocked(s.job, "shard re-leased too often")
+			continue
+		}
+		s.state = shardPending
+		s.releases++
+		c.pending = append(c.pending, s)
+		c.met.released.Inc()
+		c.logger.Warn("lease expired; shard re-queued",
+			"shard", s.id(), "worker", s.worker, "releases", s.releases)
 	}
 }
 
@@ -432,10 +461,9 @@ func (c *Coordinator) Result(shardID string, lease int64, hash string, payload [
 // exceeding the result limit. A shard's payload is a function of the spec
 // and range alone, so every worker would upload the same bytes and be
 // refused again: rather than let the lease expire and the shard be
-// re-leased forever, the job leaves the ledger at once (no further shard
-// of it is leased) and its Run declines, so the scheduler executes the
-// job locally. Uploads for shards the coordinator does not track, and for
-// jobs whose every shard is already accepted, change nothing.
+// re-leased, the job is dropped at once (dropLocked). Uploads for shards
+// the coordinator does not track, and for jobs whose every shard is
+// already accepted, change nothing.
 func (c *Coordinator) resultTooLarge(shardID string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -445,8 +473,7 @@ func (c *Coordinator) resultTooLarge(shardID string) {
 	}
 	c.met.rejected.Inc()
 	c.logger.Warn("shard payload rejected: over the upload limit", "shard", shardID, "limit", c.maxResult)
-	c.removeLocked(s.job)
-	close(s.job.tooLarge)
+	c.dropLocked(s.job, "result too large")
 }
 
 // JobStats is one distributed job's shard ledger in summary form.

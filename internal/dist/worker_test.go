@@ -370,3 +370,73 @@ func TestOversizeResultRunsJobLocally(t *testing.T) {
 		t.Fatalf("dist_jobs_fallback_total = %d, want 1", got)
 	}
 }
+
+// TestPoisonShardRunsJobLocally: a worker that leases the only shard and
+// never uploads or heartbeats (one that dies on it every time) gets the
+// shard back maxShardReleases times; the expiry after that drops the
+// job, and the scheduler completes it locally with the serial bytes.
+func TestPoisonShardRunsJobLocally(t *testing.T) {
+	c := newTestCoordinator(Options{LeaseTTL: 10 * time.Millisecond, MaxShards: 1, ActiveWindow: time.Minute})
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // the poisoned worker: leases whatever is pending, forever
+		defer wg.Done()
+		for ctx.Err() == nil {
+			c.Lease("w1")
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	defer func() {
+		cancel()
+		wg.Wait()
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for c.ActiveWorkers() < 1 {
+		if !time.Now().Before(deadline) {
+			t.Fatal("worker never polled")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	s, err := jobs.NewScheduler(jobs.Options{Workers: 1, Dist: c, Obs: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		sctx, scancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer scancel()
+		if err := s.Shutdown(sctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
+	spec := testSpec(t)
+	view, _, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wctx, wcancel := context.WithTimeout(ctx, 20*time.Second)
+	defer wcancel()
+	final, err := s.Wait(wctx, view.ID)
+	if err != nil {
+		t.Fatalf("job never finished: %v", err)
+	}
+	if final.Status != jobs.StatusDone {
+		t.Fatalf("job status %s (%s), want done", final.Status, final.Error)
+	}
+	if serial := serialResult(t, spec); !bytes.Equal(final.Result, serial) {
+		t.Fatalf("local result differs from serial\nserial: %s\ngot:    %s", serial, final.Result)
+	}
+	if got := c.met.leased.Value(); got != maxShardReleases+1 {
+		t.Fatalf("dist_shards_leased_total = %d, want %d", got, maxShardReleases+1)
+	}
+	if got := c.met.released.Value(); got != maxShardReleases {
+		t.Fatalf("dist_shards_released_total = %d, want %d", got, maxShardReleases)
+	}
+	if got := c.met.fallback.Value(); got != 1 {
+		t.Fatalf("dist_jobs_fallback_total = %d, want 1", got)
+	}
+	if st := c.Snapshot(); len(st.Jobs) != 0 || st.PendingShards != 0 {
+		t.Fatalf("dropped job left ledger state: %+v", st)
+	}
+}

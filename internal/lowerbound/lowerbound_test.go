@@ -451,3 +451,25 @@ func TestReductionsAcrossAllConstructions(t *testing.T) {
 		})
 	}
 }
+
+// TestMeasureConstructionAllocs pins the allocation count of E7's
+// measurement at n = 16: one fetch&increment per process on Group-Update
+// under the adversary. Its log work allocates little: merge sizes each
+// log once and dedups on a stack bitset, the response replay renders
+// small counter states from a table, and the sequential type applies on
+// uint64. With per-merge maps, appends and big.Int arithmetic it took
+// 2704 allocations.
+func TestMeasureConstructionAllocs(t *testing.T) {
+	const n, maxAllocs = 16, 1050 // measured: 959
+	mk := func(n int) universal.Construction {
+		return universal.NewGroupUpdate(objtype.NewFetchIncrement(64), n, 0)
+	}
+	got := testing.AllocsPerRun(5, func() {
+		if _, err := MeasureConstruction(mk, FetchIncOp, n); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > maxAllocs {
+		t.Fatalf("MeasureConstruction(group-update, n=%d) allocates %.0f times, want ≤ %d", n, got, maxAllocs)
+	}
+}

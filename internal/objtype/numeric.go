@@ -3,6 +3,9 @@ package objtype
 import (
 	"fmt"
 	"math/big"
+	"strconv"
+
+	"jayanti98/internal/shmem"
 )
 
 // Operation names of the numeric types.
@@ -20,7 +23,7 @@ const (
 func Hex(v *big.Int) string { return v.Text(16) }
 
 // HexUint encodes a uint64 in canonical hex.
-func HexUint(v uint64) string { return new(big.Int).SetUint64(v).Text(16) }
+func HexUint(v uint64) string { return hexWord(v) }
 
 // ParseHex decodes a canonical hex string. It panics on malformed input,
 // which can only arise from a bug (states never leave this package's
@@ -48,7 +51,17 @@ type numeric struct {
 	name string
 	k    int
 	init func(n, k int) *big.Int
-	ops  map[string]func(state, arg *big.Int, k int) *big.Int
+	ops  map[string]numOp
+}
+
+// numOp is one fetch&φ operation. big computes φ on big integers. word
+// computes it on uint64 for types with k ≤ 64: φ here is addition,
+// multiplication, a bitwise operation or a bit flip below k, so φ mod 2^64
+// reduced mod 2^k is φ mod 2^k. unary operations ignore their argument.
+type numOp struct {
+	big   func(s, a *big.Int, k int) *big.Int
+	word  func(s, a uint64, k int) uint64
+	unary bool
 }
 
 func (t *numeric) Name() string { return fmt.Sprintf("%s(%d)", t.name, t.k) }
@@ -77,20 +90,106 @@ func (t *numeric) Apply(state Value, op Op) (Value, Value) {
 	if !ok {
 		panic(fmt.Sprintf("objtype: %s state must be a hex string, got %T", t.Name(), state))
 	}
+	if next, resp, ok := t.applyWord(f, s, op.Arg); ok {
+		return next, resp
+	}
+	return t.applyBig(f, s, op.Arg)
+}
+
+// applyWord is Apply on uint64 arithmetic. It declines (ok false) unless
+// k ≤ 64 and the state and argument are values it can represent: hex of
+// at most 16 digits, a non-negative int, or no argument for a unary
+// operation. applyBig handles everything else, so the two paths give the
+// same states, responses and panics.
+func (t *numeric) applyWord(f numOp, s string, arg Value) (next, resp Value, ok bool) {
+	if t.k < 0 || t.k > 64 {
+		return nil, nil, false
+	}
+	cur, canonical, ok := parseWord(s)
+	if !ok {
+		return nil, nil, false
+	}
+	var a uint64
+	switch x := arg.(type) {
+	case nil:
+		ok = f.unary
+	case int:
+		a, ok = uint64(x), x >= 0
+	case string:
+		a, _, ok = parseWord(x)
+	default:
+		ok = false
+	}
+	if !ok {
+		return nil, nil, false
+	}
+	resp = s
+	if !canonical {
+		resp = hexWord(cur)
+	}
+	return hexWord(f.word(cur, a, t.k) & shmem.MaskUpTo(t.k)), resp, true
+}
+
+// applyBig is Apply on big integers, for any k and any value.
+func (t *numeric) applyBig(f numOp, s string, arg Value) (Value, Value) {
 	cur := ParseHex(s)
-	var arg *big.Int
-	if op.Arg != nil {
-		switch a := op.Arg.(type) {
+	var a *big.Int
+	if arg != nil {
+		switch x := arg.(type) {
 		case string:
-			arg = ParseHex(a)
+			a = ParseHex(x)
 		case int:
-			arg = big.NewInt(int64(a))
+			a = big.NewInt(int64(x))
 		default:
-			panic(fmt.Sprintf("objtype: %s argument must be a hex string or int, got %T", t.Name(), op.Arg))
+			panic(fmt.Sprintf("objtype: %s argument must be a hex string or int, got %T", t.Name(), arg))
 		}
 	}
-	next := t.mask(f(cur, arg, t.k))
+	next := t.mask(f.big(cur, a, t.k))
 	return Hex(next), Hex(cur) // fetch&φ returns the previous state
+}
+
+// parseWord parses hex of 1 to 16 digits (either case, as ParseHex
+// accepts them) into a uint64, and reports whether s is the canonical
+// rendering Hex gives. It declines anything else: a sign, a longer or
+// empty string, a non-hex byte.
+func parseWord(s string) (v uint64, canonical, ok bool) {
+	if len(s) == 0 || len(s) > 16 {
+		return 0, false, false
+	}
+	canonical = len(s) == 1 || s[0] != '0'
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case '0' <= c && c <= '9':
+			c -= '0'
+		case 'a' <= c && c <= 'f':
+			c -= 'a' - 10
+		case 'A' <= c && c <= 'F':
+			c -= 'A' - 10
+			canonical = false
+		default:
+			return 0, false, false
+		}
+		v = v<<4 | uint64(c)
+	}
+	return v, canonical, true
+}
+
+// smallHex holds Hex of every value below 256, so the states of small
+// counters render without allocating.
+var smallHex = func() (t [256]string) {
+	for i := range t {
+		t[i] = strconv.FormatUint(uint64(i), 16)
+	}
+	return t
+}()
+
+// hexWord is Hex for a uint64: strconv's base-16 rendering is big.Int's.
+func hexWord(v uint64) string {
+	if v < uint64(len(smallHex)) {
+		return smallHex[v]
+	}
+	return strconv.FormatUint(v, 16)
 }
 
 // NewFetchIncrement returns the k-bit fetch&increment type of Theorem 6.2:
@@ -101,9 +200,11 @@ func NewFetchIncrement(k int) Type {
 		name: OpFetchIncrement,
 		k:    k,
 		init: func(_, _ int) *big.Int { return big.NewInt(0) },
-		ops: map[string]func(s, a *big.Int, k int) *big.Int{
-			OpFetchIncrement: func(s, _ *big.Int, _ int) *big.Int {
-				return new(big.Int).Add(s, big.NewInt(1))
+		ops: map[string]numOp{
+			OpFetchIncrement: {
+				big:   func(s, _ *big.Int, _ int) *big.Int { return new(big.Int).Add(s, big.NewInt(1)) },
+				word:  func(s, _ uint64, _ int) uint64 { return s + 1 },
+				unary: true,
 			},
 		},
 	}
@@ -117,9 +218,10 @@ func NewFetchAdd(k int) Type {
 		name: OpFetchAdd,
 		k:    k,
 		init: func(_, _ int) *big.Int { return big.NewInt(0) },
-		ops: map[string]func(s, a *big.Int, k int) *big.Int{
-			OpFetchAdd: func(s, a *big.Int, _ int) *big.Int {
-				return new(big.Int).Add(s, a)
+		ops: map[string]numOp{
+			OpFetchAdd: {
+				big:  func(s, a *big.Int, _ int) *big.Int { return new(big.Int).Add(s, a) },
+				word: func(s, a uint64, _ int) uint64 { return s + a },
 			},
 		},
 	}
@@ -134,9 +236,10 @@ func NewFetchAnd(k int) Type {
 		name: OpFetchAnd,
 		k:    k,
 		init: func(_, k int) *big.Int { return AllOnes(k) },
-		ops: map[string]func(s, a *big.Int, k int) *big.Int{
-			OpFetchAnd: func(s, a *big.Int, _ int) *big.Int {
-				return new(big.Int).And(s, a)
+		ops: map[string]numOp{
+			OpFetchAnd: {
+				big:  func(s, a *big.Int, _ int) *big.Int { return new(big.Int).And(s, a) },
+				word: func(s, a uint64, _ int) uint64 { return s & a },
 			},
 		},
 	}
@@ -150,9 +253,10 @@ func NewFetchOr(k int) Type {
 		name: OpFetchOr,
 		k:    k,
 		init: func(_, _ int) *big.Int { return big.NewInt(0) },
-		ops: map[string]func(s, a *big.Int, k int) *big.Int{
-			OpFetchOr: func(s, a *big.Int, _ int) *big.Int {
-				return new(big.Int).Or(s, a)
+		ops: map[string]numOp{
+			OpFetchOr: {
+				big:  func(s, a *big.Int, _ int) *big.Int { return new(big.Int).Or(s, a) },
+				word: func(s, a uint64, _ int) uint64 { return s | a },
 			},
 		},
 	}
@@ -166,19 +270,27 @@ func NewFetchComplement(k int) Type {
 		name: OpFetchComplement,
 		k:    k,
 		init: func(_, _ int) *big.Int { return big.NewInt(0) },
-		ops: map[string]func(s, a *big.Int, k int) *big.Int{
-			OpFetchComplement: func(s, a *big.Int, k int) *big.Int {
-				i := int(a.Int64())
-				if i < 0 || i >= k {
-					panic(fmt.Sprintf("objtype: fetch&complement bit %d out of range [0,%d)", i, k))
-				}
-				out := new(big.Int).Set(s)
-				if out.Bit(i) == 0 {
-					out.SetBit(out, i, 1)
-				} else {
-					out.SetBit(out, i, 0)
-				}
-				return out
+		ops: map[string]numOp{
+			OpFetchComplement: {
+				big: func(s, a *big.Int, k int) *big.Int {
+					if !a.IsInt64() || a.Sign() < 0 || a.Int64() >= int64(k) {
+						complementOutOfRange(a, k)
+					}
+					i := int(a.Int64())
+					out := new(big.Int).Set(s)
+					if out.Bit(i) == 0 {
+						out.SetBit(out, i, 1)
+					} else {
+						out.SetBit(out, i, 0)
+					}
+					return out
+				},
+				word: func(s, a uint64, k int) uint64 {
+					if a >= uint64(k) {
+						complementOutOfRange(a, k)
+					}
+					return s ^ 1<<a
+				},
 			},
 		},
 	}
@@ -192,10 +304,18 @@ func NewFetchMultiply(k int) Type {
 		name: OpFetchMultiply,
 		k:    k,
 		init: func(_, _ int) *big.Int { return big.NewInt(1) },
-		ops: map[string]func(s, a *big.Int, k int) *big.Int{
-			OpFetchMultiply: func(s, a *big.Int, _ int) *big.Int {
-				return new(big.Int).Mul(s, a)
+		ops: map[string]numOp{
+			OpFetchMultiply: {
+				big:  func(s, a *big.Int, _ int) *big.Int { return new(big.Int).Mul(s, a) },
+				word: func(s, a uint64, _ int) uint64 { return s * a },
 			},
 		},
 	}
+}
+
+// complementOutOfRange panics for a fetch&complement bit index i outside
+// [0, k); i is an int, a uint64 or a *big.Int, all of which %d renders
+// in decimal.
+func complementOutOfRange(i any, k int) {
+	panic(fmt.Sprintf("objtype: fetch&complement bit %d out of range [0,%d)", i, k))
 }

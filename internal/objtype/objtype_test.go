@@ -1,6 +1,7 @@
 package objtype
 
 import (
+	"fmt"
 	"math/big"
 	"math/rand"
 	"reflect"
@@ -142,6 +143,93 @@ func TestFetchComplementOutOfRangePanics(t *testing.T) {
 		}
 	}()
 	typ.Apply(typ.Init(1), Op{Name: OpFetchComplement, Arg: 4})
+}
+
+// TestFetchComplementWideIndexPanics: a bit index too wide for an int64
+// is out of range like any other, not truncated to its low bits (2^64
+// would otherwise flip bit 0).
+func TestFetchComplementWideIndexPanics(t *testing.T) {
+	typ := NewFetchComplement(8)
+	for _, arg := range []Value{"10000000000000000", "8000000000000000", "ffffffffffffffff", "-1", -1, 8} {
+		want := fmt.Sprintf("objtype: fetch&complement bit %v out of range [0,8)", decimal(arg))
+		if got := applyPanic(typ, "0", Op{Name: OpFetchComplement, Arg: arg}); got != want {
+			t.Errorf("fetch&complement(%v): panic %q, want %q", arg, got, want)
+		}
+	}
+}
+
+// decimal renders a hex-string or int argument in decimal.
+func decimal(arg Value) string {
+	if s, ok := arg.(string); ok {
+		return ParseHex(s).String()
+	}
+	return fmt.Sprint(arg)
+}
+
+// applyPanic applies op and returns its panic message ("" if none).
+func applyPanic(typ Type, state Value, op Op) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	typ.Apply(state, op)
+	return ""
+}
+
+// TestNumericWordMatchesBig holds the uint64 path of every numeric type
+// to its big.Int path at widths up to 64 bits: the same state, response
+// and panic message for states and arguments that wrap around, are not
+// canonical (leading zeros, upper case, a sign), or are too wide for a
+// uint64 or for the type.
+func TestNumericWordMatchesBig(t *testing.T) {
+	states := []string{"0", "1", "7f", "80", "ff", "100", "00ff", "FF", "7fffffffffffffff",
+		"8000000000000000", "ffffffffffffffff", "10000000000000000", "0000000000000000001", "+1", "-1", "", "zz"}
+	args := []Value{nil, 0, 1, 2, 3, 7, 8, 15, 63, 64, 65, -1, -3, 1 << 40, "0", "1", "3", "f",
+		"ff", "F", "0003", "3f", "40", "ffffffffffffffff", "10000000000000000", "-2", "+3", "", "q", 2.5}
+	for _, k := range []int{1, 7, 8, 16, 63, 64} {
+		for _, mk := range []func(int) Type{NewFetchIncrement, NewFetchAdd, NewFetchAnd, NewFetchOr, NewFetchComplement, NewFetchMultiply} {
+			typ := mk(k).(*numeric)
+			for name, f := range typ.ops {
+				for _, s := range append(states, typ.Init(1).(string)) {
+					for _, arg := range args {
+						word := outcome(func() (Value, Value) { return typ.Apply(s, Op{Name: name, Arg: arg}) })
+						big := outcome(func() (Value, Value) { return typ.applyBig(f, s, arg) })
+						if word != big {
+							t.Fatalf("%s %s(%v) on %q: Apply %s, big.Int %s", typ.Name(), name, arg, s, word, big)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// outcome renders an Apply's result or panic message.
+func outcome(apply func() (Value, Value)) (out string) {
+	defer func() {
+		if r := recover(); r != nil {
+			out = fmt.Sprintf("panic %q", fmt.Sprint(r))
+		}
+	}()
+	next, resp := apply()
+	return fmt.Sprintf("%#v, %#v", next, resp)
+}
+
+// TestNumericWordWraps checks wrap-around on the uint64 path against
+// explicit values: the top value of each width increments to 0, and
+// 64-bit products keep their low bits.
+func TestNumericWordWraps(t *testing.T) {
+	for _, k := range []int{1, 7, 8, 16, 63, 64} {
+		top := Hex(AllOnes(k))
+		if next, resp := NewFetchIncrement(k).Apply(top, Op{Name: OpFetchIncrement}); next != "0" || resp != top {
+			t.Errorf("fetch&increment(%d) on %s = (%v, %v), want (0, %s)", k, top, next, resp, top)
+		}
+	}
+	next, _ := NewFetchMultiply(64).Apply("ffffffffffffffff", Op{Name: OpFetchMultiply, Arg: "ffffffffffffffff"})
+	if next != "1" {
+		t.Errorf("(2^64-1)^2 mod 2^64 = %v, want 1", next)
+	}
 }
 
 func TestFetchMultiplyWakeupPattern(t *testing.T) {

@@ -110,15 +110,6 @@ func (l Log) IndexOf(pid, seq int) int {
 	return -1
 }
 
-// Ops projects the log onto its operations.
-func (l Log) Ops() []objtype.Op {
-	ops := make([]objtype.Op, len(l))
-	for i, r := range l {
-		ops[i] = r.Op
-	}
-	return ops
-}
-
 // asLog interprets a register value as a Log (nil → empty).
 func asLog(v any) Log {
 	if v == nil {
@@ -134,23 +125,113 @@ func asLog(v any) Log {
 // merge returns base extended, in order, with the records of the extra
 // logs that base does not already contain (first occurrence wins). The
 // result shares no backing storage with base.
+//
+// A first pass counts the new records, so the result is allocated once,
+// at its exact size; a second pass, with the dedup reset, appends them.
 func merge(base Log, extras ...Log) Log {
-	seen := make(map[[2]int]bool, len(base))
+	var buf [dedupStackWords]uint64
+	d := newDedup(buf[:], base, extras)
 	for _, r := range base {
-		seen[[2]int{r.Pid, r.Seq}] = true
+		d.add(r)
 	}
-	out := make(Log, len(base), len(base)+4)
-	copy(out, base)
+	added := 0
 	for _, extra := range extras {
 		for _, r := range extra {
-			key := [2]int{r.Pid, r.Seq}
-			if !seen[key] {
-				seen[key] = true
+			if d.add(r) {
+				added++
+			}
+		}
+	}
+	out := make(Log, len(base), len(base)+added)
+	copy(out, base)
+	d.reset()
+	for _, r := range base {
+		d.add(r)
+	}
+	for _, extra := range extras {
+		for _, r := range extra {
+			if d.add(r) {
 				out = append(out, r)
 			}
 		}
 	}
 	return out
+}
+
+// dedupStackWords is the size of the bitset merge keeps on its stack,
+// enough for 1024 record identities.
+const dedupStackWords = 16
+
+// dedup is a set of record identities (pid, seq). Identities with
+// 0 ≤ pid < pids and 0 ≤ seq < seqs are bits pid + seq·pids of a flat
+// bitset sized from merge's inputs; any other identity (a negative field,
+// or a sequence number past what the bitset may cover) lives in a map.
+type dedup struct {
+	pids, seqs int
+	bits       shmem.PidBits
+	other      map[[2]int]bool
+}
+
+// newDedup sizes a dedup for merge's inputs, using buf for its bitset
+// when it fits. The bitset covers every identity of the inputs unless
+// that would take more than 64 bits per input record, plus 4096; then it
+// covers the sequence numbers up to that size, or nothing if a pid is
+// past it.
+func newDedup(buf []uint64, base Log, extras []Log) dedup {
+	maxPid, maxSeq, records := -1, -1, len(base)
+	widen := func(l Log) {
+		for _, r := range l {
+			maxPid = max(maxPid, r.Pid)
+			maxSeq = max(maxSeq, r.Seq)
+		}
+	}
+	widen(base)
+	for _, extra := range extras {
+		widen(extra)
+		records += len(extra)
+	}
+	limit := 64 * (records + 64)
+	if maxPid < 0 || maxPid >= limit {
+		return dedup{}
+	}
+	d := dedup{pids: maxPid + 1, seqs: limit / (maxPid + 1)}
+	if maxSeq < d.seqs {
+		d.seqs = maxSeq + 1
+	}
+	words := (d.pids*d.seqs + 63) / 64
+	if words > len(buf) {
+		buf = make([]uint64, words)
+	}
+	d.bits = buf[:words]
+	d.bits.Clear()
+	return d
+}
+
+// add inserts r's identity and reports whether it was new.
+func (d *dedup) add(r Record) bool {
+	if r.Pid >= 0 && r.Pid < d.pids && r.Seq >= 0 && r.Seq < d.seqs {
+		i := r.Pid + r.Seq*d.pids
+		if d.bits.Contains(i) {
+			return false
+		}
+		d.bits[shmem.WordOf(i)] |= shmem.BitOf(i) // sized to fit: no growing Add
+		return true
+	}
+	key := [2]int{r.Pid, r.Seq}
+	if d.other[key] {
+		return false
+	}
+	if d.other == nil {
+		d.other = make(map[[2]int]bool)
+	}
+	d.other[key] = true
+	return true
+}
+
+// reset empties the set.
+func (d *dedup) reset() {
+	d.bits.Clear()
+	clear(d.other)
 }
 
 // Construction is a universal construction instantiated with a type: a
@@ -203,12 +284,16 @@ func Must(c Construction, err error) Construction {
 
 // replayResponse computes the response of record (pid, seq) by replaying
 // the type over the log prefix ending at that record — the "response by
-// local replay" modification (see NewGroupUpdate).
+// local replay" modification (see NewGroupUpdate). It is objtype.Replay
+// over that prefix's operations, keeping only the last response.
 func replayResponse(typ objtype.Type, n int, log Log, pid, seq int) objtype.Value {
 	idx := log.IndexOf(pid, seq)
 	if idx < 0 {
 		panic(fmt.Sprintf("universal: record p%d#%d missing from linearization log", pid, seq))
 	}
-	_, resps := objtype.Replay(typ, n, log[:idx+1].Ops())
-	return resps[idx]
+	state, resp := typ.Init(n), objtype.Value(nil)
+	for _, r := range log[:idx+1] {
+		state, resp = typ.Apply(state, r.Op)
+	}
+	return resp
 }

@@ -63,6 +63,62 @@ func TestMergeDeduplicatesAndPreservesOrder(t *testing.T) {
 	}
 }
 
+// referenceMerge is merge as it was first written: dedup through a map of
+// every identity, growing the result by append.
+func referenceMerge(base Log, extras ...Log) Log {
+	seen := make(map[[2]int]bool, len(base))
+	for _, r := range base {
+		seen[[2]int{r.Pid, r.Seq}] = true
+	}
+	out := make(Log, len(base), len(base)+4)
+	copy(out, base)
+	for _, extra := range extras {
+		for _, r := range extra {
+			key := [2]int{r.Pid, r.Seq}
+			if !seen[key] {
+				seen[key] = true
+				out = append(out, r)
+			}
+		}
+	}
+	return out
+}
+
+// TestMergeMatchesReference holds merge to the map-based reference on
+// logs whose identities the flat bitset cannot index — negative pids and
+// sequence numbers, a sequence number or pid far past the bitset's size
+// cap — mixed with ones it can, with duplicates inside the base and
+// across and within the extra logs.
+func TestMergeMatchesReference(t *testing.T) {
+	const huge = 1 << 40
+	rec := func(pid, seq int) Record {
+		return Record{Pid: pid, Seq: seq, Op: objtype.Op{Name: fmt.Sprintf("op%d.%d", pid, seq)}}
+	}
+	cases := []struct {
+		base   Log
+		extras []Log
+	}{
+		{nil, nil},
+		{Log{rec(0, 0), rec(0, 0)}, []Log{{rec(0, 0), rec(1, 0)}, {rec(1, 0), rec(1, 0)}}},
+		{Log{rec(-1, 0), rec(2, -3)}, []Log{{rec(-1, 0), rec(2, -3), rec(2, 3), rec(-5, -5)}, {rec(-5, -5), rec(0, 1)}}},
+		{Log{rec(3, huge)}, []Log{{rec(3, huge), rec(3, 0), rec(3, huge-1)}, {rec(0, 0), rec(3, huge-1)}}},
+		{Log{rec(huge, 0)}, []Log{{rec(0, 0), rec(huge, 0), rec(huge, 1)}, {rec(1, 0), rec(huge, 1)}}},
+		{nil, []Log{{rec(7, 9000), rec(7, 2), rec(7, 9000)}, {rec(6, 2), rec(7, 2), rec(-7, 2)}}},
+	}
+	for i := 0; i < 1200; i++ { // a base with more identities than merge's stack bitset holds
+		cases[1].base = append(cases[1].base, rec(i%50, i/50))
+	}
+	for i, c := range cases {
+		got, want := merge(c.base, c.extras...), referenceMerge(c.base, c.extras...)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("case %d: merge = %v, want %v", i, got, want)
+		}
+		if got == nil {
+			t.Errorf("case %d: merge returned a nil log", i)
+		}
+	}
+}
+
 func TestMergeEmptyBase(t *testing.T) {
 	got := merge(nil, Log{{Pid: 5, Seq: 0}})
 	if len(got) != 1 || got[0].Pid != 5 {

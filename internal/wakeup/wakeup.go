@@ -182,13 +182,17 @@ func decodeString(s string, dst shmem.PidBits) shmem.PidBits {
 // retries at most n−1 times — O(n) worst-case shared accesses. The
 // adversary in fact forces Θ(n): in its lockstep rounds only the smallest
 // linked pid succeeds each round.
+//
+// Each instance codes its pid sets through one pidMemo, shared by both
+// engines (the VM's natives receive it as the host value).
 func SetRegister() machine.Algorithm {
-	return machine.NewCompiled("wakeup/set-register", func(e *machine.Env) shmem.Value {
+	m := new(pidMemo)
+	return machine.NewHosted("wakeup/set-register", func(e *machine.Env) shmem.Value {
 		var set shmem.PidBits
 		for {
-			set = DecodeBits(e.LL(setReg), set)
+			set = m.decode(e.LL(setReg), set)
 			set.Add(e.ID())
-			ok, _ := e.SC(setReg, EncodeBits(set))
+			ok, _ := e.SC(setReg, m.encode(set))
 			if ok {
 				if set.Count() == e.N() {
 					return 1
@@ -196,7 +200,7 @@ func SetRegister() machine.Algorithm {
 				return 0
 			}
 		}
-	}, setRegisterChunk)
+	}, setRegisterChunk, m)
 }
 
 // DoubleRegister returns the randomized variant: each process tosses a coin
@@ -208,23 +212,24 @@ func SetRegister() machine.Algorithm {
 // algorithm terminates with probability 1 (indeed always), so the
 // randomized bound of Theorem 6.1 applies with c = 1.
 func DoubleRegister() machine.Algorithm {
-	return machine.NewCompiled("wakeup/double-register", func(e *machine.Env) shmem.Value {
+	m := new(pidMemo)
+	return machine.NewHosted("wakeup/double-register", func(e *machine.Env) shmem.Value {
 		reg := int(e.Toss()) & 1
 		var set shmem.PidBits
 		for {
-			set = DecodeBits(e.LL(reg), set)
+			set = m.decode(e.LL(reg), set)
 			set.Add(e.ID())
-			if ok, _ := e.SC(reg, EncodeBits(set)); ok {
+			if ok, _ := e.SC(reg, m.encode(set)); ok {
 				break
 			}
 		}
-		union := DecodeBits(e.Read(0), nil)
-		DecodeBits(e.Read(1), nil).Each(union.Add)
+		union := m.decode(e.Read(0), nil)
+		m.decode(e.Read(1), nil).Each(union.Add)
 		if union.Count() == e.N() {
 			return 1
 		}
 		return 0
-	}, doubleRegisterChunk)
+	}, doubleRegisterChunk, m)
 }
 
 // Cheater returns the deliberately incorrect algorithm: each process
@@ -252,11 +257,12 @@ func MoveCourier() machine.Algorithm {
 		acc   = 0 // LL/SC set register
 	)
 	ownReg := func(pid int) int { return 10 + pid }
-	return machine.NewCompiled("wakeup/move-courier", func(e *machine.Env) shmem.Value {
+	m := new(pidMemo)
+	return machine.NewHosted("wakeup/move-courier", func(e *machine.Env) shmem.Value {
 		// Publish own id.
 		var own shmem.PidBits
 		own.Add(e.ID())
-		e.Swap(ownReg(e.ID()), EncodeBits(own))
+		e.Swap(ownReg(e.ID()), m.encode(own))
 		// Copy own register into the relay: the move phase of each round
 		// now has real work, scheduled secretively by the adversary.
 		e.Move(ownReg(e.ID()), relay)
@@ -264,12 +270,12 @@ func MoveCourier() machine.Algorithm {
 		// the shared set register until our insertion lands.
 		var know shmem.PidBits
 		know.Add(e.ID())
-		DecodeBits(e.Read(relay), nil).Each(know.Add)
+		m.decode(e.Read(relay), nil).Each(know.Add)
 		var set shmem.PidBits
 		for {
-			set = DecodeBits(e.LL(acc), set)
+			set = m.decode(e.LL(acc), set)
 			set.Each(know.Add)
-			if ok, _ := e.SC(acc, EncodeBits(know)); ok {
+			if ok, _ := e.SC(acc, m.encode(know)); ok {
 				break
 			}
 		}
@@ -279,5 +285,5 @@ func MoveCourier() machine.Algorithm {
 		// One last look: the set register may have completed meanwhile;
 		// but only claim victory if we were the completing writer.
 		return 0
-	}, moveCourierChunk)
+	}, moveCourierChunk, m)
 }
