@@ -69,8 +69,9 @@ func decodeOutcome(decode func(shmem.Value, shmem.PidBits) shmem.PidBits, s stri
 
 // FuzzPidCodec checks the pid-set codec against the reference. Any string
 // decodes to the same set, or panics with the same message, under both
-// decoders. A set derived from the same bytes encodes exactly as the
-// reference does and decodes back to itself.
+// decoders, and the decoder calls it canonical exactly when it is the
+// encoding of that set. A set derived from the same bytes encodes exactly
+// as the reference does and decodes back to itself.
 func FuzzPidCodec(f *testing.F) {
 	for _, s := range []string{"", "0", "1,2,3", "0,63,64,1000", "7,x"} {
 		f.Add(s)
@@ -85,6 +86,12 @@ func FuzzPidCodec(f *testing.F) {
 		gotSet, gotPanic := decodeOutcome(DecodeBits, s)
 		if gotPanic != wantPanic || !slices.Equal(gotSet, wantSet) {
 			t.Fatalf("DecodeBits(%q) = %v, panic %q; reference %v, panic %q", s, gotSet, gotPanic, wantSet, wantPanic)
+		}
+		if gotPanic == "" {
+			set, canonical := decodeString(s, nil)
+			if want := EncodeBits(set) == s; canonical != want {
+				t.Fatalf("decodeString(%q) calls it canonical %v, want %v", s, canonical, want)
+			}
 		}
 
 		// A set whose pids are the input's byte pairs, so it spans

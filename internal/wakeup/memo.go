@@ -48,7 +48,8 @@ func (m *pidMemo) decode(v shmem.Value, dst shmem.PidBits) shmem.PidBits {
 // decodeString is decodeString(s, dst) through the memo.
 func (m *pidMemo) decodeString(s string, dst shmem.PidBits) shmem.PidBits {
 	if m == nil || !m.mu.TryLock() {
-		return decodeString(s, dst)
+		set, _ := decodeString(s, dst)
+		return set
 	}
 	defer m.mu.Unlock()
 	if !m.valid || m.s != s {
@@ -67,13 +68,12 @@ func (m *pidMemo) decodeString(s string, dst shmem.PidBits) shmem.PidBits {
 // empty.
 func (m *pidMemo) parse(s string) {
 	m.valid = false
-	m.set = decodeString(s, m.set)
+	m.set, m.canonical = decodeString(s, m.set)
 	n := len(m.set)
 	for n > 0 && m.set[n-1] == 0 {
 		n--
 	}
 	m.s, m.n, m.valid = s, n, true
-	m.canonical = isEncoding(s, m.set[:n])
 }
 
 // encode is EncodeBits(set) through the memo.
@@ -169,34 +169,4 @@ func decimalLen(p int) int {
 		n++
 	}
 	return n
-}
-
-// isEncoding reports whether s is EncodeBits(set), without rendering it.
-func isEncoding(s string, set shmem.PidBits) bool {
-	var digits [20]byte
-	pos := 0
-	for i, w := range set {
-		for ; w != 0; w &= w - 1 {
-			if pos > 0 {
-				if pos >= len(s) || s[pos] != ',' {
-					return false
-				}
-				pos++
-			}
-			d := len(digits)
-			for p := i<<6 + bits.TrailingZeros64(w); ; p /= 10 {
-				d--
-				digits[d] = byte('0' + p%10)
-				if p < 10 {
-					break
-				}
-			}
-			n := len(digits) - d
-			if len(s)-pos < n || s[pos:pos+n] != string(digits[d:]) {
-				return false
-			}
-			pos += n
-		}
-	}
-	return pos == len(s)
 }

@@ -133,7 +133,8 @@ func DecodePids(v shmem.Value) map[int]bool {
 // list of integers panics.
 func DecodeBits(v shmem.Value, dst shmem.PidBits) shmem.PidBits {
 	s, _ := v.(string)
-	return decodeString(s, dst)
+	set, _ := decodeString(s, dst)
+	return set
 }
 
 // maxPlainDigits is the longest run of decimal digits that cannot overflow
@@ -144,10 +145,13 @@ const maxPlainDigits = 9 * strconv.IntSize / 32
 // parts — plain digits, at most maxPlainDigits of them — in one pass;
 // anything else (an empty part, a sign, a space, a long part) goes through
 // strconv.Atoi, so it accepts exactly the strings and values Atoi does and
-// panics on the rest.
-func decodeString(s string, dst shmem.PidBits) shmem.PidBits {
+// panics on the rest. It also reports whether s is canonical, that is,
+// EncodeBits of the result: plain parts without leading zeros, strictly
+// increasing, and no trailing comma.
+func decodeString(s string, dst shmem.PidBits) (set shmem.PidBits, canonical bool) {
 	dst.Clear()
-	for rest := s; rest != ""; {
+	canonical = true
+	for rest, prev := s, -1; rest != ""; {
 		p, i := 0, 0
 		for ; i < len(rest) && i < maxPlainDigits && '0' <= rest[i] && rest[i] <= '9'; i++ {
 			p = p*10 + int(rest[i]-'0')
@@ -161,14 +165,18 @@ func decodeString(s string, dst shmem.PidBits) shmem.PidBits {
 			if p, err = strconv.Atoi(rest[:i]); err != nil {
 				panic(fmt.Sprintf("wakeup: corrupt pid set register %q", s))
 			}
+			canonical = false
 		}
+		canonical = canonical && p > prev && (i == 1 || rest[0] != '0')
+		prev = p
 		dst.Add(p)
 		if i < len(rest) {
 			i++ // the comma
+			canonical = canonical && i < len(rest)
 		}
 		rest = rest[i:]
 	}
-	return dst
+	return dst, canonical
 }
 
 // SetRegister returns the set-accumulation wakeup algorithm: one unbounded
