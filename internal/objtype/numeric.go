@@ -23,7 +23,7 @@ const (
 func Hex(v *big.Int) string { return v.Text(16) }
 
 // HexUint encodes a uint64 in canonical hex.
-func HexUint(v uint64) string { return hexWord(v) }
+func HexUint(v uint64) string { return strconv.FormatUint(v, 16) }
 
 // ParseHex decodes a canonical hex string. It panics on malformed input,
 // which can only arise from a bug (states never leave this package's
@@ -90,18 +90,18 @@ func (t *numeric) Apply(state Value, op Op) (Value, Value) {
 	if !ok {
 		panic(fmt.Sprintf("objtype: %s state must be a hex string, got %T", t.Name(), state))
 	}
-	if next, resp, ok := t.applyWord(f, s, op.Arg); ok {
+	if next, resp, ok := t.applyWord(f, state, s, op.Arg); ok {
 		return next, resp
 	}
 	return t.applyBig(f, s, op.Arg)
 }
 
-// applyWord is Apply on uint64 arithmetic. It declines (ok false) unless
-// k ≤ 64 and the state and argument are values it can represent: hex of
-// at most 16 digits, a non-negative int, or no argument for a unary
-// operation. applyBig handles everything else, so the two paths give the
-// same states, responses and panics.
-func (t *numeric) applyWord(f numOp, s string, arg Value) (next, resp Value, ok bool) {
+// applyWord is Apply on uint64 arithmetic, for state s (the string in
+// state). It declines (ok false) unless k ≤ 64 and the state and argument
+// are values it can represent: hex of at most 16 digits, a non-negative
+// int, or no argument for a unary operation. applyBig handles everything
+// else, so the two paths give the same states, responses and panics.
+func (t *numeric) applyWord(f numOp, state Value, s string, arg Value) (next, resp Value, ok bool) {
 	if t.k < 0 || t.k > 64 {
 		return nil, nil, false
 	}
@@ -123,11 +123,11 @@ func (t *numeric) applyWord(f numOp, s string, arg Value) (next, resp Value, ok 
 	if !ok {
 		return nil, nil, false
 	}
-	resp = s
+	resp = state // the previous state, already in canonical form
 	if !canonical {
-		resp = hexWord(cur)
+		resp = hexValue(cur)
 	}
-	return hexWord(f.word(cur, a, t.k) & shmem.MaskUpTo(t.k)), resp, true
+	return hexValue(f.word(cur, a, t.k) & shmem.MaskUpTo(t.k)), resp, true
 }
 
 // applyBig is Apply on big integers, for any k and any value.
@@ -175,21 +175,22 @@ func parseWord(s string) (v uint64, canonical, ok bool) {
 	return v, canonical, true
 }
 
-// smallHex holds Hex of every value below 256, so the states of small
-// counters render without allocating.
-var smallHex = func() (t [256]string) {
+// smallHex holds Hex of every value below 256, boxed once, so the states
+// of small counters render and travel as Values without allocating.
+var smallHex = func() (t [256]Value) {
 	for i := range t {
-		t[i] = strconv.FormatUint(uint64(i), 16)
+		t[i] = HexUint(uint64(i))
 	}
 	return t
 }()
 
-// hexWord is Hex for a uint64: strconv's base-16 rendering is big.Int's.
-func hexWord(v uint64) string {
+// hexValue is Hex for a uint64, as a Value: strconv's base-16 rendering
+// is big.Int's.
+func hexValue(v uint64) Value {
 	if v < uint64(len(smallHex)) {
 		return smallHex[v]
 	}
-	return strconv.FormatUint(v, 16)
+	return HexUint(v)
 }
 
 // NewFetchIncrement returns the k-bit fetch&increment type of Theorem 6.2:
