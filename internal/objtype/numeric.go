@@ -123,7 +123,7 @@ func (t *numeric) applyWord(f numOp, state Value, s string, arg Value) (next, re
 	if !ok {
 		return nil, nil, false
 	}
-	resp = state // the previous state, already in canonical form
+	resp = state // fetch&φ returns the previous state, in canonical form
 	if !canonical {
 		resp = hexValue(cur)
 	}
