@@ -69,9 +69,9 @@ func decodeOutcome(decode func(shmem.Value, shmem.PidBits) shmem.PidBits, s stri
 
 // FuzzPidCodec checks the pid-set codec against the reference. Any string
 // decodes to the same set, or panics with the same message, under both
-// decoders, and the decoder calls it canonical exactly when it is the
-// encoding of that set. A set derived from the same bytes encodes exactly
-// as the reference does and decodes back to itself.
+// decoders, and isEncoding calls it the encoding of that set exactly when
+// EncodeBits renders the set as it. A set derived from the same bytes
+// encodes exactly as the reference does and decodes back to itself.
 func FuzzPidCodec(f *testing.F) {
 	for _, s := range []string{"", "0", "1,2,3", "0,63,64,1000", "7,x"} {
 		f.Add(s)
@@ -88,9 +88,9 @@ func FuzzPidCodec(f *testing.F) {
 			t.Fatalf("DecodeBits(%q) = %v, panic %q; reference %v, panic %q", s, gotSet, gotPanic, wantSet, wantPanic)
 		}
 		if gotPanic == "" {
-			set, canonical := decodeString(s, nil)
-			if want := EncodeBits(set) == s; canonical != want {
-				t.Fatalf("decodeString(%q) calls it canonical %v, want %v", s, canonical, want)
+			set := DecodeBits(s, nil)
+			if got, want := isEncoding(s, set), EncodeBits(set) == s; got != want {
+				t.Fatalf("isEncoding(%q, %v) = %v, want %v", s, set.Sorted(), got, want)
 			}
 		}
 
@@ -112,22 +112,25 @@ func FuzzPidCodec(f *testing.F) {
 
 // TestPidsDecodeNativeMatchesInterpreter runs the set-register body on
 // both engines over a register holding canonical, non-canonical and
-// corrupt renderings. The VM's pids.decode native reads a string register
+// corrupt renderings, with the plain codec (n=2) and through the memo
+// (n=memoMinN). The VM's pids.decode native reads a string register
 // without boxing it; it must decode, or crash, exactly as DecodeBits does
 // in the interpreted body.
 func TestPidsDecodeNativeMatchesInterpreter(t *testing.T) {
-	for _, init := range []string{"", "1", "+1", "007", "1,", "1,,2", " 1", "9999999999999999999"} {
-		outcome := func(eng machine.Engine) string {
-			defer machine.SetDefaultEngine(machine.SetDefaultEngine(eng))
-			cfg := core.Config{MemInit: func(int) shmem.Value { return init }}
-			run, err := core.RunAll(SetRegister(), 2, machine.ZeroTosses, cfg)
-			if err != nil {
-				return err.Error()
+	for _, n := range []int{2, memoMinN} {
+		for _, init := range []string{"", "1", "+1", "007", "1,", "1,,2", " 1", "9999999999999999999"} {
+			outcome := func(eng machine.Engine) string {
+				defer machine.SetDefaultEngine(machine.SetDefaultEngine(eng))
+				cfg := core.Config{MemInit: func(int) shmem.Value { return init }}
+				run, err := core.RunAll(SetRegister(), n, machine.ZeroTosses, cfg)
+				if err != nil {
+					return err.Error()
+				}
+				return fmt.Sprint(run.Returns, run.Steps)
 			}
-			return fmt.Sprint(run.Returns, run.Steps)
-		}
-		if vm, interp := outcome(machine.EngineVM), outcome(machine.EngineGoroutine); vm != interp {
-			t.Fatalf("register %q: VM %s, interpreter %s", init, vm, interp)
+			if vm, interp := outcome(machine.EngineVM), outcome(machine.EngineGoroutine); vm != interp {
+				t.Fatalf("n=%d register %q: VM %s, interpreter %s", n, init, vm, interp)
+			}
 		}
 	}
 }

@@ -8,15 +8,18 @@ import (
 // This file holds the bytecode twins of the wakeup algorithms: each
 // direct-style body in wakeup.go is re-expressed as a vmachine.Program and
 // compiled once at package init. The constructors hand both forms to
-// machine.NewCompiled, so a Machine can run either engine; package lockstep
+// machine.NewCompiled (set-register, which binds a host, to
+// machine.NewHosted), so a Machine can run either engine; package lockstep
 // proves the two forms step-equivalent — identical actions, responses,
 // digests and return values over every schedule it explores.
 //
 // The re-expression must preserve the yield sequence exactly, including
 // evaluation order (Go arguments evaluate left to right) and the dynamic
 // types of every value stored to shared memory or returned. Pid-set
-// bookkeeping goes through natives that call the same codec memo as the
-// bodies (the instance's pidMemo, passed in as the host value), so
+// bookkeeping goes through natives that code sets the way the bodies do:
+// set-register's through the instance's pidMemo, passed in as the host
+// value, when n ≥ memoMinN; the others, whose host is nil, through the
+// plain codec. So
 // register contents — and panic messages on corrupt registers — are
 // bit-identical across engines.
 
@@ -26,16 +29,16 @@ func registerPidsNatives() {
 	// pids.decode(memo, dst, v): DecodeBits(v, dst) through the memo —
 	// clears dst (nil allowed) and parses the register rendering v into
 	// it. A string is read in place, without boxing it into an interface.
-	vmachine.RegisterNative("pids.decode", func(_, _ int, args []vmachine.Value) vmachine.Value {
-		m := memoArg(args[0])
+	vmachine.RegisterNative("pids.decode", func(_, n int, args []vmachine.Value) vmachine.Value {
+		m := memoArg(args[0], n)
 		if args[2].Kind == vmachine.KStr {
 			return vmachine.Set(m.decodeString(args[2].S, setArg(args[1])))
 		}
 		return vmachine.Set(m.decode(args[2].Box(), setArg(args[1])))
 	})
 	// pids.encode(memo, set): the canonical register rendering of set.
-	vmachine.RegisterNative("pids.encode", func(_, _ int, args []vmachine.Value) vmachine.Value {
-		return vmachine.Str(memoArg(args[0]).encode(setArg(args[1])))
+	vmachine.RegisterNative("pids.encode", func(_, n int, args []vmachine.Value) vmachine.Value {
+		return vmachine.Str(memoArg(args[0], n).encode(setArg(args[1])))
 	})
 	// pids.add(set, pid): set ∪ {pid} in place (nil set allowed).
 	vmachine.RegisterNative("pids.add", func(_, _ int, args []vmachine.Value) vmachine.Value {
@@ -64,14 +67,15 @@ func setArg(v vmachine.Value) shmem.PidBits {
 	return v.Set
 }
 
-// memoArg reads the host argument of the codec natives: the instance's
-// memo, or nil (the plain codec) when the Exec's host is not a memo.
-func memoArg(v vmachine.Value) *pidMemo {
+// memoArg reads the host argument of the codec natives in a run of n
+// processes: set-register's memo, or nil (the plain codec) when the
+// Exec's host is not a memo or n is below memoMinN.
+func memoArg(v vmachine.Value, n int) *pidMemo {
 	m, _ := v.Any.(*pidMemo)
-	return m
+	return m.forN(n)
 }
 
-// decodeE and encodeE are the codec calls through the host's memo.
+// decodeE and encodeE are the codec calls through the host's memo, if any.
 func decodeE(dst, v vmachine.Expr) vmachine.Expr {
 	return vmachine.CallE{Fn: "pids.decode", Args: []vmachine.Expr{vmachine.HostE{}, dst, v}}
 }

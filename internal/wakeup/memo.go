@@ -2,18 +2,19 @@ package wakeup
 
 import (
 	"math/bits"
+	"strconv"
 	"strings"
 	"sync"
 
 	"jayanti98/internal/shmem"
 )
 
-// pidMemo memoizes the pid-set codec for one algorithm instance. The
-// set-accumulation algorithms decode the register they LL on every retry
-// and encode their own set with one pid added on every SC attempt. Under
-// the adversary's lockstep rounds every pending process LLs the same
-// register value, so within a round the same string is decoded over and
-// over, and each process encodes that string's set plus its own pid.
+// pidMemo memoizes the pid-set codec for one set-register instance. The
+// algorithm decodes the register it LLs on every retry and encodes that
+// set with its own pid added on every SC attempt. Under the adversary's
+// lockstep rounds every pending process LLs the same register value, so
+// within a round the same string is decoded over and over, and each
+// process encodes that string's set plus its own pid.
 //
 // The memo keeps the string it decoded last, its set, and whether the
 // string is the canonical EncodeBits rendering of that set:
@@ -39,6 +40,24 @@ type pidMemo struct {
 	canonical bool          // s == EncodeBits(set)
 }
 
+// memoMinN is the smallest process count whose runs code their pid sets
+// through the memo. Below it the register string is short and a round has
+// few processes to share a decode, so the memo's lock and copies cost as
+// much as they save: interleaved in one process, the adversary's
+// set-register run took 5–8% longer through the memo at n=4 and n=8,
+// the same at n=12 to 24, and 5% less at n=32 and 20% less at n=64
+// (DESIGN §19).
+const memoMinN = 32
+
+// forN returns m for a run of n processes at or above memoMinN, and nil,
+// the plain codec, below it.
+func (m *pidMemo) forN(n int) *pidMemo {
+	if n < memoMinN {
+		return nil
+	}
+	return m
+}
+
 // decode is DecodeBits(v, dst) through the memo.
 func (m *pidMemo) decode(v shmem.Value, dst shmem.PidBits) shmem.PidBits {
 	s, _ := v.(string)
@@ -48,8 +67,7 @@ func (m *pidMemo) decode(v shmem.Value, dst shmem.PidBits) shmem.PidBits {
 // decodeString is decodeString(s, dst) through the memo.
 func (m *pidMemo) decodeString(s string, dst shmem.PidBits) shmem.PidBits {
 	if m == nil || !m.mu.TryLock() {
-		set, _ := decodeString(s, dst)
-		return set
+		return decodeString(s, dst)
 	}
 	defer m.mu.Unlock()
 	if !m.valid || m.s != s {
@@ -63,12 +81,13 @@ func (m *pidMemo) decodeString(s string, dst shmem.PidBits) shmem.PidBits {
 	return dst
 }
 
-// parse replaces the memo's entry with s, parsing into the memo's own
-// buffer. decodeString panics on a corrupt string, leaving the memo
-// empty.
+// parse replaces the memo's entry with s: it parses s into the memo's
+// own buffer and asks isEncoding whether s is canonical. decodeString
+// panics on a corrupt string, leaving the memo empty.
 func (m *pidMemo) parse(s string) {
 	m.valid = false
-	m.set, m.canonical = decodeString(s, m.set)
+	m.set = decodeString(s, m.set)
+	m.canonical = isEncoding(s, m.set)
 	n := len(m.set)
 	for n > 0 && m.set[n-1] == 0 {
 		n--
@@ -121,6 +140,35 @@ func (m *pidMemo) extra(set shmem.PidBits) (p int, ok bool) {
 		p = i<<6 + bits.TrailingZeros64(d)
 	}
 	return p, true
+}
+
+// isEncoding reports whether s is EncodeBits(set) without rendering it:
+// the lengths must agree, and then the pids' digits, in increasing order,
+// must sit where EncodeBits puts them, with a comma between each two. The
+// memo asks this once per miss, so the plain decoder, which every other
+// algorithm uses, does not pay for it.
+func isEncoding(s string, set shmem.PidBits) bool {
+	if len(s) != encodedLen(set) {
+		return false
+	}
+	var digits [20]byte
+	off := 0
+	for i, w := range set {
+		for ; w != 0; w &= w - 1 {
+			if off > 0 {
+				if s[off] != ',' {
+					return false
+				}
+				off++
+			}
+			d := strconv.AppendInt(digits[:0], int64(i<<6+bits.TrailingZeros64(w)), 10)
+			if s[off:off+len(d)] != string(d) {
+				return false
+			}
+			off += len(d)
+		}
+	}
+	return true
 }
 
 // spliceOffset returns where pid p ∉ set goes in EncodeBits(set): each

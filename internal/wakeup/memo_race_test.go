@@ -15,9 +15,10 @@ import (
 // four workers, which share the set-register instance's codec memo, and
 // compares the outcome with the serial check; then four goroutines run
 // the adversary on one instance at once and must each get the serial
-// run's returns and step counts. Run it under -race.
+// run's returns and step counts. n is large enough for set-register to
+// use its memo. Run it under -race.
 func TestPidMemoSharedByParallelRuns(t *testing.T) {
-	const n = 16
+	const n = 32
 	serial, err := lowerbound.VerifyIndistinguishability(wakeup.SetRegister(), n, machine.ZeroTosses)
 	if err != nil {
 		t.Fatal(err)

@@ -55,19 +55,9 @@ func EncodePids(pids map[int]bool) string {
 // rendering exactly up front and writes the digits itself: one
 // allocation, the string.
 func EncodeBits(set shmem.PidBits) string {
-	n := set.Count()
-	if n == 0 {
+	size := encodedLen(set)
+	if size == 0 {
 		return ""
-	}
-	// n−1 commas, one digit per pid, and one more digit for every pid
-	// ≥ 10, every pid ≥ 100, and so on.
-	size := 2*n - 1
-	for t := 10; ; t *= 10 {
-		c := countFrom(set, t)
-		if c == 0 {
-			break
-		}
-		size += c
 	}
 	var b strings.Builder
 	b.Grow(size)
@@ -80,6 +70,23 @@ func EncodeBits(set shmem.PidBits) string {
 		}
 	}
 	return b.String()
+}
+
+// encodedLen returns len(EncodeBits(set)): n−1 commas, one digit per pid,
+// and one more digit for every pid ≥ 10, every pid ≥ 100, and so on.
+func encodedLen(set shmem.PidBits) int {
+	n := set.Count()
+	if n == 0 {
+		return 0
+	}
+	size := 2*n - 1
+	for t := 10; ; t *= 10 {
+		c := countFrom(set, t)
+		if c == 0 {
+			return size
+		}
+		size += c
+	}
 }
 
 // countFrom returns the number of elements of set that are ≥ t.
@@ -133,8 +140,7 @@ func DecodePids(v shmem.Value) map[int]bool {
 // list of integers panics.
 func DecodeBits(v shmem.Value, dst shmem.PidBits) shmem.PidBits {
 	s, _ := v.(string)
-	set, _ := decodeString(s, dst)
-	return set
+	return decodeString(s, dst)
 }
 
 // maxPlainDigits is the longest run of decimal digits that cannot overflow
@@ -145,13 +151,10 @@ const maxPlainDigits = 9 * strconv.IntSize / 32
 // parts — plain digits, at most maxPlainDigits of them — in one pass;
 // anything else (an empty part, a sign, a space, a long part) goes through
 // strconv.Atoi, so it accepts exactly the strings and values Atoi does and
-// panics on the rest. It also reports whether s is canonical, that is,
-// EncodeBits of the result: plain parts without leading zeros, strictly
-// increasing, and no trailing comma.
-func decodeString(s string, dst shmem.PidBits) (set shmem.PidBits, canonical bool) {
+// panics on the rest.
+func decodeString(s string, dst shmem.PidBits) shmem.PidBits {
 	dst.Clear()
-	canonical = true
-	for rest, prev := s, -1; rest != ""; {
+	for rest := s; rest != ""; {
 		p, i := 0, 0
 		for ; i < len(rest) && i < maxPlainDigits && '0' <= rest[i] && rest[i] <= '9'; i++ {
 			p = p*10 + int(rest[i]-'0')
@@ -165,18 +168,14 @@ func decodeString(s string, dst shmem.PidBits) (set shmem.PidBits, canonical boo
 			if p, err = strconv.Atoi(rest[:i]); err != nil {
 				panic(fmt.Sprintf("wakeup: corrupt pid set register %q", s))
 			}
-			canonical = false
 		}
-		canonical = canonical && p > prev && (i == 1 || rest[0] != '0')
-		prev = p
 		dst.Add(p)
 		if i < len(rest) {
 			i++ // the comma
-			canonical = canonical && i < len(rest)
 		}
 		rest = rest[i:]
 	}
-	return dst, canonical
+	return dst
 }
 
 // SetRegister returns the set-accumulation wakeup algorithm: one unbounded
@@ -192,10 +191,12 @@ func decodeString(s string, dst shmem.PidBits) (set shmem.PidBits, canonical boo
 // linked pid succeeds each round.
 //
 // Each instance codes its pid sets through one pidMemo, shared by both
-// engines (the VM's natives receive it as the host value).
+// engines (the VM's natives receive it as the host value), in runs of
+// memoMinN or more processes.
 func SetRegister() machine.Algorithm {
-	m := new(pidMemo)
+	memo := new(pidMemo)
 	return machine.NewHosted("wakeup/set-register", func(e *machine.Env) shmem.Value {
+		m := memo.forN(e.N())
 		var set shmem.PidBits
 		for {
 			set = m.decode(e.LL(setReg), set)
@@ -208,7 +209,7 @@ func SetRegister() machine.Algorithm {
 				return 0
 			}
 		}
-	}, setRegisterChunk, m)
+	}, setRegisterChunk, memo)
 }
 
 // DoubleRegister returns the randomized variant: each process tosses a coin
@@ -220,24 +221,23 @@ func SetRegister() machine.Algorithm {
 // algorithm terminates with probability 1 (indeed always), so the
 // randomized bound of Theorem 6.1 applies with c = 1.
 func DoubleRegister() machine.Algorithm {
-	m := new(pidMemo)
-	return machine.NewHosted("wakeup/double-register", func(e *machine.Env) shmem.Value {
+	return machine.NewCompiled("wakeup/double-register", func(e *machine.Env) shmem.Value {
 		reg := int(e.Toss()) & 1
 		var set shmem.PidBits
 		for {
-			set = m.decode(e.LL(reg), set)
+			set = DecodeBits(e.LL(reg), set)
 			set.Add(e.ID())
-			if ok, _ := e.SC(reg, m.encode(set)); ok {
+			if ok, _ := e.SC(reg, EncodeBits(set)); ok {
 				break
 			}
 		}
-		union := m.decode(e.Read(0), nil)
-		m.decode(e.Read(1), nil).Each(union.Add)
+		union := DecodeBits(e.Read(0), nil)
+		DecodeBits(e.Read(1), nil).Each(union.Add)
 		if union.Count() == e.N() {
 			return 1
 		}
 		return 0
-	}, doubleRegisterChunk, m)
+	}, doubleRegisterChunk)
 }
 
 // Cheater returns the deliberately incorrect algorithm: each process
@@ -265,12 +265,11 @@ func MoveCourier() machine.Algorithm {
 		acc   = 0 // LL/SC set register
 	)
 	ownReg := func(pid int) int { return 10 + pid }
-	m := new(pidMemo)
-	return machine.NewHosted("wakeup/move-courier", func(e *machine.Env) shmem.Value {
+	return machine.NewCompiled("wakeup/move-courier", func(e *machine.Env) shmem.Value {
 		// Publish own id.
 		var own shmem.PidBits
 		own.Add(e.ID())
-		e.Swap(ownReg(e.ID()), m.encode(own))
+		e.Swap(ownReg(e.ID()), EncodeBits(own))
 		// Copy own register into the relay: the move phase of each round
 		// now has real work, scheduled secretively by the adversary.
 		e.Move(ownReg(e.ID()), relay)
@@ -278,12 +277,12 @@ func MoveCourier() machine.Algorithm {
 		// the shared set register until our insertion lands.
 		var know shmem.PidBits
 		know.Add(e.ID())
-		m.decode(e.Read(relay), nil).Each(know.Add)
+		DecodeBits(e.Read(relay), nil).Each(know.Add)
 		var set shmem.PidBits
 		for {
-			set = m.decode(e.LL(acc), set)
+			set = DecodeBits(e.LL(acc), set)
 			set.Each(know.Add)
-			if ok, _ := e.SC(acc, m.encode(know)); ok {
+			if ok, _ := e.SC(acc, EncodeBits(know)); ok {
 				break
 			}
 		}
@@ -293,5 +292,5 @@ func MoveCourier() machine.Algorithm {
 		// One last look: the set register may have completed meanwhile;
 		// but only claim victory if we were the completing writer.
 		return 0
-	}, moveCourierChunk, m)
+	}, moveCourierChunk)
 }
