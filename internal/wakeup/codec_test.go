@@ -110,26 +110,29 @@ func FuzzPidCodec(f *testing.F) {
 	})
 }
 
-// TestPidsDecodeNativeMatchesInterpreter runs the set-register body on
-// both engines over a register holding canonical, non-canonical and
-// corrupt renderings, with the plain codec (n=2) and through the memo
-// (n=memoMinN). The VM's pids.decode native reads a string register
-// without boxing it; it must decode, or crash, exactly as DecodeBits does
-// in the interpreted body.
+// TestPidsDecodeNativeMatchesInterpreter runs the set-register and
+// double-register bodies on both engines over registers holding
+// canonical, non-canonical and corrupt renderings; set-register at n=2
+// codes without its memo and at n=memoMinN through it. The VM's
+// pids.decode and pids.memoDecode natives read a string register without
+// boxing it; they must decode, or crash, exactly as DecodeBits does in
+// the interpreted body.
 func TestPidsDecodeNativeMatchesInterpreter(t *testing.T) {
-	for _, n := range []int{2, memoMinN} {
-		for _, init := range []string{"", "1", "+1", "007", "1,", "1,,2", " 1", "9999999999999999999"} {
-			outcome := func(eng machine.Engine) string {
-				defer machine.SetDefaultEngine(machine.SetDefaultEngine(eng))
-				cfg := core.Config{MemInit: func(int) shmem.Value { return init }}
-				run, err := core.RunAll(SetRegister(), n, machine.ZeroTosses, cfg)
-				if err != nil {
-					return err.Error()
+	for _, mk := range []func() machine.Algorithm{SetRegister, DoubleRegister} {
+		for _, n := range []int{2, memoMinN} {
+			for _, init := range []string{"", "1", "+1", "007", "1,", "1,,2", " 1", "9999999999999999999"} {
+				outcome := func(eng machine.Engine) string {
+					defer machine.SetDefaultEngine(machine.SetDefaultEngine(eng))
+					cfg := core.Config{MemInit: func(int) shmem.Value { return init }}
+					run, err := core.RunAll(mk(), n, machine.ZeroTosses, cfg)
+					if err != nil {
+						return err.Error()
+					}
+					return fmt.Sprint(run.Returns, run.Steps)
 				}
-				return fmt.Sprint(run.Returns, run.Steps)
-			}
-			if vm, interp := outcome(machine.EngineVM), outcome(machine.EngineGoroutine); vm != interp {
-				t.Fatalf("n=%d register %q: VM %s, interpreter %s", n, init, vm, interp)
+				if vm, interp := outcome(machine.EngineVM), outcome(machine.EngineGoroutine); vm != interp {
+					t.Fatalf("%s n=%d register %q: VM %s, interpreter %s", mk().Name(), n, init, vm, interp)
+				}
 			}
 		}
 	}

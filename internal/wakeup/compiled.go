@@ -8,36 +8,48 @@ import (
 // This file holds the bytecode twins of the wakeup algorithms: each
 // direct-style body in wakeup.go is re-expressed as a vmachine.Program and
 // compiled once at package init. The constructors hand both forms to
-// machine.NewCompiled (set-register, which binds a host, to
-// machine.NewHosted), so a Machine can run either engine; package lockstep
-// proves the two forms step-equivalent — identical actions, responses,
-// digests and return values over every schedule it explores.
+// machine.NewCompiled (set-register, which binds its codec memo as the
+// host, to machine.NewHosted), so a Machine can run either engine;
+// package lockstep proves the two forms step-equivalent — identical
+// actions, responses, digests and return values over every schedule it
+// explores.
 //
 // The re-expression must preserve the yield sequence exactly, including
 // evaluation order (Go arguments evaluate left to right) and the dynamic
 // types of every value stored to shared memory or returned. Pid-set
-// bookkeeping goes through natives that code sets the way the bodies do:
-// set-register's through the instance's pidMemo, passed in as the host
-// value, when n ≥ memoMinN; the others, whose host is nil, through the
-// plain codec. So
-// register contents — and panic messages on corrupt registers — are
-// bit-identical across engines.
+// bookkeeping goes through natives that call the same EncodeBits/DecodeBits
+// codecs as the bodies (set-register's through the same memo), so register
+// contents — and panic messages on corrupt registers — are bit-identical
+// across engines.
 
 // registerPidsNatives installs the pid-set natives. It runs once, from the
 // compiled-chunk initializer below.
 func registerPidsNatives() {
-	// pids.decode(memo, dst, v): DecodeBits(v, dst) through the memo —
-	// clears dst (nil allowed) and parses the register rendering v into
-	// it. A string is read in place, without boxing it into an interface.
-	vmachine.RegisterNative("pids.decode", func(_, n int, args []vmachine.Value) vmachine.Value {
+	// pids.decode(dst, v): DecodeBits(v, dst) — clears dst (nil allowed)
+	// and parses the register rendering v into it. A string is read in
+	// place, without boxing it into an interface.
+	vmachine.RegisterNative("pids.decode", func(_, _ int, args []vmachine.Value) vmachine.Value {
+		if args[1].Kind == vmachine.KStr {
+			return vmachine.Set(decodeString(args[1].S, setArg(args[0])))
+		}
+		return vmachine.Set(DecodeBits(args[1].Box(), setArg(args[0])))
+	})
+	// pids.encode(set): the canonical register rendering of set.
+	vmachine.RegisterNative("pids.encode", func(_, _ int, args []vmachine.Value) vmachine.Value {
+		return vmachine.Str(EncodeBits(setArg(args[0])))
+	})
+	// pids.memoDecode(memo, dst, v) and pids.memoEncode(memo, set) are
+	// pids.decode and pids.encode through set-register's memo, which the
+	// program passes as HostE; in a run of fewer than memoMinN processes
+	// they are the plain codec.
+	vmachine.RegisterNative("pids.memoDecode", func(_, n int, args []vmachine.Value) vmachine.Value {
 		m := memoArg(args[0], n)
 		if args[2].Kind == vmachine.KStr {
 			return vmachine.Set(m.decodeString(args[2].S, setArg(args[1])))
 		}
 		return vmachine.Set(m.decode(args[2].Box(), setArg(args[1])))
 	})
-	// pids.encode(memo, set): the canonical register rendering of set.
-	vmachine.RegisterNative("pids.encode", func(_, n int, args []vmachine.Value) vmachine.Value {
+	vmachine.RegisterNative("pids.memoEncode", func(_, n int, args []vmachine.Value) vmachine.Value {
 		return vmachine.Str(memoArg(args[0], n).encode(setArg(args[1])))
 	})
 	// pids.add(set, pid): set ∪ {pid} in place (nil set allowed).
@@ -67,20 +79,12 @@ func setArg(v vmachine.Value) shmem.PidBits {
 	return v.Set
 }
 
-// memoArg reads the host argument of the codec natives in a run of n
+// memoArg reads the host argument of the memo natives in a run of n
 // processes: set-register's memo, or nil (the plain codec) when the
 // Exec's host is not a memo or n is below memoMinN.
 func memoArg(v vmachine.Value, n int) *pidMemo {
 	m, _ := v.Any.(*pidMemo)
 	return m.forN(n)
-}
-
-// decodeE and encodeE are the codec calls through the host's memo, if any.
-func decodeE(dst, v vmachine.Expr) vmachine.Expr {
-	return vmachine.CallE{Fn: "pids.decode", Args: []vmachine.Expr{vmachine.HostE{}, dst, v}}
-}
-func encodeE(set vmachine.Expr) vmachine.Expr {
-	return vmachine.CallE{Fn: "pids.encode", Args: []vmachine.Expr{vmachine.HostE{}, set}}
 }
 
 // Expression shorthands for the programs below.
@@ -97,9 +101,9 @@ func setRegisterProgram() *vmachine.Program {
 		Body: []vmachine.Stmt{
 			vmachine.AssignS{Name: "set", E: vNil()},
 			vmachine.LoopS{Body: []vmachine.Stmt{
-				vmachine.AssignS{Name: "set", E: decodeE(vVar("set"), vmachine.LLE{Reg: vInt(setReg)})},
+				vmachine.AssignS{Name: "set", E: vmachine.CallE{Fn: "pids.memoDecode", Args: []vmachine.Expr{vmachine.HostE{}, vVar("set"), vmachine.LLE{Reg: vInt(setReg)}}}},
 				vmachine.AssignS{Name: "set", E: vmachine.CallE{Fn: "pids.add", Args: []vmachine.Expr{vVar("set"), vmachine.SelfE{}}}},
-				vmachine.SCS{Ok: "ok", Reg: vInt(setReg), Val: encodeE(vVar("set"))},
+				vmachine.SCS{Ok: "ok", Reg: vInt(setReg), Val: vmachine.CallE{Fn: "pids.memoEncode", Args: []vmachine.Expr{vmachine.HostE{}, vVar("set")}}},
 				vmachine.IfS{Cond: vVar("ok"), Then: []vmachine.Stmt{
 					vmachine.IfS{
 						Cond: vmachine.EqE{A: vmachine.CallE{Fn: "pids.count", Args: []vmachine.Expr{vVar("set")}}, B: vmachine.NProcsE{}},
@@ -121,13 +125,13 @@ func doubleRegisterProgram() *vmachine.Program {
 			vmachine.AssignS{Name: "reg", E: vmachine.BandE{A: vmachine.TossE{}, B: vmachine.ConstE{V: vmachine.I64(1)}}},
 			vmachine.AssignS{Name: "set", E: vNil()},
 			vmachine.LoopS{Body: []vmachine.Stmt{
-				vmachine.AssignS{Name: "set", E: decodeE(vVar("set"), vmachine.LLE{Reg: vVar("reg")})},
+				vmachine.AssignS{Name: "set", E: vmachine.CallE{Fn: "pids.decode", Args: []vmachine.Expr{vVar("set"), vmachine.LLE{Reg: vVar("reg")}}}},
 				vmachine.AssignS{Name: "set", E: vmachine.CallE{Fn: "pids.add", Args: []vmachine.Expr{vVar("set"), vmachine.SelfE{}}}},
-				vmachine.SCS{Ok: "ok", Reg: vVar("reg"), Val: encodeE(vVar("set"))},
+				vmachine.SCS{Ok: "ok", Reg: vVar("reg"), Val: vmachine.CallE{Fn: "pids.encode", Args: []vmachine.Expr{vVar("set")}}},
 				vmachine.IfS{Cond: vVar("ok"), Then: []vmachine.Stmt{vmachine.BreakS{}}},
 			}},
-			vmachine.AssignS{Name: "union", E: decodeE(vNil(), vmachine.ReadE{Reg: vInt(0)})},
-			vmachine.AssignS{Name: "other", E: decodeE(vNil(), vmachine.ReadE{Reg: vInt(1)})},
+			vmachine.AssignS{Name: "union", E: vmachine.CallE{Fn: "pids.decode", Args: []vmachine.Expr{vNil(), vmachine.ReadE{Reg: vInt(0)}}}},
+			vmachine.AssignS{Name: "other", E: vmachine.CallE{Fn: "pids.decode", Args: []vmachine.Expr{vNil(), vmachine.ReadE{Reg: vInt(1)}}}},
 			vmachine.AssignS{Name: "union", E: vmachine.CallE{Fn: "pids.union", Args: []vmachine.Expr{vVar("union"), vVar("other")}}},
 			vmachine.IfS{
 				Cond: vmachine.EqE{A: vmachine.CallE{Fn: "pids.count", Args: []vmachine.Expr{vVar("union")}}, B: vmachine.NProcsE{}},
@@ -157,16 +161,16 @@ func moveCourierProgram() *vmachine.Program {
 		Name: "wakeup/move-courier",
 		Body: []vmachine.Stmt{
 			vmachine.AssignS{Name: "own", E: vmachine.CallE{Fn: "pids.add", Args: []vmachine.Expr{vNil(), vmachine.SelfE{}}}},
-			vmachine.DoS{E: vmachine.SwapE{Reg: ownReg, Val: encodeE(vVar("own"))}},
+			vmachine.DoS{E: vmachine.SwapE{Reg: ownReg, Val: vmachine.CallE{Fn: "pids.encode", Args: []vmachine.Expr{vVar("own")}}}},
 			vmachine.MoveS{Src: ownReg, Dst: vInt(1)},
 			vmachine.AssignS{Name: "know", E: vmachine.CallE{Fn: "pids.add", Args: []vmachine.Expr{vNil(), vmachine.SelfE{}}}},
-			vmachine.AssignS{Name: "relay", E: decodeE(vNil(), vmachine.ReadE{Reg: vInt(1)})},
+			vmachine.AssignS{Name: "relay", E: vmachine.CallE{Fn: "pids.decode", Args: []vmachine.Expr{vNil(), vmachine.ReadE{Reg: vInt(1)}}}},
 			vmachine.AssignS{Name: "know", E: vmachine.CallE{Fn: "pids.union", Args: []vmachine.Expr{vVar("know"), vVar("relay")}}},
 			vmachine.AssignS{Name: "set", E: vNil()},
 			vmachine.LoopS{Body: []vmachine.Stmt{
-				vmachine.AssignS{Name: "set", E: decodeE(vVar("set"), vmachine.LLE{Reg: vInt(0)})},
+				vmachine.AssignS{Name: "set", E: vmachine.CallE{Fn: "pids.decode", Args: []vmachine.Expr{vVar("set"), vmachine.LLE{Reg: vInt(0)}}}},
 				vmachine.AssignS{Name: "know", E: vmachine.CallE{Fn: "pids.union", Args: []vmachine.Expr{vVar("know"), vVar("set")}}},
-				vmachine.SCS{Ok: "ok", Reg: vInt(0), Val: encodeE(vVar("know"))},
+				vmachine.SCS{Ok: "ok", Reg: vInt(0), Val: vmachine.CallE{Fn: "pids.encode", Args: []vmachine.Expr{vVar("know")}}},
 				vmachine.IfS{Cond: vVar("ok"), Then: []vmachine.Stmt{vmachine.BreakS{}}},
 			}},
 			vmachine.IfS{
