@@ -37,23 +37,21 @@ func TestPidMemoSharedByParallelRuns(t *testing.T) {
 		}
 		return fmt.Sprint(run.Returns, run.Steps)
 	}
-	for _, mk := range []func() machine.Algorithm{wakeup.SetRegister, wakeup.DoubleRegister, wakeup.MoveCourier} {
-		want := outcome(mk())
-		shared := mk()
-		var wg sync.WaitGroup
-		got := make([]string, 4)
-		for g := range got {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				got[g] = outcome(shared)
-			}()
-		}
-		wg.Wait()
-		for g, o := range got {
-			if o != want {
-				t.Fatalf("%s goroutine %d: %s, serial %s", shared.Name(), g, o, want)
-			}
+	want := outcome(wakeup.SetRegister())
+	shared := wakeup.SetRegister()
+	var wg sync.WaitGroup
+	got := make([]string, 4)
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = outcome(shared)
+		}()
+	}
+	wg.Wait()
+	for g, o := range got {
+		if o != want {
+			t.Fatalf("goroutine %d: %s, serial %s", g, o, want)
 		}
 	}
 }
