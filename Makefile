@@ -133,6 +133,7 @@ fuzz-short:
 	$(GO) test ./internal/wakeup/ -run '^$$' -fuzz '^FuzzPidCodec$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wakeup/ -run '^$$' -fuzz '^FuzzPidMemo$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/linz/ -run '^$$' -fuzz '^FuzzOnlineMemo$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/jobs/ -run '^$$' -fuzz '^FuzzJournalRecord$$' -fuzztime $(FUZZTIME)
 
 # Differential proof that the bytecode VM and the goroutine interpreter are
 # observably identical: exhaustive lockstep exploration at n ∈ {2,3} for

@@ -68,7 +68,7 @@ func main() {
 	flag.IntVar(&opts.Parallel, "parallel", 0, "worker goroutines (default one per CPU; 1 = serial)")
 	flag.StringVar(&opts.Out, "out", "", "fuzz: directory for JSON replay files of failures")
 	flag.StringVar(&opts.Replay, "replay", "", "re-execute a replay file bit-for-bit and exit")
-	flag.StringVar(&opts.LLSC, "llsc", "", "shared-memory backend: native or bw (default $LB_LLSC, else native)")
+	flag.StringVar(&opts.LLSC, "llsc", "", "shared-memory backend: native or bw")
 	engine := flag.String("engine", "", "execution engine: auto, goroutine, or vm (default $LB_ENGINE, else auto)")
 	flag.Parse()
 	if *engine != "" {

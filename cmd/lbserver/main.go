@@ -267,7 +267,7 @@ func loadTenants(path string) (*tenant.Registry, error) {
 // decodes (version skew, manual tampering) is logged and skipped — one
 // bad checkpoint must not keep the server from booting.
 func resumeCampaigns(sched *jobs.Scheduler, mgr *campaign.Manager, logger *slog.Logger) {
-	for _, id := range sched.Cache().Checkpoints() {
+	for _, id := range sched.Cache().Checkpoints.List() {
 		if _, err := mgr.Resume(id); err != nil {
 			logger.Warn("campaign resume", "campaign_id", obs.ShortID(id), "error", err.Error())
 			continue
@@ -297,7 +297,7 @@ func main() {
 	}
 	mgr := campaign.NewManager(campaign.ManagerOptions{
 		Executor:        jobs.NewRoundExecutor(sched),
-		Checkpointer:    sched.Cache(),
+		Checkpointer:    sched.Cache().Checkpoints,
 		FindingsDir:     opts.findingsDir,
 		CheckpointEvery: opts.checkpointEvery,
 		Obs:             reg,

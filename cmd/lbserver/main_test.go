@@ -72,7 +72,7 @@ func newTestServer(t *testing.T, opts options) (*jobs.Scheduler, *httptest.Serve
 	}
 	mgr := campaign.NewManager(campaign.ManagerOptions{
 		Executor:     jobs.NewRoundExecutor(sched),
-		Checkpointer: sched.Cache(),
+		Checkpointer: sched.Cache().Checkpoints,
 		Obs:          reg,
 		Tracer:       tracer,
 		Logger:       logger,

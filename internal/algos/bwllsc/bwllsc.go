@@ -10,15 +10,17 @@
 // reclamation scheme (nodes stay alive exactly while some announcement can
 // still reference them).
 //
-// The package is an alternative llsc.Backend: it exposes the same surface
-// as the native mutex-guarded register file (N, Handle/Apply, Steps,
-// Fingerprint, AppendFingerprint, ReadQuiesced) and is held byte-identical
-// to it — same responses, same step counts, same fingerprint bytes, and
-// therefore the same exploration memo keys — by the differential harness in
-// this package's tests and the `make tas-equivalence` CI step. The native
-// validity set (pset) is never stored: a process's LL is valid exactly when
-// its announced node still is the head, so the pset is derived on demand
-// when fingerprinting.
+// The package is an alternative shmem.Backend: it exposes the same surface
+// as the native register file of package shmem and its lock-guarded form
+// llsc.Memory (Handle/Apply, Steps, Fingerprint, AppendFingerprint, Read,
+// Clone), and is held byte-identical to both — same responses, same
+// step counts, same fingerprint bytes, and therefore the same exploration
+// memo keys — by the differential harness in this package's tests and the
+// `make tas-equivalence` CI step. It is written independently of shmem on
+// purpose: it is the oracle that holds shmem to the paper's §3 semantics.
+// The native validity set (pset) is never stored: a process's LL is valid
+// exactly when its announced node still is the head, so the pset is
+// derived on demand when fingerprinting.
 //
 // Swap installs a fresh node in a CAS retry loop. Move — an inter-register
 // operation outside the scope of the original construction — reads the
@@ -39,7 +41,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"jayanti98/internal/llsc"
 	"jayanti98/internal/machine"
 	"jayanti98/internal/shmem"
 )
@@ -73,9 +74,9 @@ func (r *register) pset() shmem.PidBits {
 }
 
 // Memory is a Blelloch–Wei LL/SC shared memory for n processes. It
-// implements llsc.Backend. The registry (lazy register allocation, step
-// counters, fingerprint scratch) is mutex-guarded exactly like the native
-// backend; the per-register operations themselves are CAS-based.
+// implements shmem.Backend. The registry (lazy register allocation, step
+// counters, fingerprint scratch) is mutex-guarded like llsc.Memory; the
+// per-register operations themselves are CAS-based.
 type Memory struct {
 	n  int
 	mu sync.Mutex
@@ -92,7 +93,7 @@ type Memory struct {
 	fpScratch []byte
 }
 
-var _ llsc.Backend = (*Memory)(nil)
+var _ shmem.Backend = (*Memory)(nil)
 
 // Option configures a Memory.
 type Option func(*Memory)
@@ -179,7 +180,7 @@ func (m *Memory) TotalSteps() int64 {
 
 // Apply performs op on behalf of pid and returns the response, with the
 // exact semantics of shmem.Memory.Apply (including the self-move no-op).
-// It makes *Memory implement sched.Memory and llsc.Backend.
+// It makes *Memory implement sched.Memory and shmem.Backend.
 func (m *Memory) Apply(pid int, op shmem.Op) shmem.Response {
 	h := Handle{mem: m, pid: pid}
 	switch op.Kind {
@@ -216,7 +217,7 @@ func (m *Memory) Fingerprint() string {
 }
 
 // AppendFingerprint appends the compact binary state rendering in the exact
-// byte format of the native backend (llsc.Memory.AppendFingerprint): a
+// byte format of the native backend (shmem.Memory.AppendFingerprint): a
 // uvarint register count, then per touched register a uvarint index, the
 // length-prefixed %v rendering of the value, and the canonical derived-pset
 // bitset words. Byte identity here is what makes exploration memo keys —
@@ -236,10 +237,10 @@ func (m *Memory) AppendFingerprint(dst []byte) []byte {
 	return dst
 }
 
-// ReadQuiesced returns the value of register i without charging a step.
-// Reading an untouched register returns its initial value without
-// allocating it, so the fingerprint is unchanged.
-func (m *Memory) ReadQuiesced(i int) shmem.Value {
+// Read returns the value of register i without charging a step. Reading
+// an untouched register returns its initial value without allocating it,
+// so the fingerprint is unchanged.
+func (m *Memory) Read(i int) shmem.Value {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if r, ok := m.regs[i]; ok {
@@ -256,7 +257,7 @@ func (m *Memory) ReadQuiesced(i int) shmem.Value {
 // a head, which is all a stale announcement must guarantee.
 var staleNode = &node{}
 
-// Clone implements llsc.Backend by remapping node identities: each
+// Clone implements shmem.Backend by remapping node identities: each
 // register of the clone gets a fresh head node holding the same value,
 // every announcement of the origin's head becomes an announcement of the
 // clone's new head, and every stale announcement becomes staleNode. In the
@@ -265,7 +266,7 @@ var staleNode = &node{}
 // fingerprint — carries over, while the two memories share no node that
 // a head can hold: a CAS on either can never succeed against the other's
 // nodes.
-func (m *Memory) Clone() llsc.Backend {
+func (m *Memory) Clone() shmem.Backend {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	c := &Memory{

@@ -74,17 +74,44 @@ func TestSemantics(t *testing.T) {
 	}
 }
 
+// reference is a pset-based register file this package is held to.
+type reference interface {
+	shmem.Backend
+	Steps(pid int) int64
+	TotalSteps() int64
+	Read(reg int) shmem.Value
+}
+
+// references are the native register files every differential test runs
+// against: the bare shmem.Memory, the one implementation of the paper's §3
+// semantics, and llsc.Memory, the same register file behind its lock. This
+// package is written independently of shmem, so agreement is a check of
+// both.
+var references = []struct {
+	name string
+	new  func(n int, opts ...shmem.Option) reference
+}{
+	{"shmem", func(_ int, opts ...shmem.Option) reference { return shmem.New(opts...) }},
+	{"llsc", func(n int, opts ...shmem.Option) reference { return llsc.New(n, opts...) }},
+}
+
 // TestDifferentialAgainstNative is the core backend claim, op by op: an
-// identical operation sequence applied to the pset-based llsc.Memory and to
+// identical operation sequence applied to a pset-based reference and to
 // this package's pointer-based Memory yields identical responses, identical
 // per-process step counts, and — after every single operation — a byte-
 // identical fingerprint. The fingerprint comparison is what makes the two
 // backends interchangeable inside the exploration harness's memoization.
 func TestDifferentialAgainstNative(t *testing.T) {
+	for _, ref := range references {
+		t.Run(ref.name, func(t *testing.T) { testDifferentialAgainstNative(t, ref.new) })
+	}
+}
+
+func testDifferentialAgainstNative(t *testing.T, newRef func(int, ...shmem.Option) reference) {
 	const npids, nregs = 4, 5
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		a := llsc.New(npids)
+		a := newRef(npids)
 		b := bwllsc.New(npids)
 		for step := 0; step < 400; step++ {
 			pid := rng.Intn(npids)
@@ -122,7 +149,7 @@ func TestDifferentialAgainstNative(t *testing.T) {
 			}
 		}
 		for reg := 0; reg < nregs; reg++ {
-			if !shmem.ValuesEqual(a.ReadQuiesced(reg), b.ReadQuiesced(reg)) {
+			if !shmem.ValuesEqual(a.Read(reg), b.Read(reg)) {
 				return false
 			}
 		}
@@ -136,10 +163,16 @@ func TestDifferentialAgainstNative(t *testing.T) {
 // TestFingerprintAllocationParity pins the subtle half of byte-identity:
 // the fingerprint only covers *touched* registers, so the two backends must
 // allocate on exactly the same operations. Validate on a fresh register
-// allocates it; ReadQuiesced does not; a self-move charges a step but does
-// not allocate.
+// allocates it; Read does not; a self-move charges a step but does not
+// allocate.
 func TestFingerprintAllocationParity(t *testing.T) {
-	a, b := llsc.New(2), bwllsc.New(2)
+	for _, ref := range references {
+		t.Run(ref.name, func(t *testing.T) { testFingerprintAllocationParity(t, ref.new(2)) })
+	}
+}
+
+func testFingerprintAllocationParity(t *testing.T, a reference) {
+	b := bwllsc.New(2)
 	check := func(label string) {
 		t.Helper()
 		if !bytes.Equal(a.AppendFingerprint(nil), b.AppendFingerprint(nil)) {
@@ -147,10 +180,10 @@ func TestFingerprintAllocationParity(t *testing.T) {
 		}
 	}
 	check("empty")
-	if a.ReadQuiesced(3) != b.ReadQuiesced(3) {
-		t.Fatal("ReadQuiesced diverges")
+	if a.Read(3) != b.Read(3) {
+		t.Fatal("Read diverges")
 	}
-	check("after ReadQuiesced")
+	check("after Read")
 	a.Apply(0, shmem.Op{Kind: shmem.OpValidate, Reg: 7})
 	b.Apply(0, shmem.Op{Kind: shmem.OpValidate, Reg: 7})
 	check("after Validate on fresh register")
@@ -162,32 +195,35 @@ func TestFingerprintAllocationParity(t *testing.T) {
 	}
 }
 
-// TestWithInit mirrors llsc.WithInit: initial register values come from the
-// option and show up in fingerprints identically on both backends.
+// TestWithInit mirrors shmem.WithInit: initial register values come from
+// the option and show up in fingerprints identically on both backends.
 func TestWithInit(t *testing.T) {
 	init := func(reg int) shmem.Value { return reg * 10 }
-	a := llsc.New(2, llsc.WithInit(init))
-	b := bwllsc.New(2, bwllsc.WithInit(init))
-	op := shmem.Op{Kind: shmem.OpValidate, Reg: 3}
-	if ra, rb := a.Apply(0, op), b.Apply(0, op); ra.Val != 30 || rb.Val != 30 {
-		t.Fatalf("initial values = %v / %v, want 30", ra.Val, rb.Val)
-	}
-	if !bytes.Equal(a.AppendFingerprint(nil), b.AppendFingerprint(nil)) {
-		t.Fatalf("fingerprints diverge:\n  native %q\n  bw     %q", a.Fingerprint(), b.Fingerprint())
+	for _, ref := range references {
+		a := ref.new(2, shmem.WithInit(init))
+		b := bwllsc.New(2, bwllsc.WithInit(init))
+		op := shmem.Op{Kind: shmem.OpValidate, Reg: 3}
+		if ra, rb := a.Apply(0, op), b.Apply(0, op); ra.Val != 30 || rb.Val != 30 {
+			t.Fatalf("%s: initial values = %v / %v, want 30", ref.name, ra.Val, rb.Val)
+		}
+		if !bytes.Equal(a.AppendFingerprint(nil), b.AppendFingerprint(nil)) {
+			t.Fatalf("%s: fingerprints diverge:\n  native %q\n  bw     %q", ref.name, a.Fingerprint(), b.Fingerprint())
+		}
 	}
 }
 
-// TestBackendInterface pins both memories to the shared Backend surface the
+// TestBackendInterface pins the memories to the shared Backend surface the
 // exploration harness selects between.
 func TestBackendInterface(t *testing.T) {
-	var _ llsc.Backend = llsc.New(2)
-	var _ llsc.Backend = bwllsc.New(2)
+	var _ shmem.Backend = shmem.New()
+	var _ shmem.Backend = llsc.New(2)
+	var _ shmem.Backend = bwllsc.New(2)
 	for _, tc := range []struct {
 		in   string
 		want llsc.BackendKind
 		ok   bool
 	}{
-		{"", llsc.DefaultBackend(), true},
+		{"", llsc.BackendNative, true},
 		{"native", llsc.BackendNative, true},
 		{"bw", llsc.BackendBW, true},
 		{"blelloch-wei", llsc.BackendBW, true},
@@ -207,14 +243,20 @@ func TestBackendInterface(t *testing.T) {
 // must answer SCs exactly as a cloned native backend does, and SCs on the
 // clone must not consume the origin's links.
 func TestCloneKeepsLinks(t *testing.T) {
-	build := func(m llsc.Backend) {
+	for _, ref := range references {
+		t.Run(ref.name, func(t *testing.T) { testCloneKeepsLinks(t, ref.new(4)) })
+	}
+}
+
+func testCloneKeepsLinks(t *testing.T, native reference) {
+	build := func(m shmem.Backend) {
 		m.Apply(0, shmem.Op{Kind: shmem.OpLL, Reg: 0})
 		m.Apply(1, shmem.Op{Kind: shmem.OpLL, Reg: 0})
 		m.Apply(0, shmem.Op{Kind: shmem.OpSC, Reg: 0, Arg: "a"})
 		m.Apply(2, shmem.Op{Kind: shmem.OpLL, Reg: 0})
 		m.Apply(1, shmem.Op{Kind: shmem.OpLL, Reg: 1})
 	}
-	native, bw := llsc.New(4), bwllsc.New(4)
+	bw := bwllsc.New(4)
 	build(native)
 	build(bw)
 	nc, bc := native.Clone(), bw.Clone()
@@ -245,10 +287,16 @@ func TestCloneKeepsLinks(t *testing.T) {
 // TestCloneDifferential: from random states, a Blelloch–Wei clone and a
 // native clone answer random suffixes identically, byte for byte.
 func TestCloneDifferential(t *testing.T) {
+	for _, ref := range references {
+		t.Run(ref.name, func(t *testing.T) { testCloneDifferential(t, ref.new) })
+	}
+}
+
+func testCloneDifferential(t *testing.T, newRef func(int, ...shmem.Option) reference) {
 	const npids, nregs = 4, 4
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		a, b := llsc.New(npids), bwllsc.New(npids)
+		a, b := newRef(npids), bwllsc.New(npids)
 		op := func() shmem.Op {
 			op := shmem.Op{Reg: rng.Intn(nregs)}
 			switch rng.Intn(5) {

@@ -37,11 +37,11 @@ func (e *LocalExecutor) ExecuteRound(ctx context.Context, rs *RoundSpec) (*Round
 }
 
 // Checkpointer persists campaign state between process lives — the jobs
-// cache implements it (jobs.Cache.PutCheckpoint/GetCheckpoint), keyed by
+// cache's checkpoint class implements it (jobs.Cache.Checkpoints), keyed by
 // campaign ID.
 type Checkpointer interface {
-	PutCheckpoint(id string, data []byte) error
-	GetCheckpoint(id string) ([]byte, bool)
+	Put(id string, data []byte) error
+	Get(id string) ([]byte, bool)
 }
 
 // CampaignStatus is a campaign's lifecycle state.
@@ -254,7 +254,7 @@ func (m *Manager) Start(spec *Spec) (View, bool, error) {
 	}
 	st := NewState(*spec)
 	if m.opts.Checkpointer != nil {
-		if data, ok := m.opts.Checkpointer.GetCheckpoint(id); ok {
+		if data, ok := m.opts.Checkpointer.Get(id); ok {
 			restored, err := DecodeState(data)
 			if err != nil {
 				return View{}, false, fmt.Errorf("campaign: checkpoint for %s: %w", obs.ShortID(id), err)
@@ -280,7 +280,7 @@ func (m *Manager) Resume(id string) (View, error) {
 	if m.opts.Checkpointer == nil {
 		return View{}, fmt.Errorf("campaign: no checkpointer configured")
 	}
-	data, ok := m.opts.Checkpointer.GetCheckpoint(id)
+	data, ok := m.opts.Checkpointer.Get(id)
 	if !ok {
 		return View{}, fmt.Errorf("campaign: no checkpoint for %q", id)
 	}
@@ -581,7 +581,7 @@ func (m *Manager) checkpoint(c *instance, logger *slog.Logger) {
 	round := c.state.Round
 	c.mu.Unlock()
 	if err == nil {
-		err = m.opts.Checkpointer.PutCheckpoint(c.id, data)
+		err = m.opts.Checkpointer.Put(c.id, data)
 	}
 	if err != nil {
 		logger.Error("campaign checkpoint", "round", round, "error", err)

@@ -22,14 +22,14 @@ func newMemCheckpointer() *memCheckpointer {
 	return &memCheckpointer{data: make(map[string][]byte)}
 }
 
-func (m *memCheckpointer) PutCheckpoint(id string, data []byte) error {
+func (m *memCheckpointer) Put(id string, data []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.data[id] = append([]byte(nil), data...)
 	return nil
 }
 
-func (m *memCheckpointer) GetCheckpoint(id string) ([]byte, bool) {
+func (m *memCheckpointer) Get(id string) ([]byte, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	data, ok := m.data[id]
@@ -97,7 +97,7 @@ func TestManagerBoundedCampaign(t *testing.T) {
 	}
 
 	// The final checkpoint captured the terminal state.
-	data, ok := ck.GetCheckpoint(view.ID)
+	data, ok := ck.Get(view.ID)
 	if !ok {
 		t.Fatal("no final checkpoint")
 	}
@@ -186,7 +186,7 @@ func TestManagerStopAndRestart(t *testing.T) {
 	if stopped.Status != CampaignStopped {
 		t.Fatalf("status after stop = %s", stopped.Status)
 	}
-	if _, ok := ck.GetCheckpoint(view.ID); !ok {
+	if _, ok := ck.Get(view.ID); !ok {
 		t.Fatal("stop did not checkpoint")
 	}
 	// Stop is idempotent on terminal campaigns.

@@ -230,14 +230,6 @@ func e14(ctx context.Context, d *report.Doc, opts Options) error {
 	return d.Table(tbl)
 }
 
-// fpMemory is the slice of the backend surface E15 needs: an executable
-// memory whose final state can be fingerprinted. Both llsc.Memory and
-// bwllsc.Memory satisfy it.
-type fpMemory interface {
-	sched.Memory
-	AppendFingerprint([]byte) []byte
-}
-
 // e15Items lists the whole executions the backend differential covers: the
 // deterministic E1 wakeup algorithms and the zoo's randomized TAS protocols
 // (first completing derived seed, like E13 — each attempt on a fresh
@@ -246,12 +238,12 @@ type fpMemory interface {
 func e15Items(opts Options) []struct {
 	label string
 	n     int
-	run   func(newMem func(n int) fpMemory) (*sched.Result, fpMemory, error)
+	run   func(newMem func(n int) shmem.Backend) (*sched.Result, shmem.Backend, error)
 } {
 	type entry = struct {
 		label string
 		n     int
-		run   func(newMem func(n int) fpMemory) (*sched.Result, fpMemory, error)
+		run   func(newMem func(n int) shmem.Backend) (*sched.Result, shmem.Backend, error)
 	}
 	var items []entry
 	for _, w := range []struct {
@@ -263,7 +255,7 @@ func e15Items(opts Options) []struct {
 	} {
 		for _, n := range tasNs(opts) {
 			w, n := w, n
-			items = append(items, entry{w.name, n, func(newMem func(n int) fpMemory) (*sched.Result, fpMemory, error) {
+			items = append(items, entry{w.name, n, func(newMem func(n int) shmem.Backend) (*sched.Result, shmem.Backend, error) {
 				mem := newMem(n)
 				res, err := sched.Execute(w.mk(), n, mem, &sched.RoundRobin{}, machine.ZeroTosses, tasBudget(n))
 				return res, mem, err
@@ -277,7 +269,7 @@ func e15Items(opts Options) []struct {
 				continue
 			}
 			name, n := name, n
-			items = append(items, entry{name, n, func(newMem func(n int) fpMemory) (*sched.Result, fpMemory, error) {
+			items = append(items, entry{name, n, func(newMem func(n int) shmem.Backend) (*sched.Result, shmem.Backend, error) {
 				const maxAttempts = 50
 				for attempt := 0; attempt < maxAttempts; attempt++ {
 					mem := newMem(n)
@@ -313,11 +305,11 @@ func e15(ctx context.Context, d *report.Doc, opts Options) error {
 	}
 	rows, err := sweep.MapCtx(ctx, opts.Parallel, len(items), func(i int) (row, error) {
 		it := items[i]
-		resA, memA, err := it.run(func(n int) fpMemory { return llsc.New(n) })
+		resA, memA, err := it.run(func(n int) shmem.Backend { return llsc.New(n) })
 		if err != nil {
 			return row{label: it.label, n: it.n, err: err}, nil
 		}
-		resB, memB, err := it.run(func(n int) fpMemory { return bwllsc.New(n) })
+		resB, memB, err := it.run(func(n int) shmem.Backend { return bwllsc.New(n) })
 		if err != nil {
 			return row{label: it.label, n: it.n, err: err}, nil
 		}

@@ -90,11 +90,12 @@ type Config struct {
 	// Tosses supplies coin-toss outcomes (nil: machine.ZeroTosses).
 	// Exhaustive exploration requires a deterministic assignment.
 	Tosses machine.TossAssignment
-	// LLSC selects the shared-memory backend: "" (process default, see
-	// llsc.DefaultBackend), "native", or "bw" (the Blelloch–Wei
-	// LL/SC-from-CAS construction, package algos/bwllsc). The two backends
-	// are fingerprint-identical, so exhaustive counts do not depend on the
-	// choice — which is exactly what the differential harness pins.
+	// LLSC selects the shared-memory backend: "" or "native" (a bare
+	// shmem.Memory; each runner steps its memory on one goroutine) or
+	// "bw" (the Blelloch–Wei LL/SC-from-CAS construction, package
+	// algos/bwllsc). The two backends are fingerprint-identical, so
+	// exhaustive counts do not depend on the choice — which is exactly
+	// what the differential harness pins.
 	LLSC string
 }
 
@@ -195,7 +196,7 @@ func (cfg Config) validate() error {
 }
 
 // newBackend builds the configured shared-memory backend.
-func (cfg Config) newBackend() (llsc.Backend, error) {
+func (cfg Config) newBackend() (shmem.Backend, error) {
 	kind, err := llsc.ParseBackend(cfg.LLSC)
 	if err != nil {
 		return nil, err
@@ -203,7 +204,7 @@ func (cfg Config) newBackend() (llsc.Backend, error) {
 	if kind == llsc.BackendBW {
 		return bwllsc.New(cfg.N), nil
 	}
-	return llsc.New(cfg.N), nil
+	return shmem.New(), nil
 }
 
 // FailureKind classifies what went wrong in a run.
@@ -323,7 +324,7 @@ type runner struct {
 	spec    algos.Spec
 	typ     objtype.Type // the sequential spec the checkers run against
 	invoked []bool       // raw mode: pids whose invoke event was emitted
-	mem     llsc.Backend
+	mem     shmem.Backend
 	ms      []*machine.Machine
 	log     *eventLog
 	ta      machine.TossAssignment
@@ -664,7 +665,7 @@ func (r *runner) step(pid int) bool {
 // The key is compact binary, not a rendered string (DESIGN §11): per
 // machine a one-byte enabled flag, a uvarint event count and the 8-byte
 // FNV-1a history sum; then the memory's self-delimiting binary fingerprint
-// (llsc.Memory.AppendFingerprint); then the length-prefixed checker key.
+// (shmem.Memory.AppendFingerprint); then the length-prefixed checker key.
 // Every component is either fixed-size or length-prefixed, so the
 // concatenation is injective given cfg.N — no separators needed. Callers
 // reuse dst across DFS nodes and convert to string only for the map lookup.

@@ -29,42 +29,57 @@ type CacheStats struct {
 	Dir string `json:"dir,omitempty"`
 }
 
-// Cache is the content-addressed result store: job ID (the SHA-256 of the
-// canonical spec) → result bytes. In memory it is a bounded LRU; with a
-// cache dir every stored result is also persisted as <id>.json via an
-// atomic temp+rename write, so results survive both LRU eviction and
-// process restarts, and a repeated spec is always served byte-identically.
+// Cache is the service's durable record store. It keeps three record
+// classes, each a Records value with one Put/Get/Delete/List path over the
+// same atomic-file layer, all keyed by a job or campaign ID (the SHA-256 of
+// a canonical spec):
 //
-// Alongside the immutable results the cache also stores *checkpoints*:
-// mutable progress records for non-terminating work (campaign state,
-// internal/campaign), keyed by the owning spec's content hash and
-// persisted as <id>.ckpt.json. Checkpoints are overwritten in place — a
-// deliberate departure from the write-once result contract — and are
-// exempt from the LRU: there is at most one per long-lived campaign, and
-// evicting one would silently rewind a restart to an older snapshot when
-// the disk copy is absent (memory-only caches).
-//
-// The third record class is *job records* (<id>.job.json): the
-// scheduler's write-ahead journal of every job's spec, tenant, and
-// lifecycle (journal.go). Like checkpoints they are mutable and
-// LRU-exempt; unlike checkpoints they are deleted when the scheduler
-// prunes old terminal jobs.
+//   - Results (<id>.json): the content-addressed result store, job ID →
+//     result bytes. In memory it is a bounded LRU; with a cache dir every
+//     result is also on disk, so results survive both LRU eviction and
+//     process restarts, and a repeated spec is always served
+//     byte-identically. Only this class is counted in CacheStats.
+//   - Checkpoints (<id>.ckpt.json): mutable progress records for
+//     non-terminating work (campaign state, internal/campaign), one per
+//     campaign, overwritten in place. They are exempt from the LRU:
+//     evicting one would silently rewind a restart to an older snapshot
+//     when the disk copy is absent (memory-only caches).
+//   - JobRecords (<id>.job.json): the scheduler's write-ahead journal of
+//     every job's spec, tenant, and lifecycle (journal.go). Like
+//     checkpoints they are mutable and LRU-exempt; the scheduler deletes
+//     them when it prunes old terminal jobs.
 type Cache struct {
-	mu    sync.Mutex
-	max   int
-	ll    *list.List // front = most recently used
-	items map[string]*list.Element
-	dir   string
-
-	checkpoints map[string][]byte
-	jobRecords  map[string][]byte
+	mu  sync.Mutex // guards the counters and every class's memory
+	max int
+	dir string
 
 	hits, diskHits, misses, evictions int64
+
+	// Results, Checkpoints and JobRecords are the record classes, set by
+	// NewCache.
+	Results, Checkpoints, JobRecords *Records
+}
+
+// Records is one record class of a Cache: records keyed by ID, held in
+// memory and, with a cache dir, persisted as <id><suffix> through an
+// atomic temp+rename write. A reader never sees a torn record, so the
+// newest complete record survives a SIGKILL. Stored bytes are shared, not
+// copied: a caller must not modify a slice it passed to Put or got from
+// Get. The Checkpoints class is the campaign.Checkpointer of the server.
+type Records struct {
+	c      *Cache
+	noun   string // names the class in errors
+	suffix string
+	// lru bounds the class by the cache's capacity and counts its hits,
+	// disk hits, misses and evictions in CacheStats.
+	lru   bool
+	ll    *list.List // front = most recently used
+	items map[string]*list.Element
 }
 
 type cacheEntry struct {
-	id     string
-	result []byte
+	id   string
+	data []byte
 }
 
 // NewCache builds a cache holding up to maxEntries results in memory
@@ -79,219 +94,122 @@ func NewCache(maxEntries int, dir string) (*Cache, error) {
 			return nil, fmt.Errorf("jobs: cache dir: %w", err)
 		}
 	}
-	return &Cache{
-		max:         maxEntries,
-		ll:          list.New(),
-		items:       make(map[string]*list.Element),
-		dir:         dir,
-		checkpoints: make(map[string][]byte),
-		jobRecords:  make(map[string][]byte),
-	}, nil
+	c := &Cache{max: maxEntries, dir: dir}
+	c.Results = c.class("result", ".json", true)
+	c.Checkpoints = c.class("checkpoint", ".ckpt.json", false)
+	c.JobRecords = c.class("job record", ".job.json", false)
+	return c, nil
+}
+
+func (c *Cache) class(noun, suffix string, lru bool) *Records {
+	return &Records{c: c, noun: noun, suffix: suffix, lru: lru, ll: list.New(), items: make(map[string]*list.Element)}
 }
 
 var cacheIDPattern = regexp.MustCompile(`^[0-9a-f]{64}$`)
 
-// Get returns the cached result for id, checking memory first and then
-// the cache directory (a disk hit is promoted back into memory).
-func (c *Cache) Get(id string) ([]byte, bool) {
+func (r *Records) path(id string) string { return filepath.Join(r.c.dir, id+r.suffix) }
+
+// count bumps one of the cache's counters for the LRU class. Callers hold
+// c.mu.
+func (r *Records) count(n *int64) {
+	if r.lru {
+		*n++
+	}
+}
+
+// Get returns the record for id, checking memory first and then the cache
+// directory (a disk read is promoted back into memory).
+func (r *Records) Get(id string) ([]byte, bool) {
+	c := r.c
 	c.mu.Lock()
-	if el, ok := c.items[id]; ok {
-		c.ll.MoveToFront(el)
-		c.hits++
-		result := el.Value.(*cacheEntry).result
+	if el, ok := r.items[id]; ok {
+		r.ll.MoveToFront(el)
+		r.count(&c.hits)
+		data := el.Value.(*cacheEntry).data
 		c.mu.Unlock()
-		return result, true
+		return data, true
 	}
 	c.mu.Unlock()
 
-	if c.dir == "" || !cacheIDPattern.MatchString(id) {
-		c.mu.Lock()
-		c.misses++
-		c.mu.Unlock()
-		return nil, false
+	var data []byte
+	found := c.dir != "" && cacheIDPattern.MatchString(id)
+	if found {
+		var err error
+		data, err = os.ReadFile(r.path(id))
+		found = err == nil
 	}
-	data, err := os.ReadFile(filepath.Join(c.dir, id+".json"))
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err != nil {
-		c.misses++
+	if !found {
+		r.count(&c.misses)
 		return nil, false
 	}
-	c.diskHits++
-	c.insertLocked(id, data)
+	r.count(&c.diskHits)
+	r.insertLocked(id, data)
 	return data, true
 }
 
-// Put stores a result under id, evicting the least recently used entry
-// beyond capacity and persisting to disk when a cache dir is configured.
-func (c *Cache) Put(id string, result []byte) error {
-	if c.dir != "" {
-		if !cacheIDPattern.MatchString(id) {
-			return fmt.Errorf("jobs: cache id %q is not a sha256 hex digest", id)
-		}
-		if err := writeFileAtomic(filepath.Join(c.dir, id+".json"), result); err != nil {
-			return fmt.Errorf("jobs: cache persist: %w", err)
+// Put stores (or overwrites) the record for id, persisting it first when a
+// cache dir is configured. The LRU class then evicts its least recently
+// used records from memory beyond capacity; their disk copies stay.
+func (r *Records) Put(id string, data []byte) error {
+	if !cacheIDPattern.MatchString(id) {
+		return fmt.Errorf("jobs: %s id %q is not a sha256 hex digest", r.noun, id)
+	}
+	if r.c.dir != "" {
+		if err := writeFileAtomic(r.path(id), data); err != nil {
+			return fmt.Errorf("jobs: %s persist: %w", r.noun, err)
 		}
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.insertLocked(id, result)
+	r.c.mu.Lock()
+	defer r.c.mu.Unlock()
+	r.insertLocked(id, data)
 	return nil
 }
 
-func (c *Cache) insertLocked(id string, result []byte) {
-	if el, ok := c.items[id]; ok {
-		el.Value.(*cacheEntry).result = result
-		c.ll.MoveToFront(el)
+func (r *Records) insertLocked(id string, data []byte) {
+	if el, ok := r.items[id]; ok {
+		el.Value.(*cacheEntry).data = data
+		r.ll.MoveToFront(el)
 		return
 	}
-	c.items[id] = c.ll.PushFront(&cacheEntry{id: id, result: result})
-	for c.ll.Len() > c.max {
-		last := c.ll.Back()
-		c.ll.Remove(last)
-		delete(c.items, last.Value.(*cacheEntry).id)
-		c.evictions++
+	r.items[id] = r.ll.PushFront(&cacheEntry{id: id, data: data})
+	for r.lru && r.ll.Len() > r.c.max {
+		last := r.ll.Back()
+		r.ll.Remove(last)
+		delete(r.items, last.Value.(*cacheEntry).id)
+		r.c.evictions++
 	}
 }
 
-// PutCheckpoint stores (or overwrites) the checkpoint record for id,
-// persisting <id>.ckpt.json atomically when a cache dir is configured. The
-// write is atomic, so a server killed mid-checkpoint leaves the previous
-// complete snapshot — a resume never sees a torn record.
-func (c *Cache) PutCheckpoint(id string, data []byte) error {
-	if !cacheIDPattern.MatchString(id) {
-		return fmt.Errorf("jobs: checkpoint id %q is not a sha256 hex digest", id)
+// Delete forgets the record for id, in memory and on disk. The scheduler
+// deletes a pruned job's journal record; its result stays cached.
+func (r *Records) Delete(id string) {
+	r.c.mu.Lock()
+	if el, ok := r.items[id]; ok {
+		r.ll.Remove(el)
+		delete(r.items, id)
 	}
-	if c.dir != "" {
-		if err := writeFileAtomic(filepath.Join(c.dir, id+".ckpt.json"), data); err != nil {
-			return fmt.Errorf("jobs: checkpoint persist: %w", err)
-		}
-	}
-	c.mu.Lock()
-	c.checkpoints[id] = append([]byte(nil), data...)
-	c.mu.Unlock()
-	return nil
-}
-
-// GetCheckpoint returns the checkpoint record for id, checking memory
-// first and then the cache directory.
-func (c *Cache) GetCheckpoint(id string) ([]byte, bool) {
-	c.mu.Lock()
-	if data, ok := c.checkpoints[id]; ok {
-		c.mu.Unlock()
-		return append([]byte(nil), data...), true
-	}
-	c.mu.Unlock()
-	if c.dir == "" || !cacheIDPattern.MatchString(id) {
-		return nil, false
-	}
-	data, err := os.ReadFile(filepath.Join(c.dir, id+".ckpt.json"))
-	if err != nil {
-		return nil, false
-	}
-	c.mu.Lock()
-	c.checkpoints[id] = append([]byte(nil), data...)
-	c.mu.Unlock()
-	return data, true
-}
-
-// PutJobRecord stores (or overwrites) the journal record for id,
-// persisting <id>.job.json atomically when a cache dir is configured.
-// Job records are the scheduler's write-ahead journal (journal.go): like
-// checkpoints they are mutable, LRU-exempt, and overwritten in place on
-// every status transition, so the newest complete record always survives
-// a SIGKILL (the atomic rename never leaves a torn file).
-func (c *Cache) PutJobRecord(id string, data []byte) error {
-	if !cacheIDPattern.MatchString(id) {
-		return fmt.Errorf("jobs: job record id %q is not a sha256 hex digest", id)
-	}
-	if c.dir != "" {
-		if err := writeFileAtomic(filepath.Join(c.dir, id+".job.json"), data); err != nil {
-			return fmt.Errorf("jobs: job record persist: %w", err)
-		}
-	}
-	c.mu.Lock()
-	c.jobRecords[id] = append([]byte(nil), data...)
-	c.mu.Unlock()
-	return nil
-}
-
-// GetJobRecord returns the journal record for id, checking memory first
-// and then the cache directory.
-func (c *Cache) GetJobRecord(id string) ([]byte, bool) {
-	c.mu.Lock()
-	if data, ok := c.jobRecords[id]; ok {
-		c.mu.Unlock()
-		return append([]byte(nil), data...), true
-	}
-	c.mu.Unlock()
-	if c.dir == "" || !cacheIDPattern.MatchString(id) {
-		return nil, false
-	}
-	data, err := os.ReadFile(filepath.Join(c.dir, id+".job.json"))
-	if err != nil {
-		return nil, false
-	}
-	c.mu.Lock()
-	c.jobRecords[id] = append([]byte(nil), data...)
-	c.mu.Unlock()
-	return data, true
-}
-
-// DeleteJobRecord forgets the journal record for id (memory and disk).
-// The scheduler calls it when pruning old terminal jobs: the result
-// stays in the content-addressed cache, only the lifecycle record goes.
-func (c *Cache) DeleteJobRecord(id string) {
-	c.mu.Lock()
-	delete(c.jobRecords, id)
-	c.mu.Unlock()
-	if c.dir != "" && cacheIDPattern.MatchString(id) {
-		_ = os.Remove(filepath.Join(c.dir, id+".job.json"))
+	r.c.mu.Unlock()
+	if r.c.dir != "" && cacheIDPattern.MatchString(id) {
+		_ = os.Remove(r.path(id))
 	}
 }
 
-// JobRecords lists the IDs with a journal record, sorted — memory and
-// (when persistent) the cache directory combined. A restarted scheduler
-// iterates this to replay every job the previous life journaled.
-func (c *Cache) JobRecords() []string {
-	seen := make(map[string]struct{})
-	c.mu.Lock()
-	for id := range c.jobRecords {
-		seen[id] = struct{}{}
-	}
-	c.mu.Unlock()
-	if c.dir != "" {
-		if matches, err := filepath.Glob(filepath.Join(c.dir, "*.job.json")); err == nil {
-			for _, path := range matches {
-				id := strings.TrimSuffix(filepath.Base(path), ".job.json")
-				if cacheIDPattern.MatchString(id) {
-					seen[id] = struct{}{}
-				}
-			}
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for id := range seen {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Checkpoints lists the IDs with a checkpoint record, sorted — memory and
+// List returns the IDs holding a record of this class, sorted — memory and
 // (when persistent) the cache directory combined. A restarted server
-// iterates this to resume every campaign the previous life checkpointed.
-func (c *Cache) Checkpoints() []string {
+// iterates it to replay the journal and resume checkpointed campaigns.
+func (r *Records) List() []string {
 	seen := make(map[string]struct{})
-	c.mu.Lock()
-	for id := range c.checkpoints {
+	r.c.mu.Lock()
+	for id := range r.items {
 		seen[id] = struct{}{}
 	}
-	c.mu.Unlock()
-	if c.dir != "" {
-		if matches, err := filepath.Glob(filepath.Join(c.dir, "*.ckpt.json")); err == nil {
+	r.c.mu.Unlock()
+	if r.c.dir != "" {
+		if matches, err := filepath.Glob(filepath.Join(r.c.dir, "*"+r.suffix)); err == nil {
 			for _, path := range matches {
-				id := strings.TrimSuffix(filepath.Base(path), ".ckpt.json")
+				id := strings.TrimSuffix(filepath.Base(path), r.suffix)
 				if cacheIDPattern.MatchString(id) {
 					seen[id] = struct{}{}
 				}
@@ -311,7 +229,7 @@ func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{
-		Entries:    c.ll.Len(),
+		Entries:    c.Results.ll.Len(),
 		MaxEntries: c.max,
 		Hits:       c.hits,
 		DiskHits:   c.diskHits,

@@ -20,24 +20,24 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 	a, b, d := fakeID(0), fakeID(1), fakeID(2)
 	for _, id := range []string{a, b} {
-		if err := c.Put(id, []byte(id[:8])); err != nil {
+		if err := c.Results.Put(id, []byte(id[:8])); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Touch a so b becomes the LRU victim.
-	if _, ok := c.Get(a); !ok {
+	if _, ok := c.Results.Get(a); !ok {
 		t.Fatal("a missing before eviction")
 	}
-	if err := c.Put(d, []byte("d")); err != nil {
+	if err := c.Results.Put(d, []byte("d")); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.Get(b); ok {
+	if _, ok := c.Results.Get(b); ok {
 		t.Fatal("b should have been evicted (LRU)")
 	}
-	if _, ok := c.Get(a); !ok {
+	if _, ok := c.Results.Get(a); !ok {
 		t.Fatal("a should have survived (recently used)")
 	}
-	if _, ok := c.Get(d); !ok {
+	if _, ok := c.Results.Get(d); !ok {
 		t.Fatal("d should be present")
 	}
 	st := c.Stats()
@@ -58,13 +58,13 @@ func TestCachePutOverwriteKeepsOneEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := fakeID(3)
-	if err := c.Put(id, []byte("v1")); err != nil {
+	if err := c.Results.Put(id, []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Put(id, []byte("v2")); err != nil {
+	if err := c.Results.Put(id, []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := c.Get(id)
+	got, ok := c.Results.Get(id)
 	if !ok || string(got) != "v2" {
 		t.Fatalf("Get = %q, %v; want v2", got, ok)
 	}
@@ -82,7 +82,7 @@ func TestCacheDiskPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c1.Put(id, want); err != nil {
+	if err := c1.Results.Put(id, want); err != nil {
 		t.Fatal(err)
 	}
 	if data, err := os.ReadFile(filepath.Join(dir, id+".json")); err != nil {
@@ -97,7 +97,7 @@ func TestCacheDiskPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := c2.Get(id)
+	got, ok := c2.Results.Get(id)
 	if !ok || !bytes.Equal(got, want) {
 		t.Fatalf("disk Get = %q, %v; want %q", got, ok, want)
 	}
@@ -106,7 +106,7 @@ func TestCacheDiskPersistence(t *testing.T) {
 		t.Fatalf("diskHits/hits = %d/%d, want 1/0", st.DiskHits, st.Hits)
 	}
 	// Promoted: the second Get is a memory hit.
-	if _, ok := c2.Get(id); !ok {
+	if _, ok := c2.Results.Get(id); !ok {
 		t.Fatal("promoted entry missing")
 	}
 	if st := c2.Stats(); st.Hits != 1 {
@@ -121,13 +121,13 @@ func TestCacheDiskSurvivesEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b := fakeID(5), fakeID(6)
-	if err := c.Put(a, []byte("a")); err != nil {
+	if err := c.Results.Put(a, []byte("a")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Put(b, []byte("b")); err != nil { // evicts a from memory
+	if err := c.Results.Put(b, []byte("b")); err != nil { // evicts a from memory
 		t.Fatal(err)
 	}
-	got, ok := c.Get(a)
+	got, ok := c.Results.Get(a)
 	if !ok || string(got) != "a" {
 		t.Fatalf("evicted entry not revived from disk: %q, %v", got, ok)
 	}
@@ -144,10 +144,10 @@ func TestCacheRejectsBadIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A non-hash ID must never become a disk path (path traversal guard).
-	if err := c.Put("../escape", []byte("x")); err == nil {
+	if err := c.Results.Put("../escape", []byte("x")); err == nil {
 		t.Fatal("Put accepted a non-hash ID with a cache dir")
 	}
-	if _, ok := c.Get("../escape"); ok {
+	if _, ok := c.Results.Get("../escape"); ok {
 		t.Fatal("Get found a non-hash ID")
 	}
 	if st := c.Stats(); st.Misses != 1 {
@@ -160,7 +160,7 @@ func TestCacheMemoryOnlyMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.Get(fakeID(7)); ok {
+	if _, ok := c.Results.Get(fakeID(7)); ok {
 		t.Fatal("empty cache returned a hit")
 	}
 	st := c.Stats()

@@ -152,40 +152,40 @@ func TestCacheCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := checkpointID(1)
-	if _, ok := c.GetCheckpoint(id); ok {
+	if _, ok := c.Checkpoints.Get(id); ok {
 		t.Fatal("phantom checkpoint")
 	}
-	if err := c.PutCheckpoint(id, []byte("v1")); err != nil {
+	if err := c.Checkpoints.Put(id, []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
 	// Overwrite in place — the deliberate departure from write-once results.
-	if err := c.PutCheckpoint(id, []byte("v2")); err != nil {
+	if err := c.Checkpoints.Put(id, []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := c.GetCheckpoint(id); !ok || string(got) != "v2" {
+	if got, ok := c.Checkpoints.Get(id); !ok || string(got) != "v2" {
 		t.Fatalf("checkpoint = %q, %v", got, ok)
 	}
-	if err := c.PutCheckpoint("not-a-hash", []byte("x")); err == nil {
+	if err := c.Checkpoints.Put("not-a-hash", []byte("x")); err == nil {
 		t.Fatal("bad checkpoint id accepted")
 	}
 
 	// Checkpoints survive a "restart": a fresh cache over the same dir.
 	id2 := checkpointID(2)
-	if err := c.PutCheckpoint(id2, []byte("other")); err != nil {
+	if err := c.Checkpoints.Put(id2, []byte("other")); err != nil {
 		t.Fatal(err)
 	}
 	reborn, err := NewCache(4, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := reborn.GetCheckpoint(id); !ok || string(got) != "v2" {
+	if got, ok := reborn.Checkpoints.Get(id); !ok || string(got) != "v2" {
 		t.Fatalf("restarted checkpoint = %q, %v", got, ok)
 	}
 	want := []string{id, id2}
 	if id2 < id {
 		want = []string{id2, id}
 	}
-	if got := reborn.Checkpoints(); !reflect.DeepEqual(got, want) {
+	if got := reborn.Checkpoints.List(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Checkpoints() = %v, want %v", got, want)
 	}
 
@@ -195,18 +195,18 @@ func TestCacheCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mem.PutCheckpoint(id, []byte("mem")); err != nil {
+	if err := mem.Checkpoints.Put(id, []byte("mem")); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if err := mem.Put(checkpointID(byte(100+i)), []byte("r")); err != nil {
+		if err := mem.Results.Put(checkpointID(byte(100+i)), []byte("r")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got, ok := mem.GetCheckpoint(id); !ok || string(got) != "mem" {
+	if got, ok := mem.Checkpoints.Get(id); !ok || string(got) != "mem" {
 		t.Fatal("LRU pressure evicted a checkpoint")
 	}
-	if got := mem.Checkpoints(); !reflect.DeepEqual(got, []string{id}) {
+	if got := mem.Checkpoints.List(); !reflect.DeepEqual(got, []string{id}) {
 		t.Fatalf("memory-only Checkpoints() = %v", got)
 	}
 }

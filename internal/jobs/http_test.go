@@ -262,7 +262,7 @@ func TestHTTPCancelJob(t *testing.T) {
 	if len(final.Result) != 0 {
 		t.Fatal("cancelled job carries a result")
 	}
-	if _, ok := s.Cache().Get(view.ID); ok {
+	if _, ok := s.Cache().Results.Get(view.ID); ok {
 		t.Fatal("cancelled job poisoned the cache")
 	}
 }

@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -93,23 +94,42 @@ func (s *Scheduler) journalAs(j *job, edit func(*JobRecord)) bool {
 	}
 	data, err := json.Marshal(rec)
 	if err == nil {
-		err = s.cache.PutJobRecord(rec.ID, data)
+		err = s.cache.JobRecords.Put(rec.ID, data)
 	}
 	if err != nil {
 		s.met.journalErrors.Inc()
-		s.jobLogger(rec.ID, kindOf(rec.Spec)).Warn("journal write failed", "error", err.Error())
+		s.jobLogger(rec.ID, rec.Spec.Kind).Warn("journal write failed", "error", err.Error())
 		return false
 	}
 	s.met.journalWrites.Inc()
 	return true
 }
 
-// kindOf tolerates the nil specs malformed journal records can carry.
-func kindOf(spec *Spec) string {
-	if spec == nil {
-		return ""
+// decodeJobRecord decodes the journal record stored under fileID. It
+// rejects a record that does not parse, names another job, or carries a
+// spec that is missing, invalid (Spec.ID validates it) or hashes to a
+// different ID: replaying such a spec would run one job and cache its
+// bytes under another job's ID, to be served for every later submission
+// of that job.
+func decodeJobRecord(fileID string, data []byte) (JobRecord, error) {
+	var rec JobRecord
+	if err := json.Unmarshal(data, &rec); err != nil {
+		return JobRecord{}, err
 	}
-	return spec.Kind
+	if rec.ID != fileID {
+		return JobRecord{}, fmt.Errorf("record id %q does not match its file", obs.ShortID(rec.ID))
+	}
+	if rec.Spec == nil {
+		return JobRecord{}, errors.New("record has no spec")
+	}
+	specID, err := rec.Spec.ID()
+	if err != nil {
+		return JobRecord{}, err
+	}
+	if specID != fileID {
+		return JobRecord{}, fmt.Errorf("record spec hashes to %s", obs.ShortID(specID))
+	}
+	return rec, nil
 }
 
 // replayJournal rebuilds the previous server life's jobs from the
@@ -125,10 +145,10 @@ func kindOf(spec *Spec) string {
 //   - queued and running records are re-enqueued, oldest first — the
 //     write-ahead property: accepted work survives the process.
 //
-// A record that no longer decodes is logged and skipped; one corrupt
+// A record decodeJobRecord rejects is logged and skipped; one corrupt
 // file must not keep the server from booting.
 func (s *Scheduler) replayJournal() {
-	ids := s.cache.JobRecords()
+	ids := s.cache.JobRecords.List()
 	if len(ids) == 0 {
 		return
 	}
@@ -136,14 +156,14 @@ func (s *Scheduler) replayJournal() {
 	defer span.End()
 	var recs []JobRecord
 	for _, id := range ids {
-		data, ok := s.cache.GetJobRecord(id)
+		data, ok := s.cache.JobRecords.Get(id)
 		if !ok {
 			continue
 		}
-		var rec JobRecord
-		if err := json.Unmarshal(data, &rec); err != nil || rec.Spec == nil || rec.ID != id {
+		rec, err := decodeJobRecord(id, data)
+		if err != nil {
 			s.met.journalSkipped.Inc()
-			s.logger.Warn("journal record skipped", "job_id", obs.ShortID(id), "error", replayErr(err))
+			s.logger.Warn("journal record skipped", "job_id", obs.ShortID(id), "error", err.Error())
 			continue
 		}
 		recs = append(recs, rec)
@@ -209,7 +229,7 @@ func (s *Scheduler) replayRecord(rec JobRecord) bool {
 		return false
 
 	case rec.Status == StatusDone:
-		result, ok := s.cache.Get(rec.ID)
+		result, ok := s.cache.Results.Get(rec.ID)
 		if ok {
 			j.status = StatusDone
 			j.cached = true
@@ -240,11 +260,4 @@ func (s *Scheduler) replayRecord(rec JobRecord) bool {
 		s.jobLogger(j.id, j.spec.Kind).Info("job re-enqueued from journal")
 		return true
 	}
-}
-
-func replayErr(err error) string {
-	if err != nil {
-		return err.Error()
-	}
-	return "record is incomplete"
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"jayanti98/internal/obs"
 	"jayanti98/internal/tenant"
 )
 
@@ -149,7 +150,7 @@ func TestJournalStaleSnapshotNeverLandsLast(t *testing.T) {
 	if !held {
 		t.Fatal("the seam never saw the job's journal record")
 	}
-	data, ok := s.cache.GetJobRecord(id)
+	data, ok := s.cache.JobRecords.Get(id)
 	if !ok {
 		t.Fatal("journal record missing")
 	}
@@ -198,7 +199,7 @@ func TestJournalReplayReenqueuesEveryKind(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := cache.PutJobRecord(id, data); err != nil {
+		if err := cache.JobRecords.Put(id, data); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -359,10 +360,10 @@ func TestJournalDoneRecordWithMissingResultRecomputes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cache.PutJobRecord(id, data); err != nil {
+	if err := cache.JobRecords.Put(id, data); err != nil {
 		t.Fatal(err)
 	}
-	// No cache.Put(id, ...): the result bytes are "gone".
+	// No cache.Results.Put(id, ...): the result bytes are "gone".
 
 	s := newTestScheduler(t, Options{Workers: 1, Cache: cache})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -378,7 +379,10 @@ func TestJournalDoneRecordWithMissingResultRecomputes(t *testing.T) {
 }
 
 // TestJournalCorruptRecordSkipped: one undecodable journal file must not
-// keep the scheduler from booting or from replaying its valid neighbors.
+// keep the scheduler from booting or from replaying its valid neighbors,
+// and a record whose spec does not hash to its ID is never replayed —
+// replaying job A's ID with job B's spec would run B and cache B's bytes
+// under A's ID, to be served for every later submission of A.
 func TestJournalCorruptRecordSkipped(t *testing.T) {
 	swapRunSpec(t, echoRunSpec)
 	dir := t.TempDir()
@@ -397,7 +401,7 @@ func TestJournalCorruptRecordSkipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cache.PutJobRecord(id, data); err != nil {
+	if err := cache.JobRecords.Put(id, data); err != nil {
 		t.Fatal(err)
 	}
 	// ...next to garbage under a plausible ID, and a record whose ID field
@@ -411,19 +415,50 @@ func TestJournalCorruptRecordSkipped(t *testing.T) {
 		[]byte(`{"id":"other","spec":{"kind":"explore","explore":{"mode":"fuzz"}},"status":"queued","created":"2026-01-01T00:00:00Z"}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// Two records whose specs do not hash to their IDs: job A's ID with
+	// job B's spec, and a spec that no longer validates.
+	a := fuzzSpec(5)
+	idA, err := a.ID()
+	if err != nil {
+		t.Fatal(err)
+	}
+	invalidID := strings.Repeat("ef", 32)
+	for id, spec := range map[string]*Spec{
+		idA:       fuzzSpec(6),
+		invalidID: {Kind: KindExplore, Explore: &ExploreSpec{N: 99}},
+	} {
+		data, err := json.Marshal(JobRecord{ID: id, Spec: spec, Status: StatusQueued, Created: time.Now()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cache.JobRecords.Put(id, data); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-	s := newDirScheduler(t, dir, Options{Workers: 1})
+	s := newDirScheduler(t, dir, Options{Workers: 1, Obs: obs.NewRegistry()})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	final, err := s.Wait(ctx, id)
 	if err != nil || final.Status != StatusDone {
 		t.Fatalf("valid record did not replay: %+v, %v", final, err)
 	}
-	if _, ok := s.Get(garbageID); ok {
-		t.Fatal("garbage record produced a job")
+	for _, bad := range []string{garbageID, mismatchID, idA, invalidID} {
+		if _, ok := s.Get(bad); ok {
+			t.Fatalf("rejected record %s produced a job", bad[:8])
+		}
 	}
-	if _, ok := s.Get(mismatchID); ok {
-		t.Fatal("ID-mismatched record produced a job")
+	if got := s.met.journalSkipped.Value(); got != 4 {
+		t.Fatalf("journalSkipped = %d, want 4", got)
+	}
+	view, _, err := s.Submit(fuzzSpec(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, err = s.Wait(ctx, view.ID)
+	want, _ := echoRunSpec(ctx, a, nil, 0)
+	if err != nil || !bytes.Equal(final.Result, want) || final.Cached {
+		t.Fatalf("submission of A = %s (cached %v, %v), want %s computed fresh", final.Result, final.Cached, err, want)
 	}
 }
 
@@ -454,11 +489,32 @@ func TestJournalRecordPrunedWithJob(t *testing.T) {
 	if _, ok := s.Get(firstID); ok {
 		t.Fatal("oldest job was not pruned")
 	}
-	if _, ok := s.Cache().GetJobRecord(firstID); ok {
+	if _, ok := s.Cache().JobRecords.Get(firstID); ok {
 		t.Fatal("pruned job's journal record survived")
 	}
 	// Its result is still content-addressed-cached, though.
-	if _, ok := s.Cache().Get(firstID); !ok {
+	if _, ok := s.Cache().Results.Get(firstID); !ok {
 		t.Fatal("pruning removed the cached result, not just the record")
 	}
+}
+
+// FuzzJournalRecord feeds arbitrary bytes, under an arbitrary file ID, to
+// the decoder boot replay trusts: it must never panic, and every record it
+// accepts must name its file's job and carry a spec that hashes to that
+// ID — corrupt bytes are rejected, never mis-replayed. The committed
+// corpus holds a valid record, garbage, an id/file mismatch, a spec-hash
+// mismatch, an out-of-range spec and a null spec.
+func FuzzJournalRecord(f *testing.F) {
+	f.Fuzz(func(t *testing.T, fileID string, data []byte) {
+		rec, err := decodeJobRecord(fileID, data)
+		if err != nil {
+			return
+		}
+		if rec.ID != fileID {
+			t.Fatalf("accepted record id %q under file %q", rec.ID, fileID)
+		}
+		if specID, err := rec.Spec.ID(); err != nil || specID != fileID {
+			t.Fatalf("accepted record's spec hashes to %q (%v) under file %q", specID, err, fileID)
+		}
+	})
 }

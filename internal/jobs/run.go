@@ -203,12 +203,7 @@ func runExplore(ctx context.Context, spec *ExploreSpec, p *Progress, parallel in
 		N:          spec.N,
 		OpsPerProc: spec.OpsPerProc,
 		Budget:     spec.Budget,
-		// An empty spec field means native, never the process default: the
-		// job's result must not depend on the server's LB_LLSC environment.
-		LLSC: spec.LLSC,
-	}
-	if cfg.LLSC == "" {
-		cfg.LLSC = "native"
+		LLSC:       spec.LLSC,
 	}
 	res := &ExploreResult{Mode: spec.Mode, Failures: []ExploreFailure{}}
 	ctx, span := obs.StartSpan(ctx, "explore "+spec.Mode)

@@ -311,7 +311,7 @@ func (s *Scheduler) registerMetrics() {
 	s.met.journalWrites = r.Counter("store_journal_writes_total", "Job-journal records written through the cache's atomic-file layer.", nil)
 	s.met.journalErrors = r.Counter("store_journal_errors_total", "Job-journal writes that failed (job continues in memory; durability degraded).", nil)
 	s.met.journalReplayed = r.Counter("store_journal_replayed_total", "Journal records rebuilt at boot (terminal jobs restored, pending jobs re-enqueued).", nil)
-	s.met.journalSkipped = r.Counter("store_journal_skipped_total", "Journal records that no longer decode and were skipped at boot.", nil)
+	s.met.journalSkipped = r.Counter("store_journal_skipped_total", "Journal records rejected at boot (undecodable, or not matching their job ID) and skipped.", nil)
 	s.met.journalTombstones = r.Counter("store_journal_tombstones_total", "Journal records tombstoned by an explicit cancel (stay canceled across restarts).", nil)
 	r.GaugeFunc("jobs_queue_depth", "Jobs queued but not yet running, across all tenants.", nil, func() float64 {
 		s.mu.Lock()
@@ -324,7 +324,7 @@ func (s *Scheduler) registerMetrics() {
 		return float64(s.running)
 	})
 	r.GaugeFunc("store_journal_records", "Job-journal records currently held (memory and cache directory).", nil, func() float64 {
-		return float64(len(s.cache.JobRecords()))
+		return float64(len(s.cache.JobRecords.List()))
 	})
 	cacheReading := func(read func(CacheStats) float64) func() float64 {
 		return func() float64 { return read(s.cache.Stats()) }
@@ -445,7 +445,7 @@ func (s *Scheduler) SubmitAs(tenantName string, spec *Spec) (JobView, bool, erro
 		done:     make(chan struct{}),
 	}
 
-	if result, ok := s.cache.Get(id); ok {
+	if result, ok := s.cache.Results.Get(id); ok {
 		now := time.Now()
 		j.status = StatusDone
 		j.cached = true
@@ -529,7 +529,7 @@ func (s *Scheduler) pruneLocked() {
 			break
 		}
 		delete(s.jobs, t.id)
-		s.cache.DeleteJobRecord(t.id)
+		s.cache.JobRecords.Delete(t.id)
 	}
 }
 
@@ -886,7 +886,7 @@ func (s *Scheduler) runJob(j *job) {
 		// The cache write precedes the journal's "done" record, so a
 		// crash between the two replays as a pending job that hits the
 		// cache — never a "done" record without its bytes.
-		if cerr := s.cache.Put(j.id, result); cerr != nil {
+		if cerr := s.cache.Results.Put(j.id, result); cerr != nil {
 			j.mu.Lock()
 			j.status = StatusFailed
 			j.errMsg = cerr.Error()

@@ -211,7 +211,7 @@ func TestSchedulerCancelRunningJob(t *testing.T) {
 		t.Fatal("canceled job carries a result")
 	}
 	// The cancellation must not poison the cache.
-	if _, ok := s.Cache().Get(view.ID); ok {
+	if _, ok := s.Cache().Results.Get(view.ID); ok {
 		t.Fatal("canceled job left an entry in the result cache")
 	}
 	if c := s.Counters(); c.Canceled != 1 || c.Completed != 0 {
@@ -336,7 +336,7 @@ func TestSchedulerPanicIsolation(t *testing.T) {
 	if final.Status != StatusFailed || !strings.Contains(final.Error, "panicked") {
 		t.Fatalf("panicking job = %s (%q), want failed/panicked", final.Status, final.Error)
 	}
-	if _, ok := s.Cache().Get(view.ID); ok {
+	if _, ok := s.Cache().Results.Get(view.ID); ok {
 		t.Fatal("failed job left a cache entry")
 	}
 
@@ -376,7 +376,7 @@ func TestSchedulerJobTimeout(t *testing.T) {
 	if final.Status != StatusCanceled {
 		t.Fatalf("timed-out job = %s, want canceled", final.Status)
 	}
-	if _, ok := s.Cache().Get(view.ID); ok {
+	if _, ok := s.Cache().Results.Get(view.ID); ok {
 		t.Fatal("timed-out job left a cache entry")
 	}
 }

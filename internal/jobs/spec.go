@@ -131,10 +131,8 @@ type ExploreSpec struct {
 	// Budget bounds total steps (0: automatic).
 	Budget int `json:"budget,omitempty"`
 	// LLSC selects the shared-memory backend: "" or "native" (the
-	// pset-based internal/llsc memory) or "bw" (the Blelloch–Wei backend,
-	// internal/algos/bwllsc). Unlike explore.Config, "" here always means
-	// native — a job's result must not depend on the server's LB_LLSC
-	// environment.
+	// pset-based register file of internal/shmem) or "bw" (the
+	// Blelloch–Wei backend, internal/algos/bwllsc), as in explore.Config.
 	LLSC string `json:"llsc,omitempty"`
 }
 

@@ -3,6 +3,7 @@ package llsc
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"jayanti98/internal/shmem"
@@ -26,40 +27,86 @@ func randomOp(rng *rand.Rand, nregs int) shmem.Op {
 	return op
 }
 
-// TestCloneIndependence: a clone starts with the origin's fingerprint and
-// step counts, answers every operation sequence as the origin does, and
-// operations on either never change the other.
+// counters are the register file's running totals a clone must carry.
+type counters struct {
+	total, maxSteps int64
+	maxPid, bits    int
+}
+
+func countersOf(b shmem.Backend) counters {
+	m, ok := b.(*shmem.Memory)
+	if !ok {
+		m = b.(*Memory).mem
+	}
+	max, pid := m.MaxSteps()
+	return counters{m.TotalSteps(), max, pid, m.MaxRegisterBits()}
+}
+
+// TestCloneIndependence: a clone starts with the origin's fingerprint,
+// step counters, running max, bit tracking and initial values, answers
+// every operation sequence as the origin does, and operations on either
+// never change the other. It runs on a Memory and on a bare shmem.Memory,
+// whose Clone the Memory delegates to.
 func TestCloneIndependence(t *testing.T) {
 	const npids, nregs = 3, 4
-	for seed := int64(0); seed < 40; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		m := New(npids)
-		for i := 0; i < 30; i++ {
-			m.Apply(rng.Intn(npids), randomOp(rng, nregs))
-		}
-		c := m.Clone()
-		if !bytes.Equal(m.AppendFingerprint(nil), c.AppendFingerprint(nil)) || m.TotalSteps() != c.TotalSteps() {
-			t.Fatalf("seed %d: clone starts at %q, origin at %q", seed, c.Fingerprint(), m.Fingerprint())
-		}
-		// Step the clone alone, then the origin along the same suffix.
-		before := m.AppendFingerprint(nil)
-		suffix := make([]shmem.Op, 30)
-		pids := make([]int, len(suffix))
-		resps := make([]shmem.Response, len(suffix))
-		for i := range suffix {
-			suffix[i], pids[i] = randomOp(rng, nregs), rng.Intn(npids)
-			resps[i] = c.Apply(pids[i], suffix[i])
-		}
-		if !bytes.Equal(before, m.AppendFingerprint(nil)) {
-			t.Fatalf("seed %d: stepping the clone changed the origin", seed)
-		}
-		for i, op := range suffix {
-			if r := m.Apply(pids[i], op); r.OK != resps[i].OK || !shmem.ValuesEqual(r.Val, resps[i].Val) {
-				t.Fatalf("seed %d step %d %v: origin %v, clone %v", seed, i, op, r, resps[i])
+	init := func(reg int) shmem.Value { return reg * 10 }
+	opts := []shmem.Option{shmem.WithInit(init), shmem.WithBitTracking()}
+	for _, tc := range []struct {
+		name string
+		new  func() shmem.Backend
+	}{
+		{"llsc", func() shmem.Backend { return New(npids, opts...) }},
+		{"shmem", func() shmem.Backend { return shmem.New(opts...) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for seed := int64(0); seed < 40; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				m := tc.new()
+				for i := 0; i < 30; i++ {
+					m.Apply(rng.Intn(npids), randomOp(rng, nregs))
+				}
+				c := m.Clone()
+				if !bytes.Equal(m.AppendFingerprint(nil), c.AppendFingerprint(nil)) || countersOf(m) != countersOf(c) {
+					t.Fatalf("seed %d: clone starts at %q %+v, origin at %q %+v",
+						seed, c.Fingerprint(), countersOf(c), m.Fingerprint(), countersOf(m))
+				}
+				// Step the clone alone, then the origin along the same
+				// suffix. The suffix ends by reading a register no prefix
+				// touches (its initial value) and writing a value wider
+				// than any before it (the bit tracking).
+				before, beforeCounters := m.AppendFingerprint(nil), countersOf(m)
+				suffix := make([]shmem.Op, 30)
+				pids := make([]int, len(suffix))
+				for i := range suffix {
+					suffix[i], pids[i] = randomOp(rng, nregs), rng.Intn(npids)
+				}
+				suffix = append(suffix,
+					shmem.Op{Kind: shmem.OpValidate, Reg: 7},
+					shmem.Op{Kind: shmem.OpSwap, Reg: 0, Arg: strings.Repeat("w", 16)})
+				pids = append(pids, 0, 0)
+				resps := make([]shmem.Response, len(suffix))
+				for i, op := range suffix {
+					resps[i] = c.Apply(pids[i], op)
+				}
+				if got := resps[len(suffix)-2].Val; got != 70 {
+					t.Fatalf("seed %d: clone read untouched R7 as %v, want its initial value 70", seed, got)
+				}
+				if !bytes.Equal(before, m.AppendFingerprint(nil)) || countersOf(m) != beforeCounters {
+					t.Fatalf("seed %d: stepping the clone changed the origin", seed)
+				}
+				if got := countersOf(c); got.total != beforeCounters.total+int64(len(suffix)) || got.bits <= beforeCounters.bits {
+					t.Fatalf("seed %d: clone counters %+v did not move on from the origin's %+v", seed, got, beforeCounters)
+				}
+				for i, op := range suffix {
+					if r := m.Apply(pids[i], op); r.OK != resps[i].OK || !shmem.ValuesEqual(r.Val, resps[i].Val) {
+						t.Fatalf("seed %d step %d %v: origin %v, clone %v", seed, i, op, r, resps[i])
+					}
+				}
+				if !bytes.Equal(m.AppendFingerprint(nil), c.AppendFingerprint(nil)) || countersOf(m) != countersOf(c) {
+					t.Fatalf("seed %d: after the same suffix, clone %q %+v, origin %q %+v",
+						seed, c.Fingerprint(), countersOf(c), m.Fingerprint(), countersOf(m))
+				}
 			}
-		}
-		if !bytes.Equal(m.AppendFingerprint(nil), c.AppendFingerprint(nil)) || m.TotalSteps() != c.TotalSteps() {
-			t.Fatalf("seed %d: after the same suffix, clone %q, origin %q", seed, c.Fingerprint(), m.Fingerprint())
-		}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package llsc
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 
@@ -41,7 +42,7 @@ func TestBasicSemanticsMatchSimulator(t *testing.T) {
 }
 
 func TestWithInit(t *testing.T) {
-	m := New(1, WithInit(func(reg int) shmem.Value { return reg }))
+	m := New(1, shmem.WithInit(func(reg int) shmem.Value { return reg }))
 	if v := m.Handle(0).Read(42); v != 42 {
 		t.Fatalf("init value = %v", v)
 	}
@@ -59,11 +60,11 @@ func TestStepsCounted(t *testing.T) {
 	if got := m.TotalSteps(); got != 3 {
 		t.Fatalf("TotalSteps = %d, want 3", got)
 	}
-	if m.ReadQuiesced(0) != 1 {
-		t.Fatal("ReadQuiesced wrong")
+	if m.Read(0) != 1 {
+		t.Fatal("Read wrong")
 	}
 	if got := m.TotalSteps(); got != 3 {
-		t.Fatal("ReadQuiesced must not charge steps")
+		t.Fatal("Read must not charge steps")
 	}
 }
 
@@ -210,19 +211,19 @@ func TestConcurrentStepBoundHolds(t *testing.T) {
 // its initial value without allocating it, leaving the fingerprint — and
 // therefore the explorer's memo keys — unchanged.
 func TestReadQuiescedDoesNotPerturb(t *testing.T) {
-	m := New(2, WithInit(func(reg int) shmem.Value { return reg + 100 }))
-	if got := m.ReadQuiesced(9); got != 109 {
-		t.Fatalf("ReadQuiesced(9) = %v, want 109 (the initial value)", got)
+	m := New(2, shmem.WithInit(func(reg int) shmem.Value { return reg + 100 }))
+	if got := m.Read(9); got != 109 {
+		t.Fatalf("Read(9) = %v, want 109 (the initial value)", got)
 	}
 	if fp := m.Fingerprint(); fp != "" {
-		t.Fatalf("ReadQuiesced perturbed the fingerprint: %q", fp)
+		t.Fatalf("Read perturbed the fingerprint: %q", fp)
 	}
 	bare := New(2)
-	if got := bare.ReadQuiesced(9); got != nil {
-		t.Fatalf("ReadQuiesced(9) with no init = %v, want nil", got)
+	if got := bare.Read(9); got != nil {
+		t.Fatalf("Read(9) with no init = %v, want nil", got)
 	}
 	if key := string(bare.AppendFingerprint(nil)); key != string(New(2).AppendFingerprint(nil)) {
-		t.Fatal("ReadQuiesced perturbed the binary fingerprint")
+		t.Fatal("Read perturbed the binary fingerprint")
 	}
 	// A real operation still shows up afterwards.
 	m.Handle(0).LL(9)
@@ -300,5 +301,73 @@ func TestFingerprintAgreesWithString(t *testing.T) {
 					i, j, pairs[i].str, pairs[j].str, pairs[i].bin, pairs[j].bin)
 			}
 		}
+	}
+}
+
+// TestConcurrentHandlesAndReaders drives one Memory from n goroutines
+// through their handles while another goroutine reads the whole memory
+// through AppendFingerprint, Fingerprint, Clone, Steps and TotalSteps.
+// The writers keep touching fresh registers, so the readers iterate the
+// register map and touched index while they grow. Under -race this shows
+// that shmem's maps, its step counters and its shared fingerprint scratch
+// buffer all sit under the one mutex.
+func TestConcurrentHandlesAndReaders(t *testing.T) {
+	const n, ops = 4, 200
+	m := New(n)
+	var writers sync.WaitGroup
+	writers.Add(n)
+	for pid := 0; pid < n; pid++ {
+		go func(h *Handle) {
+			defer writers.Done()
+			for i := 0; i < ops; i++ {
+				switch i % 4 {
+				case 0:
+					h.LL(0)
+				case 1:
+					h.SC(0, i)
+				case 2:
+					h.Swap(1+h.ID()*ops+i, i)
+				default:
+					h.Move(0, 1+h.ID()*ops+i)
+				}
+			}
+		}(m.Handle(pid))
+	}
+	done := make(chan struct{})
+	go func() {
+		writers.Wait()
+		close(done)
+	}()
+	readerDone := make(chan int)
+	go func() {
+		rounds := 0
+		var buf []byte
+		for stop := false; !stop; rounds++ {
+			select {
+			case <-done:
+				stop = true
+			default:
+			}
+			buf = m.AppendFingerprint(buf[:0])
+			_ = m.Fingerprint()
+			c := m.Clone()
+			_ = c.AppendFingerprint(nil)
+			_ = m.Steps(rounds%n) + m.TotalSteps()
+		}
+		readerDone <- rounds
+	}()
+	if rounds := <-readerDone; rounds == 0 {
+		t.Fatal("the reader never ran")
+	}
+	if got := m.TotalSteps(); got != n*ops {
+		t.Fatalf("TotalSteps = %d, want %d", got, n*ops)
+	}
+	for pid := 0; pid < n; pid++ {
+		if got := m.Steps(pid); got != ops {
+			t.Fatalf("Steps(%d) = %d, want %d", pid, got, ops)
+		}
+	}
+	if c := m.Clone(); !bytes.Equal(c.AppendFingerprint(nil), m.AppendFingerprint(nil)) {
+		t.Fatal("a quiesced clone differs from its origin")
 	}
 }

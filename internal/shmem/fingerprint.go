@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"strconv"
+	"strings"
 )
 
 // FmtAppender is implemented by register values that render without fmt:
@@ -32,6 +33,21 @@ func AppendFmt(dst []byte, v Value) []byte {
 	return fmt.Appendf(dst, "%v", v)
 }
 
+// Fingerprint renders the register-file state — every touched register's
+// value and Pset, in register order — as a deterministic string. Two
+// memories with equal fingerprints are in identical states (up to
+// registers that were touched and restored to their initial state, which
+// only ever makes the comparison stricter). It is the readable form of
+// AppendFingerprint, for test failures and debugging.
+func (m *Memory) Fingerprint() string {
+	var b strings.Builder
+	for _, i := range m.touched {
+		r := m.regs[i]
+		fmt.Fprintf(&b, "R%d=%v pset=%v;", i, r.val, r.pset.Sorted())
+	}
+	return b.String()
+}
+
 // AppendFingerprint appends a compact binary rendering of the register-file
 // state to dst: a uvarint register count, then per touched register (in
 // increasing index order) a uvarint index, the length-prefixed %v rendering
@@ -39,10 +55,9 @@ func AppendFmt(dst []byte, v Value) []byte {
 // The count prefix makes the block self-delimiting, so callers can
 // concatenate it with other key material without separators.
 //
-// This is the simulated-memory twin of llsc.Memory.AppendFingerprint, with
-// the same encoding; the differential-testing harness (package lockstep)
-// folds it into its exhaustive-search memoization keys, and compares the
-// fingerprints of the two engines' memories directly.
+// The exploration harnesses (packages explore and lockstep) fold it into
+// their memoization keys (DESIGN §11), and every Backend renders this
+// exact byte format.
 func (m *Memory) AppendFingerprint(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(m.touched)))
 	for _, i := range m.touched {

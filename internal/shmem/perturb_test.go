@@ -7,7 +7,7 @@ import (
 
 // TestReadDoesNotPerturbFreshRegister is the PR 6 headline regression
 // test: the read-only checker accessors must not allocate an untouched
-// register, so Touched/Snapshot/Dump are unchanged by them.
+// register, so Touched/Snapshot/Fingerprint are unchanged by them.
 func TestReadDoesNotPerturbFreshRegister(t *testing.T) {
 	m := New(WithInit(func(reg int) Value { return reg * 10 }))
 	if got := m.Read(7); got != 70 {
@@ -22,8 +22,8 @@ func TestReadDoesNotPerturbFreshRegister(t *testing.T) {
 	if snap := m.Snapshot(); len(snap) != 0 {
 		t.Fatalf("checker reads perturbed the snapshot: %v", snap)
 	}
-	if dump := m.Dump(); dump != "" {
-		t.Fatalf("checker reads perturbed the dump: %q", dump)
+	if fp := m.Fingerprint(); fp != "" {
+		t.Fatalf("checker reads perturbed the fingerprint: %q", fp)
 	}
 
 	// A real operation still allocates and initializes as before.

@@ -17,9 +17,10 @@ package shmem
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
+	"slices"
 	"sort"
-	"strings"
 )
 
 // Value is the contents of a shared register. Values are immutable by
@@ -164,16 +165,37 @@ type register struct {
 	pset PidBits
 }
 
+// Backend is the register-file surface the step-driven harnesses drive a
+// memory through: package explore steps and forks its runners' memories
+// with it, and experiment E15 compares final states with it. Memory
+// implements it; so do llsc.Memory, the same register file behind a lock
+// for real goroutines, and the Blelloch–Wei LL/SC-from-CAS construction
+// (package algos/bwllsc), which the differential tests there hold
+// byte-identical to Memory: same responses, same fingerprint bytes.
+type Backend interface {
+	// Apply performs op on behalf of pid (sched.Memory).
+	Apply(pid int, op Op) Response
+	// Fingerprint renders the state as a readable string.
+	Fingerprint() string
+	// AppendFingerprint appends the binary rendering of the same state,
+	// in exactly the byte format of Memory.AppendFingerprint.
+	AppendFingerprint(dst []byte) []byte
+	// Clone returns an independent memory in the same state: equal
+	// fingerprints and step counts now, and every operation sequence then
+	// gives both the same responses. Operations on either never change
+	// the other. Exhaustive exploration forks its runners with it.
+	Clone() Backend
+}
+
 // Memory is the shared memory: an unbounded register file plus per-process
 // shared-access step counters. Memory is not safe for concurrent use; the
-// lower-bound machinery drives it from a single scheduler goroutine. For a
-// concurrent linearizable variant usable from many goroutines, see package
-// llsc.
+// lower-bound machinery and the schedule explorer drive it from one
+// goroutine. Package llsc puts it behind a mutex for real goroutines.
 type Memory struct {
 	regs map[int]*register
 	// touched holds the indices of allocated registers in increasing
-	// order, maintained on first touch so Snapshot/Touched/Dump never
-	// sort (DESIGN §11).
+	// order, maintained on first touch so Snapshot, Touched and the
+	// fingerprints never sort (DESIGN §11).
 	touched []int
 	initVal func(reg int) Value
 	steps   map[int]int64
@@ -300,9 +322,8 @@ func (m *Memory) Apply(pid int, op Op) Response {
 // reporting code; algorithms must go through Apply.
 //
 // Reading an untouched register returns its initial value without
-// allocating it: the register stays out of Touched, Snapshot, and Dump.
-// (Until PR 6 this routed through the lazily-allocating register lookup,
-// so a documented-as-non-perturbing checker read changed all three.)
+// allocating it: the register stays out of Touched, Snapshot, and the
+// fingerprints, so a checker's read never splits one state into two.
 func (m *Memory) Read(i int) Value {
 	if r, ok := m.regs[i]; ok {
 		return r.val
@@ -357,12 +378,17 @@ func (m *Memory) Touched() []int {
 	return append([]int(nil), m.touched...)
 }
 
-// Dump renders the touched registers, for debugging.
-func (m *Memory) Dump() string {
-	var b strings.Builder
-	for _, i := range m.touched {
-		r := m.regs[i]
-		fmt.Fprintf(&b, "R%d = %v Pset=%v\n", i, r.val, r.pset.Sorted())
+// Clone implements Backend: a deep copy of the register file (values are
+// immutable and shared; Psets are copied), the step counters with their
+// running max, the initial-value function and the bit tracking.
+func (m *Memory) Clone() Backend {
+	c := *m
+	c.regs = make(map[int]*register, len(m.regs))
+	for i, r := range m.regs {
+		c.regs[i] = &register{val: r.val, pset: slices.Clone(r.pset)}
 	}
-	return b.String()
+	c.touched = slices.Clone(m.touched)
+	c.steps = maps.Clone(m.steps)
+	c.fpScratch = nil
+	return &c
 }

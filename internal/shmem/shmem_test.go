@@ -1,6 +1,7 @@
 package shmem
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -224,6 +225,35 @@ func TestSnapshotSortedPsets(t *testing.T) {
 	want := []int{1, 3, 5}
 	if !reflect.DeepEqual(snap[0].Pset, want) {
 		t.Fatalf("snapshot Pset = %v, want %v", snap[0].Pset, want)
+	}
+}
+
+// TestFingerprintAndClone pins the string fingerprint's format, and that a
+// clone starts in its origin's state, links included, and then moves on
+// independently. The randomized clone checks run in package llsc
+// (TestCloneIndependence) and against the Blelloch–Wei backend in package
+// algos/bwllsc.
+func TestFingerprintAndClone(t *testing.T) {
+	m := New()
+	m.Apply(1, Op{Kind: OpLL, Reg: 2})
+	m.Apply(0, Op{Kind: OpSwap, Reg: 0, Arg: "x"})
+	m.Apply(3, Op{Kind: OpLL, Reg: 2})
+	const want = "R0=x pset=[];R2=<nil> pset=[1 3];"
+	if got := m.Fingerprint(); got != want {
+		t.Fatalf("Fingerprint = %q, want %q", got, want)
+	}
+	c := m.Clone()
+	if got := c.Fingerprint(); got != want || !bytes.Equal(c.AppendFingerprint(nil), m.AppendFingerprint(nil)) {
+		t.Fatalf("clone starts at %q, origin at %q", got, want)
+	}
+	if r := c.Apply(1, Op{Kind: OpSC, Reg: 2, Arg: "y"}); !r.OK {
+		t.Fatal("the clone lost p1's link")
+	}
+	if got := m.Fingerprint(); got != want {
+		t.Fatalf("stepping the clone changed the origin to %q", got)
+	}
+	if r := m.Apply(3, Op{Kind: OpSC, Reg: 2, Arg: "z"}); !r.OK {
+		t.Fatal("the origin lost p3's link")
 	}
 }
 
