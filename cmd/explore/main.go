@@ -32,7 +32,6 @@ import (
 
 	"jayanti98/internal/algos"
 	"jayanti98/internal/explore"
-	"jayanti98/internal/llsc"
 	"jayanti98/internal/machine"
 	"jayanti98/internal/universal"
 )
@@ -79,7 +78,7 @@ func main() {
 		}
 		machine.SetDefaultEngine(eng)
 	}
-	if _, err := llsc.ParseBackend(opts.LLSC); err != nil {
+	if _, err := explore.ParseBackend(opts.LLSC); err != nil {
 		log.Print(err)
 		os.Exit(2)
 	}

@@ -89,10 +89,10 @@ type reference interface {
 // both.
 var references = []struct {
 	name string
-	new  func(n int, opts ...shmem.Option) reference
+	new  func(n int) reference
 }{
-	{"shmem", func(_ int, opts ...shmem.Option) reference { return shmem.New(opts...) }},
-	{"llsc", func(n int, opts ...shmem.Option) reference { return llsc.New(n, opts...) }},
+	{"shmem", func(int) reference { return shmem.New() }},
+	{"llsc", func(n int) reference { return llsc.New(n) }},
 }
 
 // TestDifferentialAgainstNative is the core backend claim, op by op: an
@@ -107,7 +107,7 @@ func TestDifferentialAgainstNative(t *testing.T) {
 	}
 }
 
-func testDifferentialAgainstNative(t *testing.T, newRef func(int, ...shmem.Option) reference) {
+func testDifferentialAgainstNative(t *testing.T, newRef func(int) reference) {
 	const npids, nregs = 4, 5
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -197,43 +197,26 @@ func testFingerprintAllocationParity(t *testing.T, a reference) {
 
 // TestWithInit mirrors shmem.WithInit: initial register values come from
 // the option and show up in fingerprints identically on both backends.
+// llsc.Memory takes no options, so it has no row here.
 func TestWithInit(t *testing.T) {
 	init := func(reg int) shmem.Value { return reg * 10 }
-	for _, ref := range references {
-		a := ref.new(2, shmem.WithInit(init))
-		b := bwllsc.New(2, bwllsc.WithInit(init))
-		op := shmem.Op{Kind: shmem.OpValidate, Reg: 3}
-		if ra, rb := a.Apply(0, op), b.Apply(0, op); ra.Val != 30 || rb.Val != 30 {
-			t.Fatalf("%s: initial values = %v / %v, want 30", ref.name, ra.Val, rb.Val)
-		}
-		if !bytes.Equal(a.AppendFingerprint(nil), b.AppendFingerprint(nil)) {
-			t.Fatalf("%s: fingerprints diverge:\n  native %q\n  bw     %q", ref.name, a.Fingerprint(), b.Fingerprint())
-		}
+	a := shmem.New(shmem.WithInit(init))
+	b := bwllsc.New(2, bwllsc.WithInit(init))
+	op := shmem.Op{Kind: shmem.OpValidate, Reg: 3}
+	if ra, rb := a.Apply(0, op), b.Apply(0, op); ra.Val != 30 || rb.Val != 30 {
+		t.Fatalf("initial values = %v / %v, want 30", ra.Val, rb.Val)
+	}
+	if !bytes.Equal(a.AppendFingerprint(nil), b.AppendFingerprint(nil)) {
+		t.Fatalf("fingerprints diverge:\n  native %q\n  bw     %q", a.Fingerprint(), b.Fingerprint())
 	}
 }
 
 // TestBackendInterface pins the memories to the shared Backend surface the
-// exploration harness selects between.
+// exploration harness selects between (explore.ParseBackend).
 func TestBackendInterface(t *testing.T) {
 	var _ shmem.Backend = shmem.New()
 	var _ shmem.Backend = llsc.New(2)
 	var _ shmem.Backend = bwllsc.New(2)
-	for _, tc := range []struct {
-		in   string
-		want llsc.BackendKind
-		ok   bool
-	}{
-		{"", llsc.BackendNative, true},
-		{"native", llsc.BackendNative, true},
-		{"bw", llsc.BackendBW, true},
-		{"blelloch-wei", llsc.BackendBW, true},
-		{"bogus", 0, false},
-	} {
-		got, err := llsc.ParseBackend(tc.in)
-		if (err == nil) != tc.ok || (tc.ok && got != tc.want) {
-			t.Errorf("ParseBackend(%q) = (%v, %v), want (%v, ok=%v)", tc.in, got, err, tc.want, tc.ok)
-		}
-	}
 }
 
 // TestCloneKeepsLinks: cloning remaps node identities, yet in the clone an
@@ -292,7 +275,7 @@ func TestCloneDifferential(t *testing.T) {
 	}
 }
 
-func testCloneDifferential(t *testing.T, newRef func(int, ...shmem.Option) reference) {
+func testCloneDifferential(t *testing.T, newRef func(int) reference) {
 	const npids, nregs = 4, 4
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))

@@ -3,15 +3,15 @@
 // interleavings.
 //
 // A *schedule* is a sequence of process ids; step i of a run delivers the
-// pending shared-memory operation of process schedule[i] to the concurrent
-// memory (package llsc) and resumes that process, exactly the step
-// granularity of sched.Execute. The harness runs a fixed workload — every
-// process performs OpsPerProc operations on the construction under test —
-// and checks the resulting concurrent history for linearizability two ways:
-// incrementally after every event with a linz.Online checker (so violations
-// are flagged at the precise event that causes them), and post-hoc with
-// linz.Check on completed runs (cross-validating the two checkers against
-// each other).
+// pending shared-memory operation of process schedule[i] to the shared
+// memory (a shmem.Backend; see Config.LLSC) and resumes that process,
+// exactly the step granularity of sched.Execute. The harness runs a fixed
+// workload — every process performs OpsPerProc operations on the
+// construction under test — and checks the resulting concurrent history for
+// linearizability two ways: incrementally after every event with a
+// linz.Online checker (so violations are flagged at the precise event that
+// causes them), and post-hoc with linz.Check on completed runs
+// (cross-validating the two checkers against each other).
 //
 // Three entry points:
 //
@@ -50,9 +50,7 @@ import (
 	"strings"
 
 	"jayanti98/internal/algos"
-	"jayanti98/internal/algos/bwllsc"
 	"jayanti98/internal/linz"
-	"jayanti98/internal/llsc"
 	"jayanti98/internal/machine"
 	"jayanti98/internal/objtype"
 	"jayanti98/internal/shmem"
@@ -189,22 +187,10 @@ func (cfg Config) validate() error {
 	if cfg.OpsPerProc < 1 {
 		return fmt.Errorf("explore: ops per process must be >= 1, got %d", cfg.OpsPerProc)
 	}
-	if _, err := llsc.ParseBackend(cfg.LLSC); err != nil {
+	if _, err := ParseBackend(cfg.LLSC); err != nil {
 		return err
 	}
 	return nil
-}
-
-// newBackend builds the configured shared-memory backend.
-func (cfg Config) newBackend() (shmem.Backend, error) {
-	kind, err := llsc.ParseBackend(cfg.LLSC)
-	if err != nil {
-		return nil, err
-	}
-	if kind == llsc.BackendBW {
-		return bwllsc.New(cfg.N), nil
-	}
-	return shmem.New(), nil
 }
 
 // FailureKind classifies what went wrong in a run.

@@ -21,7 +21,7 @@ type Replay struct {
 	// reproducing budget-exhaustion failures.
 	Budget int `json:"budget,omitempty"`
 	// LLSC is the LL/SC backend the failure was found on ("" = native; see
-	// llsc.ParseBackend). The backends are proven equivalent, but a replay
+	// ParseBackend). The backends are proven equivalent, but a replay
 	// must reproduce on the backend that produced it.
 	LLSC string `json:"llsc,omitempty"`
 	// Seed is the fuzz sample seed the failure was found with (provenance

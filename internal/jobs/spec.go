@@ -26,7 +26,6 @@ import (
 	"jayanti98/internal/campaign"
 	"jayanti98/internal/experiments"
 	"jayanti98/internal/explore"
-	"jayanti98/internal/llsc"
 	"jayanti98/internal/lowerbound"
 	"jayanti98/internal/universal"
 )
@@ -206,8 +205,8 @@ func (s *Spec) Normalize() {
 			// Canonicalize backend aliases ("blelloch-wei" → "bw"); the
 			// native backend's canonical spelling is the empty field, so
 			// pre-backend job IDs stay valid cache keys.
-			if kind, err := llsc.ParseBackend(e.LLSC); err == nil {
-				if kind == llsc.BackendNative {
+			if kind, err := explore.ParseBackend(e.LLSC); err == nil {
+				if kind == explore.BackendNative {
 					e.LLSC = ""
 				} else {
 					e.LLSC = "bw"
@@ -307,7 +306,7 @@ func (s *Spec) Validate() error {
 			}
 		}
 		if e.LLSC != "" {
-			if _, err := llsc.ParseBackend(e.LLSC); err != nil {
+			if _, err := explore.ParseBackend(e.LLSC); err != nil {
 				return fmt.Errorf("jobs: %w", err)
 			}
 		}

@@ -33,10 +33,9 @@ type Memory struct {
 
 var _ shmem.Backend = (*Memory)(nil)
 
-// New creates a concurrent shared memory for n processes; opts configure
-// the register file (shmem.WithInit).
-func New(n int, opts ...shmem.Option) *Memory {
-	return &Memory{n: n, mem: shmem.New(opts...)}
+// New creates a concurrent shared memory for n processes.
+func New(n int) *Memory {
+	return &Memory{n: n, mem: shmem.New()}
 }
 
 // Handle returns the port of process pid. Handles are lightweight; any

@@ -41,8 +41,15 @@ func TestBasicSemanticsMatchSimulator(t *testing.T) {
 	}
 }
 
+// withInit builds a Memory over a register file with initial values f.
+// New takes no options, since no caller needs one, so tests that want
+// initial values build the struct directly.
+func withInit(n int, f func(reg int) shmem.Value) *Memory {
+	return &Memory{n: n, mem: shmem.New(shmem.WithInit(f))}
+}
+
 func TestWithInit(t *testing.T) {
-	m := New(1, shmem.WithInit(func(reg int) shmem.Value { return reg }))
+	m := withInit(1, func(reg int) shmem.Value { return reg })
 	if v := m.Handle(0).Read(42); v != 42 {
 		t.Fatalf("init value = %v", v)
 	}
@@ -211,7 +218,7 @@ func TestConcurrentStepBoundHolds(t *testing.T) {
 // its initial value without allocating it, leaving the fingerprint — and
 // therefore the explorer's memo keys — unchanged.
 func TestReadQuiescedDoesNotPerturb(t *testing.T) {
-	m := New(2, shmem.WithInit(func(reg int) shmem.Value { return reg + 100 }))
+	m := withInit(2, func(reg int) shmem.Value { return reg + 100 })
 	if got := m.Read(9); got != 109 {
 		t.Fatalf("Read(9) = %v, want 109 (the initial value)", got)
 	}
@@ -307,19 +314,28 @@ func TestFingerprintAgreesWithString(t *testing.T) {
 // TestConcurrentHandlesAndReaders drives one Memory from n goroutines
 // through their handles while another goroutine reads the whole memory
 // through AppendFingerprint, Fingerprint, Clone, Steps and TotalSteps.
-// The writers keep touching fresh registers, so the readers iterate the
+// The writers keep touching fresh registers, so the reader iterates the
 // register map and touched index while they grow. Under -race this shows
 // that shmem's maps, its step counters and its shared fingerprint scratch
 // buffer all sit under the one mutex.
+//
+// The writers start only after the reader's first round, and halfway
+// through they wait for its second. So the second round overlaps the
+// writers' first halves, and nothing but the mutex orders them.
 func TestConcurrentHandlesAndReaders(t *testing.T) {
 	const n, ops = 4, 200
 	m := New(n)
+	start, overlapped, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
 	var writers sync.WaitGroup
 	writers.Add(n)
 	for pid := 0; pid < n; pid++ {
 		go func(h *Handle) {
 			defer writers.Done()
+			<-start
 			for i := 0; i < ops; i++ {
+				if i == ops/2 {
+					<-overlapped
+				}
 				switch i % 4 {
 				case 0:
 					h.LL(0)
@@ -333,32 +349,33 @@ func TestConcurrentHandlesAndReaders(t *testing.T) {
 			}
 		}(m.Handle(pid))
 	}
-	done := make(chan struct{})
+	readerDone := make(chan struct{})
 	go func() {
-		writers.Wait()
-		close(done)
-	}()
-	readerDone := make(chan int)
-	go func() {
-		rounds := 0
+		defer close(readerDone)
 		var buf []byte
-		for stop := false; !stop; rounds++ {
-			select {
-			case <-done:
-				stop = true
-			default:
-			}
+		read := func(round int) {
 			buf = m.AppendFingerprint(buf[:0])
 			_ = m.Fingerprint()
 			c := m.Clone()
 			_ = c.AppendFingerprint(nil)
-			_ = m.Steps(rounds%n) + m.TotalSteps()
+			_ = m.Steps(round%n) + m.TotalSteps()
 		}
-		readerDone <- rounds
+		read(0)
+		close(start)
+		read(1)
+		close(overlapped)
+		for round := 2; ; round++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			read(round)
+		}
 	}()
-	if rounds := <-readerDone; rounds == 0 {
-		t.Fatal("the reader never ran")
-	}
+	writers.Wait()
+	close(done)
+	<-readerDone
 	if got := m.TotalSteps(); got != n*ops {
 		t.Fatalf("TotalSteps = %d, want %d", got, n*ops)
 	}
