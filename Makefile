@@ -134,13 +134,15 @@ fuzz-short:
 	$(GO) test ./internal/wakeup/ -run '^$$' -fuzz '^FuzzPidMemo$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/linz/ -run '^$$' -fuzz '^FuzzOnlineMemo$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/jobs/ -run '^$$' -fuzz '^FuzzJournalRecord$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/campaign/ -run '^$$' -fuzz '^FuzzCheckpoint$$' -fuzztime $(FUZZTIME)
 
 # Differential proof that the bytecode VM and the goroutine interpreter are
 # observably identical: exhaustive lockstep exploration at n ∈ {2,3} for
 # every compiled construction, the committed fuzz corpus, the compiler
-# edge-case suite, and the -race chunk-sharing stress tests.
+# edge-case suite, the both-engine golden adversary traces, and the -race
+# chunk-sharing stress tests.
 vm-equivalence:
-	$(GO) test ./internal/vmachine/ ./internal/machine/ ./internal/lockstep/
+	$(GO) test ./internal/vmachine/ ./internal/machine/ ./internal/lockstep/ ./internal/trace/
 	$(GO) test -race ./internal/lockstep/
 
 # Differential proof that the zoo's TAS protocols and the Blelloch–Wei

@@ -335,7 +335,7 @@ func BenchmarkMachineStep(b *testing.B) {
 			e.Read(0)
 		}
 	})
-	m := machine.StartEngine(alg, 0, 1, machine.EngineGoroutine)
+	m := machine.Start(alg, 0, 1)
 	defer m.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -364,7 +364,7 @@ func BenchmarkVMStep(b *testing.B) {
 			e.Read(0)
 		}
 	}, chunk)
-	m := machine.StartEngine(alg, 0, 1, machine.EngineVM)
+	m := machine.Start(alg, 0, 1)
 	defer m.Close()
 	if m.EngineName() != "vm" {
 		b.Fatalf("engine = %q", m.EngineName())

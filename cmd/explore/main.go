@@ -5,7 +5,7 @@
 // Usage:
 //
 //	explore [-alg name] [-object workload] [-n N] [-k ops] [-mode exhaustive|fuzz]
-//	        [-samples S] [-seed V] [-budget B] [-parallel P] [-out dir] [-engine E]
+//	        [-samples S] [-seed V] [-budget B] [-parallel P] [-out dir]
 //	        [-llsc native|bw]
 //	explore -replay file.json
 //
@@ -32,7 +32,6 @@ import (
 
 	"jayanti98/internal/algos"
 	"jayanti98/internal/explore"
-	"jayanti98/internal/machine"
 	"jayanti98/internal/universal"
 )
 
@@ -68,16 +67,7 @@ func main() {
 	flag.StringVar(&opts.Out, "out", "", "fuzz: directory for JSON replay files of failures")
 	flag.StringVar(&opts.Replay, "replay", "", "re-execute a replay file bit-for-bit and exit")
 	flag.StringVar(&opts.LLSC, "llsc", "", "shared-memory backend: native or bw")
-	engine := flag.String("engine", "", "execution engine: auto, goroutine, or vm (default $LB_ENGINE, else auto)")
 	flag.Parse()
-	if *engine != "" {
-		eng, err := machine.ParseEngine(*engine)
-		if err != nil {
-			log.Print(err)
-			os.Exit(2)
-		}
-		machine.SetDefaultEngine(eng)
-	}
 	if _, err := explore.ParseBackend(opts.LLSC); err != nil {
 		log.Print(err)
 		os.Exit(2)

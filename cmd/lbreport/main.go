@@ -33,7 +33,6 @@ import (
 	"strings"
 
 	"jayanti98/internal/experiments"
-	"jayanti98/internal/machine"
 	"jayanti98/internal/sweep"
 )
 
@@ -58,15 +57,7 @@ func main() {
 	timing := flag.Bool("timing", true, "append a wall-clock line after each experiment")
 	names := flag.String("experiments", "", "comma-separated experiment subset: "+strings.Join(experiments.Names(), ","))
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	engine := flag.String("engine", "", "execution engine: auto, goroutine, or vm (default $LB_ENGINE, else auto)")
 	flag.Parse()
-	if *engine != "" {
-		eng, err := machine.ParseEngine(*engine)
-		if err != nil {
-			log.Fatal(err)
-		}
-		machine.SetDefaultEngine(eng)
-	}
 	opts := options{Quick: *quick, Parallel: sweep.Workers(*parallel), Timing: *timing}
 	if *names != "" {
 		opts.Experiments = strings.Split(*names, ",")

@@ -101,15 +101,7 @@ func main() {
 	flag.BoolVar(&opts.showRounds, "rounds", false, "print the per-round schedule (text mode only)")
 	flag.BoolVar(&opts.tryCatch, "catch", false, "attempt the Theorem 6.1 catch via the (S,A)-run")
 	flag.BoolVar(&opts.jsonOut, "json", false, "emit one JSON object on stdout instead of text")
-	engine := flag.String("engine", "", "execution engine: auto, goroutine, or vm (default $LB_ENGINE, else auto)")
 	flag.Parse()
-	if *engine != "" {
-		eng, err := machine.ParseEngine(*engine)
-		if err != nil {
-			log.Fatal(err)
-		}
-		machine.SetDefaultEngine(eng)
-	}
 
 	caught, err := run(os.Stdout, opts)
 	if err != nil {

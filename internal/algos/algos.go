@@ -34,8 +34,8 @@ type Spec struct {
 	Op objtype.Op
 	// Type builds the sequential spec instance for n processes.
 	Type func(n int) objtype.Type
-	// New builds the algorithm (a machine.NewCompiled pair, so it runs on
-	// both engines).
+	// New builds the algorithm: a machine.NewCompiled pair, so explore
+	// runs its chunk on the VM and can fork it.
 	New func(n int) machine.Algorithm
 	// MaxN bounds the process count (0: unbounded). The Tromp–Vitányi
 	// protocol is inherently two-process.

@@ -30,8 +30,8 @@
 // winner takes its first step.
 //
 // Each algorithm is a machine.NewCompiled pair — a direct-style Go body and
-// a vmachine program compiled at package init — so it runs on either
-// engine; package lockstep holds the two forms step-equivalent.
+// a vmachine program compiled at package init. machine.Start runs the
+// program on the VM; package lockstep holds the two forms step-equivalent.
 package tas
 
 import (

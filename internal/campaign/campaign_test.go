@@ -4,8 +4,6 @@ import (
 	"context"
 	"reflect"
 	"testing"
-
-	"jayanti98/internal/machine"
 )
 
 func testSpec() *Spec {
@@ -152,22 +150,6 @@ func TestCampaignDeterministic(t *testing.T) {
 	}
 	if a.Corpus.Len() == 0 {
 		t.Fatal("3 rounds kept nothing — novelty detection is broken")
-	}
-}
-
-// TestCampaignEngineIndependent: the corpus a campaign evolves on the
-// bytecode VM is the corpus it evolves on the goroutine engine — the
-// coverage digests are engine-independent, so replicas may mix engines.
-func TestCampaignEngineIndependent(t *testing.T) {
-	digests := make(map[machine.Engine]string)
-	for _, eng := range []machine.Engine{machine.EngineGoroutine, machine.EngineVM} {
-		prev := machine.SetDefaultEngine(eng)
-		st := runRounds(t, testSpec(), 2, 2)
-		machine.SetDefaultEngine(prev)
-		digests[eng] = st.Corpus.Digest()
-	}
-	if digests[machine.EngineGoroutine] != digests[machine.EngineVM] {
-		t.Fatal("corpus evolution differs between engines")
 	}
 }
 

@@ -474,7 +474,6 @@ func TestMaxStepsAndUPAccessors(t *testing.T) {
 // churn or per-step UP-set clones would push it far past the pin.
 func TestRunAllAllocs(t *testing.T) {
 	const n, maxAllocs = 64, 5050 // measured: 4922
-	defer machine.SetDefaultEngine(machine.SetDefaultEngine(machine.EngineVM))
 	got := testing.AllocsPerRun(5, func() {
 		if _, err := RunAll(wakeup.SetRegister(), n, machine.ZeroTosses, Config{NoHistory: true}); err != nil {
 			t.Fatal(err)

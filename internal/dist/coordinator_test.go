@@ -79,6 +79,8 @@ func TestCoordinatorLeaseResultMerge(t *testing.T) {
 	done := runJob(c, context.Background(), "job1", spec)
 
 	seen := 0
+	var last *Grant
+	var lastPayload []byte
 	deadline := time.Now().Add(10 * time.Second)
 	for seen < 3 && time.Now().Before(deadline) {
 		g := c.Lease("w1")
@@ -97,7 +99,14 @@ func TestCoordinatorLeaseResultMerge(t *testing.T) {
 		if err := c.Result(g.ShardID, g.Lease, HashPayload(payload), payload); err != nil {
 			t.Fatalf("upload shard %s: %v", g.ShardID, err)
 		}
-		// Duplicate upload of a done shard is acknowledged idempotently.
+		if seen == 3 {
+			// The final upload finishes the job, which Run then removes:
+			// its duplicate is checked after Run returns.
+			last, lastPayload = g, payload
+			continue
+		}
+		// Duplicate upload of a done shard, while its job still has work
+		// left, is acknowledged idempotently.
 		if err := c.Result(g.ShardID, g.Lease, HashPayload(payload), payload); err != nil {
 			t.Fatalf("duplicate upload: %v", err)
 		}
@@ -113,9 +122,13 @@ func TestCoordinatorLeaseResultMerge(t *testing.T) {
 	if !bytes.Equal(out.payload, serial) {
 		t.Fatalf("distributed result differs from serial\nserial: %s\ndist:   %s", serial, out.payload)
 	}
-	// The ledger is clean afterwards: late traffic gets ErrUnknownShard.
+	// The ledger is clean afterwards: late traffic, the final shard's
+	// duplicate upload included, gets ErrUnknownShard.
 	if err := c.Heartbeat("job1.0", 1); !errors.Is(err, ErrUnknownShard) {
 		t.Fatalf("heartbeat after completion = %v, want ErrUnknownShard", err)
+	}
+	if err := c.Result(last.ShardID, last.Lease, HashPayload(lastPayload), lastPayload); !errors.Is(err, ErrUnknownShard) {
+		t.Fatalf("duplicate upload after completion = %v, want ErrUnknownShard", err)
 	}
 	if st := c.Snapshot(); len(st.Jobs) != 0 || st.PendingShards != 0 {
 		t.Fatalf("ledger not empty after completion: %+v", st)

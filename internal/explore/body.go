@@ -6,12 +6,16 @@ import (
 	"jayanti98/internal/vmachine"
 )
 
-// This file compiles the construction workload body of newRunner: the
-// leading start-barrier toss, then per operation the invoke event, the
-// construction's compiled Invoke twin (universal.InvokeStmts), and the
-// return event. Each construction's chunk compiles once at package init;
-// a runner binds its machines to itself through the host value, so the
-// natives below append to that runner's event log.
+// This file compiles the construction workload body of newRunner: one
+// leading toss, then per operation the invoke event, the construction's
+// compiled Invoke twin (universal.InvokeStmts), and the return event.
+// Each construction's chunk compiles once at package init; a runner binds
+// its machines to itself through the host value, so the natives below
+// append to that runner's event log.
+//
+// The leading toss orders nothing on the VM, but toss logs, RunGuided's
+// toss RNG streams, replay files and cached fuzz results all record it,
+// so dropping it would change every one of them.
 
 // Construction reports the construction a runner's compiled body invokes
 // (universal.Host).
@@ -55,7 +59,7 @@ func bodyProgram(name string, invoke []vmachine.Stmt) *vmachine.Program {
 		vmachine.AssignS{Name: "i", E: vmachine.AddE{A: i, B: vmachine.ConstE{V: vmachine.Int(1)}}},
 	)
 	return &vmachine.Program{Name: "explore/" + name, Body: []vmachine.Stmt{
-		vmachine.DoS{E: vmachine.TossE{}}, // the start barrier
+		vmachine.DoS{E: vmachine.TossE{}}, // the recorded leading toss
 		vmachine.AssignS{Name: "i", E: vmachine.ConstE{V: vmachine.Int(0)}},
 		vmachine.LoopS{Body: loop},
 		vmachine.ReturnS{E: vmachine.ConstE{V: vmachine.Nil()}},

@@ -20,7 +20,7 @@ import (
 // earlier input produced. The digest is engine-independent: the lockstep
 // harness (internal/lockstep) proves machine digests and memory
 // fingerprints agree between the goroutine interpreter and the bytecode
-// VM, so a coverage map built on one engine is valid for the other.
+// VM.
 
 // CoverRecord is a RunRecord plus the run's coverage trace.
 type CoverRecord struct {
@@ -77,7 +77,6 @@ func RunGuided(cfg Config, prefix []int, seed int64, tossRange int64) (*CoverRec
 	if err != nil {
 		return nil, err
 	}
-	defer r.close()
 
 	var keyBuf []byte
 	seen := make(map[uint64]struct{}, 64)

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-
-	"jayanti98/internal/machine"
 )
 
 func guidedConfig() Config {
@@ -78,30 +76,6 @@ func TestRunGuidedReplaysPrefix(t *testing.T) {
 	}
 	if !reflect.DeepEqual(orig.Trace, replay.Trace) {
 		t.Fatal("prefix replay reached a different trace")
-	}
-}
-
-// TestRunGuidedTraceEngineIndependent is the coverage layer's load-bearing
-// property: the state digests are computed from machine history digests and
-// memory fingerprints that the lockstep harness proves equal across
-// engines, so a corpus built on one engine is valid for the other.
-func TestRunGuidedTraceEngineIndependent(t *testing.T) {
-	cfg := guidedConfig()
-	traces := make(map[machine.Engine][][]uint64)
-	for _, eng := range []machine.Engine{machine.EngineGoroutine, machine.EngineVM} {
-		prev := machine.SetDefaultEngine(eng)
-		for seed := int64(0); seed < 8; seed++ {
-			rec, err := RunGuided(cfg, nil, seed, 2)
-			if err != nil {
-				machine.SetDefaultEngine(prev)
-				t.Fatal(err)
-			}
-			traces[eng] = append(traces[eng], rec.Trace)
-		}
-		machine.SetDefaultEngine(prev)
-	}
-	if !reflect.DeepEqual(traces[machine.EngineGoroutine], traces[machine.EngineVM]) {
-		t.Fatal("state-digest traces differ between engines")
 	}
 }
 

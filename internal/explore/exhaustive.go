@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"jayanti98/internal/linz"
 	"jayanti98/internal/sweep"
 )
 
@@ -17,10 +16,7 @@ type Report struct {
 	// steps are counted once per branch; the count is nevertheless
 	// deterministic at every worker count.
 	States int
-	// Runs counts the DFS nodes visited, the root included. A node counts
-	// once however it got its runner: a fork of its parent's, the parent's
-	// own, or (goroutine engine only) a rebuilt runner that re-executed
-	// the prefix.
+	// Runs counts the DFS nodes visited, the root included.
 	Runs int
 	// Complete counts runs in which every process terminated.
 	Complete int
@@ -38,17 +34,14 @@ type Report struct {
 }
 
 // exhaustiveWorker explores the subtree under one first step with its own
-// visited set and online-checker memo. The memo lives as long as the
-// branch: every runner of the branch — forks included — checks its
-// history on it, so repeated checker events are map lookups. Neither the
-// memo nor a runner is goroutine-safe, so forks never leave their
-// branch's worker.
+// visited set, on a fresh runner whose online-checker memo lives as long
+// as the branch: every fork of the runner checks its history on it, so
+// repeated checker events are map lookups. Neither the memo nor a runner
+// is goroutine-safe, so forks never leave their branch's worker.
 type exhaustiveWorker struct {
 	ctx       context.Context
-	cfg       Config
 	visited   map[string]bool
-	memo      *linz.Memo // nil until the first runner creates it
-	keyBuf    []byte     // reused memo-key scratch (appendMemoKey)
+	keyBuf    []byte // reused memo-key scratch (appendMemoKey)
 	runs      int
 	complete  int
 	truncated int
@@ -71,7 +64,7 @@ func Exhaustive(cfg Config, workers int) (*Report, error) {
 // ExhaustiveCtx is Exhaustive under a context: cancellation aborts the
 // search — both across branches (no new branch is dispatched) and inside a
 // branch (the DFS checks ctx at every node) — and returns ctx.Err(). A
-// cancelled search yields no report and leaves no runner open.
+// cancelled search yields no report.
 func ExhaustiveCtx(ctx context.Context, cfg Config, workers int) (*Report, error) {
 	root, err := newRunner(cfg, nil)
 	if err != nil {
@@ -82,12 +75,10 @@ func ExhaustiveCtx(ctx context.Context, cfg Config, workers int) (*Report, error
 	if root.fail != nil {
 		rep.Failure = root.fail
 		rep.Record = root.record()
-		root.close()
 		return rep, nil
 	}
 	if root.done() {
 		if err := root.finalCheck(); err != nil {
-			root.close()
 			return nil, err
 		}
 		rep.Complete = 1
@@ -95,11 +86,9 @@ func ExhaustiveCtx(ctx context.Context, cfg Config, workers int) (*Report, error
 		if root.fail != nil {
 			rep.Record = root.record()
 		}
-		root.close()
 		return rep, nil
 	}
 	branches := root.enabled()
-	root.close()
 
 	type branchResult struct {
 		states, runs, complete, truncated int
@@ -107,8 +96,12 @@ func ExhaustiveCtx(ctx context.Context, cfg Config, workers int) (*Report, error
 		record                            *RunRecord
 	}
 	results, err := sweep.MapCtx(ctx, workers, len(branches), func(i int) (branchResult, error) {
-		w := &exhaustiveWorker{ctx: ctx, cfg: cfg, visited: make(map[string]bool)}
-		f, rec, err := w.dfs([]int{branches[i]}, nil)
+		r, err := newRunner(cfg, nil)
+		if err != nil {
+			return branchResult{}, err
+		}
+		w := &exhaustiveWorker{ctx: ctx, visited: make(map[string]bool)}
+		f, rec, err := w.dfs(branches[i], r)
 		if err != nil {
 			return branchResult{}, err
 		}
@@ -130,39 +123,18 @@ func ExhaustiveCtx(ctx context.Context, cfg Config, workers int) (*Report, error
 	return rep, nil
 }
 
-// dfs visits the DFS node reached by prefix and recurses on every enabled
-// process. When r is non-nil it is a live runner that has executed all of
-// prefix but its last pid — the parent's own runner or a fork of it — and
-// the node steps only that pid. Otherwise the node builds a runner and
-// executes prefix from scratch. Either way the node owns r and closes it
-// on every exit, unless it hands r on to a child. It returns the first
-// failure found in its subtree (with the failing run's record), or nil if
-// the subtree is clean.
-func (e *exhaustiveWorker) dfs(prefix []int, r *runner) (*Failure, *RunRecord, error) {
+// dfs visits the DFS node reached by stepping pid on r, a live runner at
+// the parent node: the parent's own runner or a fork of it. It recurses on
+// every enabled process and returns the first failure found in its
+// subtree (with the failing run's record), or nil if the subtree is clean.
+func (e *exhaustiveWorker) dfs(pid int, r *runner) (*Failure, *RunRecord, error) {
 	if err := e.ctx.Err(); err != nil {
-		if r != nil {
-			r.close()
-		}
 		return nil, nil, err
 	}
 	e.runs++
-	if r != nil {
-		if !r.step(prefix[len(prefix)-1]) && r.fail == nil {
-			r.close()
-			return nil, nil, fmt.Errorf("explore: internal: pid %d not enabled after its parent node", prefix[len(prefix)-1])
-		}
-	} else {
-		var err error
-		if r, err = e.replay(prefix); err != nil {
-			return nil, nil, err
-		}
+	if !r.step(pid) && r.fail == nil {
+		return nil, nil, fmt.Errorf("explore: internal: pid %d not enabled after its parent node", pid)
 	}
-	handed := false
-	defer func() {
-		if !handed {
-			r.close()
-		}
-	}()
 	if r.fail != nil {
 		return r.fail, r.record(), nil
 	}
@@ -191,43 +163,16 @@ func (e *exhaustiveWorker) dfs(prefix []int, r *runner) (*Failure, *RunRecord, e
 	// Every child but the last steps a fork of this node's runner, and the
 	// last continues the runner itself, so no prefix is ever re-executed.
 	// A node holds its runner until its last child, so at most depth + 1
-	// runners are live. Goroutine machines cannot be forked: then the
-	// first child continues the runner and later siblings rebuild theirs
-	// and replay their prefix, keeping one runner (cfg.N goroutines) live.
+	// runners are live.
 	en := r.enabled()
-	forkable := r.forkable()
-	for i, pid := range en {
-		var live *runner
-		switch {
-		case forkable && i < len(en)-1:
+	for i, next := range en {
+		live := r
+		if i < len(en)-1 {
 			live = r.fork()
-		case forkable || i == 0:
-			live, handed = r, true
 		}
-		f, rec, err := e.dfs(append(prefix[:len(prefix):len(prefix)], pid), live)
-		if f != nil || err != nil {
+		if f, rec, err := e.dfs(next, live); f != nil || err != nil {
 			return f, rec, err
 		}
 	}
 	return nil, nil, nil
-}
-
-// replay builds a runner on the worker's memo and executes prefix on it
-// from scratch.
-func (e *exhaustiveWorker) replay(prefix []int) (*runner, error) {
-	r, err := newRunner(e.cfg, e.memo)
-	if err != nil {
-		return nil, err
-	}
-	e.memo = r.memo
-	for _, pid := range prefix {
-		if r.fail != nil {
-			break
-		}
-		if !r.step(pid) && r.fail == nil {
-			r.close()
-			return nil, fmt.Errorf("explore: internal: prefix pid %d not enabled during re-execution", pid)
-		}
-	}
-	return r, nil
 }

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"jayanti98/internal/machine"
 	"jayanti98/internal/sweep"
 )
 
@@ -21,7 +20,6 @@ func referenceExhaustive(cfg Config, workers int) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer root.close()
 	cfg.Budget = root.budget
 	rep := &Report{Cfg: cfg, Runs: 1}
 	if root.fail != nil {
@@ -76,7 +74,6 @@ func (w *referenceWorker) dfs(prefix []int) (*Failure, *RunRecord, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	defer r.close()
 	w.runs++
 	for _, pid := range prefix {
 		if r.fail != nil {
@@ -108,9 +105,7 @@ func (w *referenceWorker) dfs(prefix []int) (*Failure, *RunRecord, error) {
 		return nil, nil, nil
 	}
 	w.visited[key] = true
-	next := r.enabled()
-	r.close()
-	for _, pid := range next {
+	for _, pid := range r.enabled() {
 		f, rec, err := w.dfs(append(prefix[:len(prefix):len(prefix)], pid))
 		if f != nil || err != nil {
 			return f, rec, err
@@ -193,7 +188,7 @@ func (c *cancelAfter) Err() error {
 }
 
 // waitGoroutines waits for the goroutine count to fall back to base; a
-// closed machine's goroutine may take a moment to exit.
+// finished worker's goroutine may take a moment to exit.
 func waitGoroutines(t *testing.T, base int, after string) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -206,44 +201,33 @@ func waitGoroutines(t *testing.T, base int, after string) {
 	}
 }
 
-// TestExhaustiveClosesEveryRunner: every runner a search builds, forks or
-// hands on is closed exactly once, whether the search is clean, fails, or
-// is cancelled in the middle, so no machine goroutine outlives it. VM
-// machines own no goroutine, so the goroutine engine is what gives the
-// count teeth; the VM run checks that forking searches end cleanly too.
-//
-// Deliberately NOT parallel: SetDefaultEngine is process-global state.
-func TestExhaustiveClosesEveryRunner(t *testing.T) {
-	for _, eng := range []machine.Engine{machine.EngineGoroutine, machine.EngineAuto} {
-		t.Run(eng.String(), func(t *testing.T) {
-			prev := machine.SetDefaultEngine(eng)
-			defer machine.SetDefaultEngine(prev)
-			base := runtime.NumGoroutine()
-			rep, err := Exhaustive(Config{Alg: "group-update", Object: "fetch-increment", N: 2, OpsPerProc: 1}, 1)
-			if err != nil || rep.Failure != nil {
-				t.Fatalf("clean search: %v, %v", err, rep.Failure)
-			}
-			waitGoroutines(t, base, "a clean search")
+// TestExhaustiveLeavesNoGoroutine: no goroutine outlives a search,
+// whether it is clean, fails, or is cancelled in the middle at one or
+// several workers.
+func TestExhaustiveLeavesNoGoroutine(t *testing.T) {
+	base := runtime.NumGoroutine()
+	rep, err := Exhaustive(Config{Alg: "group-update", Object: "fetch-increment", N: 2, OpsPerProc: 1}, 1)
+	if err != nil || rep.Failure != nil {
+		t.Fatalf("clean search: %v, %v", err, rep.Failure)
+	}
+	waitGoroutines(t, base, "a clean search")
 
-			rep, err = Exhaustive(Config{Alg: "central", Object: "fetch-increment", N: 2, OpsPerProc: 1, Budget: 5}, 1)
-			if err != nil || rep.Failure == nil {
-				t.Fatalf("failing search: %v, %+v", err, rep)
-			}
-			waitGoroutines(t, base, "a failing search")
+	rep, err = Exhaustive(Config{Alg: "central", Object: "fetch-increment", N: 2, OpsPerProc: 1, Budget: 5}, 1)
+	if err != nil || rep.Failure == nil {
+		t.Fatalf("failing search: %v, %+v", err, rep)
+	}
+	waitGoroutines(t, base, "a failing search")
 
-			// Cancel at several depths of the search, so that some
-			// cancellations find a node holding a handed-on runner.
-			for _, workers := range []int{1, 4} {
-				for _, after := range []int64{3, 40, 200, 201} {
-					ctx := &cancelAfter{Context: context.Background()}
-					ctx.n.Store(after)
-					if _, err := ExhaustiveCtx(ctx, Config{Alg: "central", Object: "fetch-increment", N: 3, OpsPerProc: 1}, workers); err != context.Canceled {
-						t.Fatalf("search cancelled after %d checks at %d workers: err = %v, want context.Canceled", after, workers, err)
-					}
-					waitGoroutines(t, base, fmt.Sprintf("a search cancelled after %d checks at %d workers", after, workers))
-				}
+	// Cancel at several depths of the search.
+	for _, workers := range []int{1, 4} {
+		for _, after := range []int64{3, 40, 200, 201} {
+			ctx := &cancelAfter{Context: context.Background()}
+			ctx.n.Store(after)
+			if _, err := ExhaustiveCtx(ctx, Config{Alg: "central", Object: "fetch-increment", N: 3, OpsPerProc: 1}, workers); err != context.Canceled {
+				t.Fatalf("search cancelled after %d checks at %d workers: err = %v, want context.Canceled", after, workers, err)
 			}
-		})
+			waitGoroutines(t, base, fmt.Sprintf("a search cancelled after %d checks at %d workers", after, workers))
+		}
 	}
 }
 
@@ -289,7 +273,6 @@ func TestRunnerFork(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer ref.close()
 			stepAll(t, ref, append(append([]int(nil), tc.prefix...), tc.suffix...))
 			want := stateOf(ref)
 
@@ -297,14 +280,9 @@ func TestRunnerFork(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer origin.close()
 			stepAll(t, origin, tc.prefix)
-			if !origin.forkable() {
-				t.Fatal("runner on the default engine is not forkable")
-			}
 			atFork := stateOf(origin)
 			fork := origin.fork()
-			defer fork.close()
 			if got := stateOf(fork); !reflect.DeepEqual(got, atFork) {
 				t.Fatalf("fork starts at\n  %+v\norigin is at\n  %+v", got, atFork)
 			}
@@ -313,7 +291,6 @@ func TestRunnerFork(t *testing.T) {
 				t.Fatalf("stepping the fork moved the origin to\n  %+v", got)
 			}
 			second := origin.fork()
-			defer second.close()
 			stepAll(t, origin, tc.suffix)
 			for name, r := range map[string]*runner{"fork": fork, "origin": origin} {
 				if got := stateOf(r); !reflect.DeepEqual(got, want) {

@@ -21,11 +21,9 @@
 //     through their compiled Invoke twins (body.go) — so a runner can be
 //     forked: each node hands a fork of its runner to every enabled child
 //     but the last, and its own runner to the last, and every child
-//     executes exactly one more step. No prefix is re-executed. Under the
-//     goroutine engine, whose machines cannot be forked, the first child
-//     continues the runner and later siblings rebuild one and re-execute
-//     their prefix. The runners of one branch share an online-checker
-//     memo (linz.Memo), so repeated checker events cost a lookup each.
+//     executes exactly one more step. No prefix is re-executed. The
+//     runners of one branch share an online-checker memo (linz.Memo), so
+//     repeated checker events cost a lookup each.
 //     The memoization key is the product of the machine history digests
 //     (operational local state, Lemma 5.2), the memory fingerprint, and
 //     the online checker's configuration-set key — the last component is
@@ -246,17 +244,10 @@ func (e event) String() string {
 	return fmt.Sprintf("p%d return %v -> %v", e.proc, e.op, e.resp)
 }
 
-// eventLog is the shared history log. On the VM engine the compiled body's
-// natives append to it in-line, inside the scheduler's own resume call. On
-// the goroutine engine appends happen on workload-body goroutines and
-// reads on the engine goroutine, but never concurrently: a body appends
-// only between two yields to the engine, and the engine reads only after
-// receiving the body's next action, so every append happens-before every
-// subsequent read (the machine's channels carry the ordering). The one
-// exception — machine startup, when all bodies run concurrently until
-// their first yield — is closed by the leading marker toss in the body
-// (see bodyProgram). The log is append-only, which is what lets a forked
-// runner share its prefix (runner.fork).
+// eventLog is the shared history log. The compiled body's natives append
+// to it in-line, inside the scheduler's own resume call. The log is
+// append-only, which is what lets a forked runner share its prefix
+// (runner.fork).
 type eventLog struct {
 	events []event
 }
@@ -325,14 +316,12 @@ type runner struct {
 	executed []int
 	steps    int
 	fail     *Failure
-	closed   bool
 }
 
 // newRunner builds the system and advances every process to its first
 // shared-memory operation (or termination). Its online checker shares
 // memo's sets and transitions; a nil memo gives the runner a private one,
-// which r.memo then holds for the caller to reuse. The returned runner
-// must be closed.
+// which r.memo then holds for the caller to reuse.
 func newRunner(cfg Config, memo *linz.Memo) (*runner, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -374,23 +363,9 @@ func newRunner(cfg Config, memo *linz.Memo) (*runner, error) {
 		pending: make([]pendingOp, cfg.N),
 		tossLog: make([][]int64, cfg.N),
 	}
-	// The body's one leading Toss is a start barrier: goroutine machines
-	// all run concurrently until their first yield, so nothing may touch
-	// the shared event log before it. Everything after is serialized by
-	// the engine. bodyProgram is the same body compiled; the VM runs it,
-	// bound to r through the host value.
-	body := func(e *machine.Env) shmem.Value {
-		e.Toss()
-		pid := e.ID()
-		for i := 0; i < cfg.OpsPerProc; i++ {
-			op := w.op(pid, i)
-			r.log.events = append(r.log.events, event{proc: pid, kind: evInvoke, op: op})
-			resp := cons.Invoke(e, op)
-			r.log.events = append(r.log.events, event{proc: pid, kind: evReturn, op: op, resp: resp})
-		}
-		return nil
-	}
-	alg := machine.NewHosted(cfg.Alg+"+"+cfg.Object, body, bodyChunks[cfg.Alg], r)
+	// The body (bodyProgram) runs only on the VM, bound to r through the
+	// host value, so it has no direct-style twin.
+	alg := machine.NewHosted(cfg.Alg+"+"+cfg.Object, nil, bodyChunks[cfg.Alg], r)
 	r.ms = machine.StartAll(alg, cfg.N)
 	for pid := 0; pid < cfg.N && r.fail == nil; pid++ {
 		r.advance(pid)
@@ -400,8 +375,7 @@ func newRunner(cfg Config, memo *linz.Memo) (*runner, error) {
 
 // newRawRunner builds a runner for a zoo algorithm (see Config.Alg). The
 // algorithm's machines run the protocol directly — no construction wrapper,
-// no event-appending body closure, so compiled algorithms run on either
-// engine. History events are synthesized by the engine instead: the invoke
+// no event-appending body. History events are synthesized by the engine instead: the invoke
 // of a process's one operation at its first delivered shared step, the
 // return at its termination. A process scheduled for no steps has therefore
 // not invoked, which is what lets the checker hold zoo algorithms to the
@@ -453,26 +427,7 @@ func newRawRunner(cfg Config, spec algos.Spec, memo *linz.Memo) (*runner, error)
 	return r, nil
 }
 
-func (r *runner) close() {
-	if r.closed {
-		return
-	}
-	r.closed = true
-	machine.CloseAll(r.ms)
-}
-
-// forkable reports whether every machine runs on the VM engine, whose
-// state fork can copy; a goroutine machine's cannot be.
-func (r *runner) forkable() bool {
-	for _, m := range r.ms {
-		if m.EngineName() != "vm" {
-			return false
-		}
-	}
-	return true
-}
-
-// fork returns an independent copy of a forkable runner at its current
+// fork returns an independent copy of the runner at its current
 // state: forked machines bound to the copy (machine.Machine.Fork), a
 // cloned memory and online checker, and the append-only logs shared up to
 // their current length (a full slice expression makes the copy's first
@@ -734,7 +689,6 @@ func RunSchedule(cfg Config, schedule []int) (*RunRecord, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer r.close()
 	for _, pid := range schedule {
 		if r.fail != nil || r.done() {
 			break

@@ -180,7 +180,6 @@ func fuzzOne(cfg Config, seed int64, tossRange int64, memo *linz.Memo) (*RunReco
 	if err != nil {
 		return nil, nil, err
 	}
-	defer r.close()
 	for r.fail == nil && !r.done() {
 		en := r.enabled()
 		if len(en) == 0 {

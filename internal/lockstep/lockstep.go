@@ -1,10 +1,10 @@
 // Package lockstep is the differential-testing harness that proves the two
-// machine engines equivalent: it runs a goroutine-engine fleet and a
-// VM-engine fleet of the same compiled algorithm over the same schedule,
-// against two independent shared memories, and asserts after every single
-// step that everything observable matches — pending actions, memory
-// responses, history digests, step and toss counts, register-file
-// fingerprints, terminal status and return values.
+// machine engines equivalent: it runs a goroutine-engine fleet of a
+// compiled algorithm's direct-style body and a VM-engine fleet of its
+// chunk over the same schedule, against two independent shared memories,
+// and asserts after every single step that everything observable matches
+// — pending actions, memory responses, history digests, step and toss
+// counts, register-file fingerprints, terminal status and return values.
 //
 // The harness runs in three modes: Run replays one explicit schedule
 // (driven directly by tests and by the FuzzVMEquivalence fuzz target);
@@ -57,9 +57,11 @@ type Pair struct {
 	step int
 }
 
-// NewPair starts both fleets. The algorithm must be compiled
-// (machine.Compiled); otherwise the "VM" fleet would silently fall back to
-// the goroutine engine and the comparison would be vacuous.
+// NewPair starts both fleets: the VM fleet runs alg itself, and the
+// goroutine fleet runs its body wrapped as a plain algorithm
+// (machine.New). The algorithm must be compiled (machine.Compiled);
+// otherwise both fleets would run the same body and the comparison would
+// be vacuous.
 func NewPair(alg machine.Algorithm, n int) (*Pair, error) {
 	if _, ok := alg.(machine.Compiled); !ok {
 		return nil, fmt.Errorf("lockstep: %s is not a compiled algorithm", alg.Name())
@@ -67,20 +69,10 @@ func NewPair(alg machine.Algorithm, n int) (*Pair, error) {
 	p := &Pair{
 		alg:  alg,
 		n:    n,
-		gms:  machine.StartAllEngine(alg, n, machine.EngineGoroutine),
-		vms:  machine.StartAllEngine(alg, n, machine.EngineVM),
+		gms:  machine.StartAll(machine.New(alg.Name(), alg.Run), n),
+		vms:  machine.StartAll(alg, n),
 		gmem: shmem.New(),
 		vmem: shmem.New(),
-	}
-	for pid := 0; pid < n; pid++ {
-		if got := p.gms[pid].EngineName(); got != "goroutine" {
-			p.Close()
-			return nil, fmt.Errorf("lockstep: %s: reference fleet on engine %q", alg.Name(), got)
-		}
-		if got := p.vms[pid].EngineName(); got != "vm" {
-			p.Close()
-			return nil, fmt.Errorf("lockstep: %s: subject fleet on engine %q", alg.Name(), got)
-		}
 	}
 	return p, nil
 }

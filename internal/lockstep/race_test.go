@@ -23,7 +23,7 @@ func TestChunksSharedAcrossGoroutines(t *testing.T) {
 	const n = 6
 	_, err := sweep.Map(8, tasks, func(i int) (int, error) {
 		alg := algs[i%len(algs)]
-		ms := machine.StartAllEngine(alg, n, machine.EngineVM)
+		ms := machine.StartAll(alg, n)
 		defer machine.CloseAll(ms)
 		if got := ms[0].EngineName(); got != "vm" {
 			return 0, fmt.Errorf("task %d: engine %q, want vm", i, got)

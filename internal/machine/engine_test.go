@@ -21,73 +21,33 @@ func testChunk(t *testing.T) *vmachine.Chunk {
 
 func testBody(e *Env) shmem.Value { return e.LL(0) }
 
-func TestParseEngine(t *testing.T) {
-	valid := map[string]Engine{
-		"":          EngineAuto,
-		"auto":      EngineAuto,
-		"goroutine": EngineGoroutine,
-		"go":        EngineGoroutine,
-		"interp":    EngineGoroutine,
-		"vm":        EngineVM,
-		"bytecode":  EngineVM,
-	}
-	for s, want := range valid {
-		got, err := ParseEngine(s)
-		if err != nil || got != want {
-			t.Fatalf("ParseEngine(%q) = %v, %v; want %v", s, got, err, want)
-		}
-	}
-	if _, err := ParseEngine("quantum"); err == nil {
-		t.Fatal("ParseEngine accepted an unknown engine")
-	}
-}
-
-// TestEngineSelection pins the engine resolution matrix: which engine a
-// machine actually runs on, for compiled and uncompiled algorithms, under
-// each Engine value.
+// TestEngineSelection pins the rule that the algorithm picks its engine:
+// a compiled chunk runs on the VM, a plain body on a goroutine, and a
+// hosted chunk with no body at all on the VM.
 func TestEngineSelection(t *testing.T) {
-	compiled := NewCompiled("compiled", testBody, testChunk(t))
-	plain := New("plain", testBody)
 	cases := []struct {
 		alg  Algorithm
-		eng  Engine
 		want string
 	}{
-		{compiled, EngineAuto, "vm"},
-		{compiled, EngineVM, "vm"},
-		{compiled, EngineGoroutine, "goroutine"},
-		{plain, EngineAuto, "goroutine"},
-		{plain, EngineVM, "goroutine"}, // no chunk: graceful fallback
-		{plain, EngineGoroutine, "goroutine"},
+		{NewCompiled("compiled", testBody, testChunk(t)), "vm"},
+		{New("plain", testBody), "goroutine"},
+		{NewHosted("vm-only", nil, testChunk(t), nil), "vm"},
 	}
 	for _, c := range cases {
-		m := StartEngine(c.alg, 0, 1, c.eng)
+		m := Start(c.alg, 0, 1)
 		got := m.EngineName()
+		if got == "vm" {
+			// The VM runs the chunk: LL(0), then return its value.
+			m.DeliverOpResponse(shmem.Response{OK: true, Val: 5})
+			if a := m.Peek(); a.Kind != ActReturn || a.Ret != 5 {
+				t.Fatalf("%s: final action %+v, want return 5", c.alg.Name(), a)
+			}
+		}
 		m.Close()
 		if got != c.want {
-			t.Fatalf("StartEngine(%s, %v) ran on %q, want %q", c.alg.Name(), c.eng, got, c.want)
+			t.Fatalf("Start(%s) ran on %q, want %q", c.alg.Name(), got, c.want)
 		}
 	}
-}
-
-func TestSetDefaultEngineRoundTrip(t *testing.T) {
-	prev := SetDefaultEngine(EngineGoroutine)
-	defer SetDefaultEngine(prev)
-	compiled := NewCompiled("compiled", testBody, testChunk(t))
-	m := Start(compiled, 0, 1)
-	defer m.Close()
-	if got := m.EngineName(); got != "goroutine" {
-		t.Fatalf("default engine override ignored: machine on %q", got)
-	}
-	if cur := SetDefaultEngine(EngineVM); cur != EngineGoroutine {
-		t.Fatalf("SetDefaultEngine returned %v, want %v", cur, EngineGoroutine)
-	}
-	m2 := Start(compiled, 0, 1)
-	defer m2.Close()
-	if got := m2.EngineName(); got != "vm" {
-		t.Fatalf("default engine vm ignored: machine on %q", got)
-	}
-	SetDefaultEngine(EngineGoroutine) // prev restored by the deferred call
 }
 
 // TestEnginesSameObservables runs the same compiled algorithm to completion
@@ -113,8 +73,8 @@ func TestEnginesSameObservables(t *testing.T) {
 			vmachine.ReturnS{E: vmachine.ConstE{V: vmachine.Nil()}},
 		},
 	}))
-	run := func(eng Engine) (string, int, shmem.Value, string) {
-		m := StartEngine(alg, 0, 1, eng)
+	run := func(alg Algorithm) (string, int, shmem.Value, string) {
+		m := Start(alg, 0, 1)
 		defer m.Close()
 		mem := shmem.New()
 		for {
@@ -129,8 +89,8 @@ func TestEnginesSameObservables(t *testing.T) {
 			}
 		}
 	}
-	gk, gs, gr, ge := run(EngineGoroutine)
-	vk, vs, vr, ve := run(EngineVM)
+	gk, gs, gr, ge := run(New(alg.Name(), alg.Run))
+	vk, vs, vr, ve := run(alg)
 	if ge != "goroutine" || ve != "vm" {
 		t.Fatalf("engines = %q/%q", ge, ve)
 	}
@@ -187,7 +147,7 @@ func TestForkIndependence(t *testing.T) {
 		return "origin"
 	}
 	alg := NewHosted("fork-test", body, chunk, "origin")
-	m := StartEngine(alg, 0, 1, EngineVM)
+	m := Start(alg, 0, 1)
 	defer m.Close()
 	m.DeliverOpResponse(shmem.Response{OK: true, Val: 3})
 	if m.Peek().Kind != ActToss {
@@ -209,7 +169,7 @@ func TestForkIndependence(t *testing.T) {
 	}
 
 	// Different inputs: the origin does not move.
-	o := StartEngine(alg, 0, 1, EngineVM)
+	o := Start(alg, 0, 1)
 	defer o.Close()
 	o.DeliverOpResponse(shmem.Response{OK: true})
 	before := o.HistoryKey()
@@ -220,7 +180,7 @@ func TestForkIndependence(t *testing.T) {
 		t.Fatalf("stepping the fork moved the origin: %s → %s, pending %v", before, o.HistoryKey(), o.Peek().Kind)
 	}
 
-	g := StartEngine(alg, 0, 1, EngineGoroutine)
+	g := Start(New(alg.Name(), alg.Run), 0, 1)
 	defer g.Close()
 	if g.Fork(nil) != nil {
 		t.Fatal("a goroutine machine forked")

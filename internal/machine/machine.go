@@ -13,14 +13,16 @@
 // Section 5 — total control over interleaving while keeping algorithm code
 // readable.
 //
-// Two engines can sit behind a Machine (see Engine): the goroutine engine
-// parks the direct-style body on its own goroutine and shuttles actions and
-// responses over channels, and the VM engine single-steps a compiled
-// bytecode chunk in-line (package vmachine). Algorithms that carry a chunk
-// (NewCompiled, or NewHosted for a chunk bound to per-run state) run on
-// either; schedulers cannot tell them apart — package lockstep proves that
-// statement mechanically. A VM machine's whole state is copyable, so it
-// can also be forked (Machine.Fork); a goroutine machine cannot.
+// Two engines can sit behind a Machine, and the algorithm picks one (see
+// Start): the VM engine single-steps a compiled bytecode chunk in-line
+// (package vmachine) and runs every algorithm that carries one
+// (NewCompiled, or NewHosted for a chunk bound to per-run state); the
+// goroutine engine parks any other direct-style body on its own goroutine
+// and shuttles actions and responses over channels. Schedulers cannot tell
+// the two apart — package lockstep proves that statement mechanically by
+// running a compiled algorithm's body, wrapped in New, against its chunk.
+// A VM machine's whole state is copyable, so it can also be forked
+// (Machine.Fork); a goroutine machine cannot.
 //
 // A Machine also records the full history of inputs it consumed and actions
 // it emitted. Two machines running the same algorithm that consumed
@@ -216,14 +218,13 @@ type driver interface {
 	close()
 }
 
-// Machine is one resumable process. Create with Start (or StartEngine),
-// drive with Peek/DeliverToss/DeliverOpResponse, and always Close when done
-// with it (Close is idempotent and safe on terminated machines).
+// Machine is one resumable process. Create with Start, drive with
+// Peek/DeliverToss/DeliverOpResponse, and always Close when done with it
+// (Close is idempotent and safe on terminated machines).
 //
 // Machine is not safe for concurrent use by multiple scheduler goroutines.
 type Machine struct {
 	id     int
-	alg    Algorithm
 	drv    driver
 	engine string
 
@@ -239,10 +240,23 @@ type Machine struct {
 	noHistory  bool
 }
 
-// Start launches process id of n running alg under the session's default
-// engine (see SetDefaultEngine and the LB_ENGINE environment variable).
+// Start launches process id of n running alg. The algorithm picks the
+// engine: a Compiled algorithm runs its chunk on the VM, bound to its host
+// (NewHosted); any other runs its body on a goroutine.
 func Start(alg Algorithm, id, n int) *Machine {
-	return StartEngine(alg, id, n, DefaultEngine())
+	m := &Machine{id: id, dig: newDigest()}
+	if c, ok := alg.(Compiled); ok {
+		var host any
+		if ca, ok := alg.(*compiledAlgorithm); ok {
+			host = ca.host
+		}
+		m.drv = startVMDriver(c.Chunk(), id, n, host)
+		m.engine = "vm"
+	} else {
+		m.drv = startGoDriver(alg, id, n)
+		m.engine = "goroutine"
+	}
+	return m
 }
 
 // ID returns the process identifier.
@@ -382,17 +396,11 @@ func (m *Machine) Fork(host any) *Machine {
 // runner) for every started machine.
 func (m *Machine) Close() { m.drv.close() }
 
-// StartAll starts machines for processes 0..n-1 of alg under the default
-// engine.
+// StartAll starts machines for processes 0..n-1 of alg.
 func StartAll(alg Algorithm, n int) []*Machine {
-	return StartAllEngine(alg, n, DefaultEngine())
-}
-
-// StartAllEngine starts machines for processes 0..n-1 of alg under eng.
-func StartAllEngine(alg Algorithm, n int, eng Engine) []*Machine {
 	ms := make([]*Machine, n)
 	for i := 0; i < n; i++ {
-		ms[i] = StartEngine(alg, i, n, eng)
+		ms[i] = Start(alg, i, n)
 	}
 	return ms
 }

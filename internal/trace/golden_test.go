@@ -23,9 +23,10 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden trace files")
 // accidental change to phase ordering, UP bookkeeping, or the step
 // renderer shows up as a diff naming the first divergent round.
 //
-// Every case runs twice, once on each execution engine: the wakeup
-// algorithms all carry compiled chunks, so the bytecode VM must reproduce
-// the goroutine interpreter's trace byte for byte. (-update regenerates
+// Every case runs twice, once on each execution engine: the algorithms
+// all carry compiled chunks, so the bytecode VM (the algorithm itself)
+// must reproduce the trace of its direct-style body on the goroutine
+// engine (machine.New over its Run) byte for byte. (-update regenerates
 // from the goroutine engine and then checks the VM against the result.)
 func TestGoldenTraces(t *testing.T) {
 	cases := []struct {
@@ -48,15 +49,19 @@ func TestGoldenTraces(t *testing.T) {
 		{tas.TrompVitanyi(), 2, 0, lowerbound.HashTosses(3), "tas_tv_n2_seed3.json"},
 		{tas.Tournament(), 4, 0, lowerbound.HashTosses(3), "tas_tournament_n4_seed3.json"},
 	}
-	engines := []machine.Engine{machine.EngineGoroutine, machine.EngineVM}
 	for _, tc := range cases {
 		tc := tc
+		engines := []struct {
+			name string
+			alg  machine.Algorithm
+		}{
+			{"goroutine", machine.New(tc.alg.Name(), tc.alg.Run)},
+			{"vm", tc.alg},
+		}
 		t.Run(tc.file, func(t *testing.T) {
 			golden := filepath.Join("testdata", tc.file)
 			if *updateGolden {
-				prev := machine.SetDefaultEngine(machine.EngineGoroutine)
-				got := captureCase(t, tc.alg, tc.n, tc.seed, tc.ta)
-				machine.SetDefaultEngine(prev)
+				got := captureCase(t, engines[0].alg, tc.n, tc.seed, tc.ta)
 				data, err := got.MarshalIndent()
 				if err != nil {
 					t.Fatal(err)
@@ -78,10 +83,8 @@ func TestGoldenTraces(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, eng := range engines {
-				t.Run(eng.String(), func(t *testing.T) {
-					prev := machine.SetDefaultEngine(eng)
-					defer machine.SetDefaultEngine(prev)
-					got := captureCase(t, tc.alg, tc.n, tc.seed, tc.ta)
+				t.Run(eng.name, func(t *testing.T) {
+					got := captureCase(t, eng.alg, tc.n, tc.seed, tc.ta)
 					data, err := got.MarshalIndent()
 					if err != nil {
 						t.Fatal(err)
@@ -93,7 +96,7 @@ func TestGoldenTraces(t *testing.T) {
 					}
 					// Then bytes, so even renderer-invisible churn is caught.
 					if string(normalize(want)) != string(normalize(data)) {
-						t.Fatalf("%s [%s]: serialized trace differs from golden despite semantic equality", tc.file, eng)
+						t.Fatalf("%s [%s]: serialized trace differs from golden despite semantic equality", tc.file, eng.name)
 					}
 				})
 			}

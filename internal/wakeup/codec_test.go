@@ -121,16 +121,16 @@ func TestPidsDecodeNativeMatchesInterpreter(t *testing.T) {
 	for _, mk := range []func() machine.Algorithm{SetRegister, DoubleRegister} {
 		for _, n := range []int{2, memoMinN} {
 			for _, init := range []string{"", "1", "+1", "007", "1,", "1,,2", " 1", "9999999999999999999"} {
-				outcome := func(eng machine.Engine) string {
-					defer machine.SetDefaultEngine(machine.SetDefaultEngine(eng))
+				outcome := func(alg machine.Algorithm) string {
 					cfg := core.Config{MemInit: func(int) shmem.Value { return init }}
-					run, err := core.RunAll(mk(), n, machine.ZeroTosses, cfg)
+					run, err := core.RunAll(alg, n, machine.ZeroTosses, cfg)
 					if err != nil {
 						return err.Error()
 					}
 					return fmt.Sprint(run.Returns, run.Steps)
 				}
-				if vm, interp := outcome(machine.EngineVM), outcome(machine.EngineGoroutine); vm != interp {
+				ref := mk()
+				if vm, interp := outcome(mk()), outcome(machine.New(ref.Name(), ref.Run)); vm != interp {
 					t.Fatalf("%s n=%d register %q: VM %s, interpreter %s", mk().Name(), n, init, vm, interp)
 				}
 			}

@@ -9,7 +9,7 @@ import (
 // direct-style body in wakeup.go is re-expressed as a vmachine.Program and
 // compiled once at package init. The constructors hand both forms to
 // machine.NewCompiled (set-register, which binds its codec memo as the
-// host, to machine.NewHosted), so a Machine can run either engine;
+// host, to machine.NewHosted): machine.Start runs the chunk on the VM, and
 // package lockstep proves the two forms step-equivalent — identical
 // actions, responses, digests and return values over every schedule it
 // explores.
