@@ -201,34 +201,38 @@ func waitGoroutines(t *testing.T, base int, after string) {
 	}
 }
 
-// TestExhaustiveLeavesNoGoroutine: no goroutine outlives a search,
-// whether it is clean, fails, or is cancelled in the middle at one or
-// several workers.
-func TestExhaustiveLeavesNoGoroutine(t *testing.T) {
-	base := runtime.NumGoroutine()
-	rep, err := Exhaustive(Config{Alg: "group-update", Object: "fetch-increment", N: 2, OpsPerProc: 1}, 1)
-	if err != nil || rep.Failure != nil {
-		t.Fatalf("clean search: %v, %v", err, rep.Failure)
-	}
-	waitGoroutines(t, base, "a clean search")
-
-	rep, err = Exhaustive(Config{Alg: "central", Object: "fetch-increment", N: 2, OpsPerProc: 1, Budget: 5}, 1)
-	if err != nil || rep.Failure == nil {
-		t.Fatalf("failing search: %v, %+v", err, rep)
-	}
-	waitGoroutines(t, base, "a failing search")
-
-	// Cancel at several depths of the search.
-	for _, workers := range []int{1, 4} {
-		for _, after := range []int64{3, 40, 200, 201} {
-			ctx := &cancelAfter{Context: context.Background()}
-			ctx.n.Store(after)
-			if _, err := ExhaustiveCtx(ctx, Config{Alg: "central", Object: "fetch-increment", N: 3, OpsPerProc: 1}, workers); err != context.Canceled {
-				t.Fatalf("search cancelled after %d checks at %d workers: err = %v, want context.Canceled", after, workers, err)
-			}
-			waitGoroutines(t, base, fmt.Sprintf("a search cancelled after %d checks at %d workers", after, workers))
+// TestExhaustiveClosesEveryRunner: every runner a search builds or forks
+// is let go with it, so no goroutine outlives a search, whether it is
+// clean, fails, or is cancelled in the middle at one or several workers.
+// Its one subtest, "auto", runs each system on the engine its algorithm
+// picks, the only one explore has.
+func TestExhaustiveClosesEveryRunner(t *testing.T) {
+	t.Run("auto", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		rep, err := Exhaustive(Config{Alg: "group-update", Object: "fetch-increment", N: 2, OpsPerProc: 1}, 1)
+		if err != nil || rep.Failure != nil {
+			t.Fatalf("clean search: %v, %v", err, rep.Failure)
 		}
-	}
+		waitGoroutines(t, base, "a clean search")
+
+		rep, err = Exhaustive(Config{Alg: "central", Object: "fetch-increment", N: 2, OpsPerProc: 1, Budget: 5}, 1)
+		if err != nil || rep.Failure == nil {
+			t.Fatalf("failing search: %v, %+v", err, rep)
+		}
+		waitGoroutines(t, base, "a failing search")
+
+		// Cancel at several depths of the search.
+		for _, workers := range []int{1, 4} {
+			for _, after := range []int64{3, 40, 200, 201} {
+				ctx := &cancelAfter{Context: context.Background()}
+				ctx.n.Store(after)
+				if _, err := ExhaustiveCtx(ctx, Config{Alg: "central", Object: "fetch-increment", N: 3, OpsPerProc: 1}, workers); err != context.Canceled {
+					t.Fatalf("search cancelled after %d checks at %d workers: err = %v, want context.Canceled", after, workers, err)
+				}
+				waitGoroutines(t, base, fmt.Sprintf("a search cancelled after %d checks at %d workers", after, workers))
+			}
+		}
+	})
 }
 
 // stepAll steps r along schedule, failing the test if a pid is disabled.
