@@ -27,8 +27,11 @@ BENCH_BASELINE ?= $(firstword $(wildcard BENCH_*.json))
 build:
 	$(GO) build ./...
 
+# The mutation-tagged files (the seeded broken construction and TAS
+# variant) build only under -tags mutation, so vet that build too.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -tags mutation ./...
 
 test:
 	$(GO) test ./...

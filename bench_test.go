@@ -71,7 +71,7 @@ func BenchmarkE2RandomizedWakeup(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			var mean float64
 			for i := 0; i < b.N; i++ {
-				res, err := lowerbound.ExpectedComplexityParallel(
+				res, err := lowerbound.ExpectedComplexityCtx(context.Background(),
 					func(int) machine.Algorithm { return wakeup.DoubleRegister() },
 					n, 10, seed, runtime.GOMAXPROCS(0))
 				if err != nil {
@@ -92,7 +92,7 @@ func BenchmarkSweepEngine(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				results, err := lowerbound.SweepWakeupParallel(
+				results, err := lowerbound.SweepWakeupCtx(context.Background(),
 					func(n int) machine.Algorithm { return wakeup.SetRegister() },
 					ns, machine.ZeroTosses, workers)
 				if err != nil {
@@ -113,7 +113,7 @@ func BenchmarkE5IndistinguishabilityParallel(b *testing.B) {
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				checked, err := lowerbound.VerifyIndistinguishabilityParallel(
+				checked, err := lowerbound.VerifyIndistinguishabilityCtx(context.Background(),
 					wakeup.SetRegister(), n, machine.ZeroTosses, workers)
 				if err != nil {
 					b.Fatal(err)

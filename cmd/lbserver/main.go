@@ -36,7 +36,7 @@
 //	GET    /metrics             Prometheus text exposition (internal/obs)
 //	GET    /debug/traces        recent span trees as JSON (?flat=1 for the raw list)
 //	GET    /debug/pprof/        CPU/heap/goroutine profiles (net/http/pprof)
-//	GET    /debug/vars          expvar metrics (counters, cache, latency)
+//	GET    /debug/vars          expvar metrics (job counters, cache)
 //
 // Every request runs through the obs middleware: per-route counters and
 // latency histograms on /metrics, one span per request on /debug/traces,
@@ -145,9 +145,9 @@ func parseFlags(args []string) (options, error) {
 var activeScheduler atomic.Pointer[jobs.Scheduler]
 
 // publishVars registers the service metrics with expvar once per process:
-// job counters (submitted, completed, failed, canceled, queue depth),
-// cache effectiveness, and per-phase latency summaries (median/p95 ms).
-// The same readings are exposed in Prometheus form on /metrics.
+// job counters (submitted, completed, failed, canceled, queue depth) and
+// cache effectiveness. The same readings, and the per-phase latency
+// histogram job_phase_duration_seconds, are on /metrics.
 func publishVars() {
 	if expvar.Get("jobs") != nil {
 		return
@@ -161,12 +161,6 @@ func publishVars() {
 	expvar.Publish("jobs.cache", expvar.Func(func() any {
 		if s := activeScheduler.Load(); s != nil {
 			return s.Cache().Stats()
-		}
-		return nil
-	}))
-	expvar.Publish("jobs.phase_latency_ms", expvar.Func(func() any {
-		if s := activeScheduler.Load(); s != nil {
-			return s.PhaseLatencies()
 		}
 		return nil
 	}))

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -47,7 +48,7 @@ func main() {
 		mk := func(n int) universal.Construction {
 			return universal.Must(universal.New(name, st.New(n), n, 0))
 		}
-		results, growth, err := lowerbound.SweepConstructionParallel(mk, st.Op, ns, sweep.Workers(*parallel))
+		results, growth, err := lowerbound.SweepConstructionCtx(context.Background(), mk, st.Op, ns, sweep.Workers(*parallel))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -23,11 +24,11 @@ func TestSweepEveryConstructionParallelMatchesSerial(t *testing.T) {
 		mk := func(n int) universal.Construction {
 			return universal.Must(universal.New(name, st.New(n), n, 0))
 		}
-		serial, sGrowth, err := lowerbound.SweepConstructionParallel(mk, st.Op, ns, 1)
+		serial, sGrowth, err := lowerbound.SweepConstructionCtx(context.Background(), mk, st.Op, ns, 1)
 		if err != nil {
 			t.Fatalf("%s serial: %v", name, err)
 		}
-		par, pGrowth, err := lowerbound.SweepConstructionParallel(mk, st.Op, ns, 4)
+		par, pGrowth, err := lowerbound.SweepConstructionCtx(context.Background(), mk, st.Op, ns, 4)
 		if err != nil {
 			t.Fatalf("%s parallel: %v", name, err)
 		}

@@ -528,20 +528,7 @@ func (m *Manager) processFailures(ctx context.Context, c *instance, round int, d
 			Slot:        sf.Slot,
 			Seed:        sweep.Derive(spec.Seed, round*spec.BatchSize+sf.Slot),
 		}
-		rp := &explore.Replay{
-			Alg:         spec.Alg,
-			Object:      spec.Object,
-			N:           spec.N,
-			OpsPerProc:  spec.OpsPerProc,
-			Budget:      spec.Budget,
-			Seed:        f.Seed,
-			Kind:        final.Failure.Kind,
-			Detail:      final.Failure.Detail,
-			Schedule:    final.Schedule,
-			Tosses:      final.Tosses,
-			Events:      final.Events,
-			OriginalLen: len(res.Schedule),
-		}
+		rp := explore.NewReplay(rcfg, final, f.Seed, len(res.Schedule))
 		if m.opts.FindingsDir != "" {
 			if err := os.MkdirAll(m.opts.FindingsDir, 0o755); err != nil {
 				logger.Error("campaign findings dir", "error", err)

@@ -133,7 +133,7 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("campaign: opsPerProc %d out of range [1, 8]", s.OpsPerProc)
 	}
 	if isZoo {
-		// Mirror explore.newRawRunner's constraints at submit time.
+		// Mirror explore.newRunner's zoo-algorithm constraints at submit time.
 		if s.Object != zs.Object {
 			return fmt.Errorf("campaign: algorithm %s implements workload %q, got %q", s.Alg, zs.Object, s.Object)
 		}

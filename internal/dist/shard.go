@@ -179,13 +179,7 @@ func executeSweepShard(ctx context.Context, spec *jobs.SweepSpec, r Range, paral
 // FuzzOptions offset keeps the global sample indices — and therefore the
 // sweep.Derive seeds — identical to the unsplit campaign's.
 func executeFuzzShard(ctx context.Context, spec *jobs.ExploreSpec, r Range, parallel int) ([]byte, error) {
-	rep, err := explore.FuzzCtx(ctx, explore.Config{
-		Alg:        spec.Alg,
-		Object:     spec.Object,
-		N:          spec.N,
-		OpsPerProc: spec.OpsPerProc,
-		Budget:     spec.Budget,
-	}, explore.FuzzOptions{
+	rep, err := explore.FuzzCtx(ctx, spec.Config(), explore.FuzzOptions{
 		Samples: r.Len(),
 		Offset:  r.Lo,
 		Seed:    spec.Seed,

@@ -3,13 +3,14 @@ package explore
 import (
 	"math/rand"
 
+	"jayanti98/internal/linz"
 	"jayanti98/internal/sweep"
 )
 
 // This file is the coverage layer of the exploration harness: state-digest
 // traces of individual runs, the Coverage set campaigns (internal/campaign)
-// accumulate them into, and the guided runner that replays a schedule
-// prefix and finishes it with a seeded random walk.
+// accumulate them into, and the seeded random walk that RunGuided and
+// Fuzz share: it replays a schedule prefix and finishes it at random.
 //
 // A run's coverage trace is the sequence of *product-state digests* it
 // reaches — the same product state exhaustive search memoizes on
@@ -59,7 +60,7 @@ func (r *runner) stateDigest(buf *[]byte) uint64 {
 // RunSchedule contract), then enabled processes are stepped uniformly at
 // random until every process terminates, the run fails, or the budget is
 // exhausted. A nil or empty prefix is a pure random walk — exactly the
-// runs Fuzz samples.
+// runs Fuzz samples, since both run walk.
 //
 // Coin tosses are drawn uniformly from [0, tossRange) (tossRange <= 0
 // means 2) from an RNG derived from seed, and the schedule RNG is seeded
@@ -67,21 +68,10 @@ func (r *runner) stateDigest(buf *[]byte) uint64 {
 // of (cfg, prefix, seed, tossRange) and reproduces bit-for-bit from the
 // returned record's Schedule and Tosses.
 func RunGuided(cfg Config, prefix []int, seed int64, tossRange int64) (*CoverRecord, error) {
-	if tossRange <= 0 {
-		tossRange = 2
-	}
-	rng := rand.New(rand.NewSource(seed))
-	tossRng := rand.New(rand.NewSource(sweep.Derive(seed, 1)))
-	cfg.Tosses = func(int, int) int64 { return tossRng.Int63n(tossRange) }
-	r, err := newRunner(cfg, nil)
-	if err != nil {
-		return nil, err
-	}
-
 	var keyBuf []byte
 	seen := make(map[uint64]struct{}, 64)
 	rec := &CoverRecord{}
-	mark := func() {
+	mark := func(r *runner) {
 		d := r.stateDigest(&keyBuf)
 		if _, ok := seen[d]; ok {
 			return
@@ -89,14 +79,40 @@ func RunGuided(cfg Config, prefix []int, seed int64, tossRange int64) (*CoverRec
 		seen[d] = struct{}{}
 		rec.Trace = append(rec.Trace, d)
 	}
-	mark() // the initial product state
+	r, err := walk(cfg, prefix, seed, tossRange, nil, mark)
+	if err != nil {
+		return nil, err
+	}
+	rec.RunRecord = r.record()
+	return rec, nil
+}
 
+// walk is the one seeded random walk behind RunGuided and Fuzz (see
+// RunGuided for its rules). Its runner checks on memo (nil: a private one,
+// which the returned runner's memo field then holds). mark, when not nil,
+// sees the initial state and the state after every delivered step; Fuzz
+// passes nil and so computes no state digest.
+func walk(cfg Config, prefix []int, seed, tossRange int64, memo *linz.Memo, mark func(*runner)) (*runner, error) {
+	if tossRange <= 0 {
+		tossRange = 2
+	}
+	if mark == nil {
+		mark = func(*runner) {}
+	}
+	rng := rand.New(rand.NewSource(seed))
+	tossRng := rand.New(rand.NewSource(sweep.Derive(seed, 1)))
+	cfg.Tosses = func(int, int) int64 { return tossRng.Int63n(tossRange) }
+	r, err := newRunner(cfg, memo)
+	if err != nil {
+		return nil, err
+	}
+	mark(r) // the initial product state
 	for _, pid := range prefix {
 		if r.fail != nil || r.done() {
 			break
 		}
 		if r.step(pid) {
-			mark()
+			mark(r)
 		}
 	}
 	for r.fail == nil && !r.done() {
@@ -105,7 +121,7 @@ func RunGuided(cfg Config, prefix []int, seed int64, tossRange int64) (*CoverRec
 			break
 		}
 		if r.step(en[rng.Intn(len(en))]) {
-			mark()
+			mark(r)
 		}
 	}
 	if r.done() {
@@ -113,15 +129,7 @@ func RunGuided(cfg Config, prefix []int, seed int64, tossRange int64) (*CoverRec
 			return nil, err
 		}
 	}
-	rec.RunRecord = r.record()
-	return rec, nil
-}
-
-// ReplayTosses turns a recorded per-process toss log back into a toss
-// assignment (unrecorded tosses default to 0) — the inverse of
-// RunRecord.Tosses, exported for campaign finding reproduction.
-func ReplayTosses(tosses [][]int64) func(pid, j int) int64 {
-	return replayTosses(tosses)
+	return r, nil
 }
 
 // Coverage is a set of product-state digests — the novelty map a campaign

@@ -43,7 +43,7 @@ func referenceExhaustive(cfg Config, workers int) (*Report, error) {
 		record                            *RunRecord
 	}
 	branches := root.enabled()
-	results, err := sweep.Map(workers, len(branches), func(i int) (branchResult, error) {
+	results, err := sweep.MapCtx(context.Background(), workers, len(branches), func(i int) (branchResult, error) {
 		w := &referenceWorker{cfg: cfg, visited: make(map[string]bool)}
 		f, rec, err := w.dfs([]int{branches[i]})
 		return branchResult{states: len(w.visited), runs: w.runs, complete: w.complete, truncated: w.truncated, failure: f, record: rec}, err

@@ -32,12 +32,14 @@
 //     orders, and the config set captures exactly that residue.
 //   - Fuzz samples random schedules (and coin tosses) for sizes where
 //     exhaustive search is infeasible, with per-sample seeds derived via
-//     sweep.Derive so every sample is reproducible in isolation.
+//     sweep.Derive so every sample is reproducible in isolation. Each
+//     sample is the seeded random walk RunGuided runs (cover.go) with an
+//     empty prefix.
 //   - RunSchedule replays one explicit schedule; Replay files (replay.go)
 //     persist a failing schedule plus its toss assignment so a failure
 //     reproduces bit-for-bit later.
 //
-// Failures are minimized by Shrink (shrink.go) before being persisted.
+// Failures are minimized by ShrinkCtx (shrink.go) before being persisted.
 package explore
 
 import (
@@ -284,9 +286,10 @@ type RunRecord struct {
 }
 
 // runner drives one run step by step. It is the single-goroutine engine
-// that Exhaustive, Fuzz, RunSchedule and Shrink all share. A construction
-// runner is also the host value of its machines' compiled body
-// (universal.Host), which is how the body's natives reach its event log.
+// that Exhaustive, Fuzz, RunGuided, RunSchedule and ShrinkCtx all share.
+// A construction runner is also the host value of its machines' compiled
+// body (universal.Host), which is how the body's natives reach its event
+// log.
 type runner struct {
 	cfg    Config
 	budget int
@@ -322,104 +325,74 @@ type runner struct {
 // shared-memory operation (or termination). Its online checker shares
 // memo's sets and transitions; a nil memo gives the runner a private one,
 // which r.memo then holds for the caller to reuse.
+//
+// A construction runs its compiled workload body (body.go): the leading
+// toss, then per operation the invoke event, the construction's Invoke and
+// the return event, all appended by the body itself. A zoo algorithm's
+// machines run the protocol directly, with no construction wrapper and no
+// event-appending body, so step synthesizes its history events instead:
+// the invoke of a process's one operation at its first delivered shared
+// step, the return at its termination. A process scheduled for no steps
+// has therefore not invoked, which is what lets the checker hold zoo
+// algorithms to the real-time order (a completed loser before the
+// winner's first step is a genuine test&set violation, and the
+// doorway-less tournament mutant would produce exactly that).
 func newRunner(cfg Config, memo *linz.Memo) (*runner, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	r := &runner{
+		cfg:     cfg,
+		budget:  cfg.Budget,
+		log:     &eventLog{},
+		ta:      cfg.tosses(),
+		pending: make([]pendingOp, cfg.N),
+		tossLog: make([][]int64, cfg.N),
+	}
+	var alg machine.Algorithm
 	if spec, ok := algos.For(cfg.Alg); ok {
-		return newRawRunner(cfg, spec, memo)
-	}
-	w, err := workloadFor(cfg.Object)
-	if err != nil {
-		return nil, err
-	}
-	typ := w.typ()
-	cons, err := newConstruction(cfg.Alg, typ, cfg.N)
-	if err != nil {
-		return nil, err
-	}
-	budget := cfg.Budget
-	if budget == 0 {
-		budget = AutoBudget(cons, cfg.N, cfg.OpsPerProc)
-	}
-	mem, err := cfg.newBackend()
-	if err != nil {
-		return nil, err
-	}
-	if memo == nil {
-		memo = linz.NewMemo(typ, cfg.N)
-	}
-	r := &runner{
-		cfg:     cfg,
-		budget:  budget,
-		cons:    cons,
-		wl:      w,
-		typ:     typ,
-		mem:     mem,
-		log:     &eventLog{},
-		ta:      cfg.tosses(),
-		memo:    memo,
-		online:  memo.NewOnline(),
-		pending: make([]pendingOp, cfg.N),
-		tossLog: make([][]int64, cfg.N),
-	}
-	// The body (bodyProgram) runs only on the VM, bound to r through the
-	// host value, so it has no direct-style twin.
-	alg := machine.NewHosted(cfg.Alg+"+"+cfg.Object, nil, bodyChunks[cfg.Alg], r)
-	r.ms = machine.StartAll(alg, cfg.N)
-	for pid := 0; pid < cfg.N && r.fail == nil; pid++ {
-		r.advance(pid)
-	}
-	return r, nil
-}
-
-// newRawRunner builds a runner for a zoo algorithm (see Config.Alg). The
-// algorithm's machines run the protocol directly — no construction wrapper,
-// no event-appending body. History events are synthesized by the engine instead: the invoke
-// of a process's one operation at its first delivered shared step, the
-// return at its termination. A process scheduled for no steps has therefore
-// not invoked, which is what lets the checker hold zoo algorithms to the
-// real-time order (a completed loser before the winner's first step is a
-// genuine test&set violation, and the doorway-less tournament mutant would
-// produce exactly that).
-func newRawRunner(cfg Config, spec algos.Spec, memo *linz.Memo) (*runner, error) {
-	if cfg.Object != spec.Object {
-		return nil, fmt.Errorf("explore: algorithm %s implements workload %q, got %q", spec.Name, spec.Object, cfg.Object)
-	}
-	if cfg.OpsPerProc != 1 {
-		return nil, fmt.Errorf("explore: algorithm %s is one-shot: ops per process must be 1, got %d", spec.Name, cfg.OpsPerProc)
-	}
-	alg, err := algos.New(cfg.Alg, cfg.N)
-	if err != nil {
-		return nil, err
-	}
-	typ := spec.Type(cfg.N)
-	budget := cfg.Budget
-	if budget == 0 {
-		budget = spec.Budget(cfg.N)
+		if cfg.Object != spec.Object {
+			return nil, fmt.Errorf("explore: algorithm %s implements workload %q, got %q", spec.Name, spec.Object, cfg.Object)
+		}
+		if cfg.OpsPerProc != 1 {
+			return nil, fmt.Errorf("explore: algorithm %s is one-shot: ops per process must be 1, got %d", spec.Name, cfg.OpsPerProc)
+		}
+		a, err := algos.New(cfg.Alg, cfg.N)
+		if err != nil {
+			return nil, err
+		}
+		alg = a
+		r.raw, r.spec, r.typ = true, spec, spec.Type(cfg.N)
+		r.invoked = make([]bool, cfg.N)
+		if r.budget == 0 {
+			r.budget = spec.Budget(cfg.N)
+		}
+	} else {
+		w, err := workloadFor(cfg.Object)
+		if err != nil {
+			return nil, err
+		}
+		typ := w.typ()
+		cons, err := newConstruction(cfg.Alg, typ, cfg.N)
+		if err != nil {
+			return nil, err
+		}
+		// The body runs only on the VM, bound to r through the host
+		// value, so it has no direct-style twin.
+		alg = machine.NewHosted(cfg.Alg+"+"+cfg.Object, nil, bodyChunks[cfg.Alg], r)
+		r.cons, r.wl, r.typ = cons, w, typ
+		if r.budget == 0 {
+			r.budget = AutoBudget(cons, cfg.N, cfg.OpsPerProc)
+		}
 	}
 	mem, err := cfg.newBackend()
 	if err != nil {
 		return nil, err
 	}
 	if memo == nil {
-		memo = linz.NewMemo(typ, cfg.N)
+		memo = linz.NewMemo(r.typ, cfg.N)
 	}
-	r := &runner{
-		cfg:     cfg,
-		budget:  budget,
-		raw:     true,
-		spec:    spec,
-		typ:     typ,
-		invoked: make([]bool, cfg.N),
-		mem:     mem,
-		log:     &eventLog{},
-		ta:      cfg.tosses(),
-		memo:    memo,
-		online:  memo.NewOnline(),
-		pending: make([]pendingOp, cfg.N),
-		tossLog: make([][]int64, cfg.N),
-	}
+	r.mem, r.memo, r.online = mem, memo, memo.NewOnline()
 	r.ms = machine.StartAll(alg, cfg.N)
 	for pid := 0; pid < cfg.N && r.fail == nil; pid++ {
 		r.advance(pid)
@@ -701,15 +674,4 @@ func RunSchedule(cfg Config, schedule []int) (*RunRecord, error) {
 		}
 	}
 	return r.record(), nil
-}
-
-// replayTosses turns a recorded per-process toss log back into a toss
-// assignment (unrecorded tosses default to 0).
-func replayTosses(tosses [][]int64) machine.TossAssignment {
-	return func(pid, j int) int64 {
-		if pid < len(tosses) && j < len(tosses[pid]) {
-			return tosses[pid][j]
-		}
-		return 0
-	}
 }

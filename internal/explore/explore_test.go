@@ -115,7 +115,7 @@ func TestBudgetExhaustionIsAFailure(t *testing.T) {
 func TestShrinkMinimizesBudgetFailure(t *testing.T) {
 	cfg := Config{Alg: "central", Object: "fetch-increment", N: 2, OpsPerProc: 1, Budget: 2}
 	long := []int{1, 0, 1, 0, 1, 0, 1, 0, 1, 0}
-	shrunk := Shrink(cfg, long, FailBudgetExhausted)
+	shrunk := ShrinkCtx(context.Background(), cfg, long, FailBudgetExhausted)
 	// The failure fires on the first step attempted past the budget, so
 	// the minimal schedule has budget+1 = 3 entries.
 	if len(shrunk) != 3 {
@@ -139,7 +139,7 @@ func TestShrinkMinimizesBudgetFailure(t *testing.T) {
 func TestShrinkReturnsInputWhenNotReproducible(t *testing.T) {
 	cfg := Config{Alg: "central", Object: "fetch-increment", N: 2, OpsPerProc: 1}
 	in := []int{0, 1, 0, 1}
-	if got := Shrink(cfg, in, FailNonLinearizable); !reflect.DeepEqual(got, in) {
+	if got := ShrinkCtx(context.Background(), cfg, in, FailNonLinearizable); !reflect.DeepEqual(got, in) {
 		t.Fatalf("want input back, got %v", got)
 	}
 }

@@ -3,7 +3,6 @@ package explore
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 
@@ -56,7 +55,7 @@ type FuzzReport struct {
 
 // Fuzz runs random schedules of cfg: at every step an enabled process is
 // picked uniformly, and coin tosses are drawn uniformly from
-// [0, TossRange). Every failing sample is minimized with Shrink and
+// [0, TossRange). Every failing sample is minimized with ShrinkCtx and
 // converted into a self-contained Replay; with OutDir set, replays are
 // also persisted as JSON files (see ReadReplay / Verify).
 func Fuzz(cfg Config, opt FuzzOptions) (*FuzzReport, error) {
@@ -70,10 +69,6 @@ func Fuzz(cfg Config, opt FuzzOptions) (*FuzzReport, error) {
 func FuzzCtx(ctx context.Context, cfg Config, opt FuzzOptions) (*FuzzReport, error) {
 	if opt.Samples < 1 {
 		return nil, fmt.Errorf("explore: fuzz needs at least 1 sample, got %d", opt.Samples)
-	}
-	tossRange := opt.TossRange
-	if tossRange <= 0 {
-		tossRange = 2
 	}
 	if opt.OutDir != "" {
 		if err := os.MkdirAll(opt.OutDir, 0o755); err != nil {
@@ -99,18 +94,16 @@ func FuzzCtx(ctx context.Context, cfg Config, opt FuzzOptions) (*FuzzReport, err
 		case memo = <-memos:
 		default:
 		}
-		rec, memo, err := fuzzOne(cfg, seed, tossRange, memo)
-		if memo != nil {
-			select {
-			case memos <- memo:
-			default:
-			}
-		}
+		r, err := walk(cfg, nil, seed, opt.TossRange, memo, nil)
 		if err != nil {
 			return sampleResult{}, fmt.Errorf("explore: sample %d (seed %d): %w", i, seed, err)
 		}
-		res := sampleResult{steps: rec.Steps}
-		if rec.Failure == nil {
+		select {
+		case memos <- r.memo:
+		default:
+		}
+		res := sampleResult{steps: r.steps}
+		if r.fail == nil {
 			return res, nil
 		}
 		// Reproduce with the recorded tosses, minimizing the schedule
@@ -118,8 +111,9 @@ func FuzzCtx(ctx context.Context, cfg Config, opt FuzzOptions) (*FuzzReport, err
 		// budget-exhaustion failure reproduces under the same bound.
 		// Shrinking runs under the campaign context: a cancelled ctx cuts
 		// minimization short but still yields a failing schedule.
+		rec := r.record()
 		rcfg := cfg
-		rcfg.Tosses = replayTosses(rec.Tosses)
+		rcfg.Tosses = ReplayTosses(rec.Tosses)
 		schedule := rec.Schedule
 		if !opt.NoShrink {
 			schedule = ShrinkCtx(ctx, rcfg, rec.Schedule, rec.Failure.Kind)
@@ -131,21 +125,7 @@ func FuzzCtx(ctx context.Context, cfg Config, opt FuzzOptions) (*FuzzReport, err
 		if final.Failure == nil {
 			return sampleResult{}, fmt.Errorf("explore: sample %d (seed %d): failure %v did not reproduce from its own schedule", i, seed, rec.Failure)
 		}
-		res.replay = &Replay{
-			Alg:         cfg.Alg,
-			Object:      cfg.Object,
-			N:           cfg.N,
-			OpsPerProc:  cfg.OpsPerProc,
-			Budget:      cfg.Budget,
-			LLSC:        cfg.LLSC,
-			Seed:        seed,
-			Kind:        final.Failure.Kind,
-			Detail:      final.Failure.Detail,
-			Schedule:    final.Schedule,
-			Tosses:      final.Tosses,
-			Events:      final.Events,
-			OriginalLen: len(rec.Schedule),
-		}
+		res.replay = NewReplay(cfg, final, seed, len(rec.Schedule))
 		return res, nil
 	})
 	if err != nil {
@@ -168,29 +148,4 @@ func FuzzCtx(ctx context.Context, cfg Config, opt FuzzOptions) (*FuzzReport, err
 		rep.Paths = append(rep.Paths, path)
 	}
 	return rep, nil
-}
-
-// fuzzOne runs a single random schedule to completion, failure, or budget,
-// checking it on memo (nil: a new one). It returns the memo it used.
-func fuzzOne(cfg Config, seed int64, tossRange int64, memo *linz.Memo) (*RunRecord, *linz.Memo, error) {
-	rng := rand.New(rand.NewSource(seed))
-	tossRng := rand.New(rand.NewSource(sweep.Derive(seed, 1)))
-	cfg.Tosses = func(int, int) int64 { return tossRng.Int63n(tossRange) }
-	r, err := newRunner(cfg, memo)
-	if err != nil {
-		return nil, nil, err
-	}
-	for r.fail == nil && !r.done() {
-		en := r.enabled()
-		if len(en) == 0 {
-			break
-		}
-		r.step(en[rng.Intn(len(en))])
-	}
-	if r.done() {
-		if err := r.finalCheck(); err != nil {
-			return nil, r.memo, err
-		}
-	}
-	return r.record(), r.memo, nil
 }

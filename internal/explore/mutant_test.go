@@ -3,6 +3,7 @@
 package explore
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -51,11 +52,11 @@ func TestMutantExhaustiveMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunSchedule(cfg, Shrink(cfg, rep.Record.Schedule, rep.Failure.Kind))
+	got, err := RunSchedule(cfg, ShrinkCtx(context.Background(), cfg, rep.Record.Schedule, rep.Failure.Kind))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := RunSchedule(cfg, Shrink(cfg, ref.Record.Schedule, ref.Failure.Kind))
+	want, err := RunSchedule(cfg, ShrinkCtx(context.Background(), cfg, ref.Record.Schedule, ref.Failure.Kind))
 	if err != nil {
 		t.Fatal(err)
 	}

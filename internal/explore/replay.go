@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 
+	"jayanti98/internal/machine"
 	"jayanti98/internal/trace"
 )
 
@@ -49,7 +50,39 @@ func (rp *Replay) Config() Config {
 		OpsPerProc: rp.OpsPerProc,
 		Budget:     rp.Budget,
 		LLSC:       rp.LLSC,
-		Tosses:     replayTosses(rp.Tosses),
+		Tosses:     ReplayTosses(rp.Tosses),
+	}
+}
+
+// NewReplay builds the replay of a failing run found under cfg: final is
+// the (shrunk) failing run, seed the sample seed it was found with, and
+// originalLen the schedule length before shrinking.
+func NewReplay(cfg Config, final *RunRecord, seed int64, originalLen int) *Replay {
+	return &Replay{
+		Alg:         cfg.Alg,
+		Object:      cfg.Object,
+		N:           cfg.N,
+		OpsPerProc:  cfg.OpsPerProc,
+		Budget:      cfg.Budget,
+		LLSC:        cfg.LLSC,
+		Seed:        seed,
+		Kind:        final.Failure.Kind,
+		Detail:      final.Failure.Detail,
+		Schedule:    final.Schedule,
+		Tosses:      final.Tosses,
+		Events:      final.Events,
+		OriginalLen: originalLen,
+	}
+}
+
+// ReplayTosses turns a recorded per-process toss log (RunRecord.Tosses)
+// back into a toss assignment; unrecorded tosses default to 0.
+func ReplayTosses(tosses [][]int64) machine.TossAssignment {
+	return func(pid, j int) int64 {
+		if pid < len(tosses) && j < len(tosses[pid]) {
+			return tosses[pid][j]
+		}
+		return 0
 	}
 }
 

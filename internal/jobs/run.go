@@ -197,14 +197,7 @@ func BuildSweepResult(spec *SweepSpec, flat []lowerbound.ConstructionResult) (*S
 }
 
 func runExplore(ctx context.Context, spec *ExploreSpec, p *Progress, parallel int) (*ExploreResult, error) {
-	cfg := explore.Config{
-		Alg:        spec.Alg,
-		Object:     spec.Object,
-		N:          spec.N,
-		OpsPerProc: spec.OpsPerProc,
-		Budget:     spec.Budget,
-		LLSC:       spec.LLSC,
-	}
+	cfg := spec.Config()
 	res := &ExploreResult{Mode: spec.Mode, Failures: []ExploreFailure{}}
 	ctx, span := obs.StartSpan(ctx, "explore "+spec.Mode)
 	defer span.End()

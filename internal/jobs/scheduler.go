@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"jayanti98/internal/obs"
-	"jayanti98/internal/stats"
 	"jayanti98/internal/tenant"
 )
 
@@ -97,10 +96,10 @@ type Options struct {
 	// change its bytes.
 	Dist Runner
 	// Obs is the metrics registry the scheduler instruments itself on
-	// (nil: the process obs.Default registry). Counters are cumulative
-	// across schedulers sharing a registry; the queue/running/cache
-	// readings follow the most recently built scheduler, mirroring
-	// cmd/lbserver's expvar indirection.
+	// (nil: the process obs.Default registry). Counters, and so
+	// Scheduler.Counters, are cumulative across schedulers sharing a
+	// registry; the queue/running/cache readings follow the most recently
+	// built scheduler, mirroring cmd/lbserver's expvar indirection.
 	Obs *obs.Registry
 	// Tracer receives one span per executed job, with the experiment
 	// and sweep spans beneath it (nil: obs.DefaultTracer).
@@ -157,7 +156,8 @@ type JobView struct {
 	Finished *time.Time `json:"finished,omitempty"`
 }
 
-// Counters is a snapshot of the scheduler's expvar-able counters.
+// Counters is a snapshot of the scheduler's expvar-able counters (the
+// jobs expvar of cmd/lbserver).
 type Counters struct {
 	Submitted   int64 `json:"submitted"`
 	Completed   int64 `json:"completed"`
@@ -218,14 +218,7 @@ type Scheduler struct {
 	queuedTotal int
 	draining    bool
 
-	counters struct {
-		submitted, completed, failed, canceled, cacheServed int64
-	}
 	running int64
-
-	phaseMu   sync.Mutex
-	phaseMS   map[string][]float64 // per-phase latency samples, milliseconds
-	nowForDur func() time.Time
 
 	// Observability sinks (see Options.Obs/Tracer/Logger) and the
 	// counter handles hot paths increment without registry lookups.
@@ -272,7 +265,6 @@ func NewScheduler(opts Options) (*Scheduler, error) {
 		baseCancel: cancel,
 		jobs:       make(map[string]*job),
 		tq:         make(map[string]*tenantQueue),
-		phaseMS:    make(map[string][]float64),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.reg = opts.Obs
@@ -301,7 +293,7 @@ func NewScheduler(opts Options) (*Scheduler, error) {
 // this scheduler.
 func (s *Scheduler) registerMetrics() {
 	r := s.reg
-	s.met.submitted = r.Counter("jobs_submitted_total", "Job submissions accepted (deduplicated and cache-served included).", nil)
+	s.met.submitted = r.Counter("jobs_submitted_total", "Submissions that created a job: enqueued, or answered from the result cache. A submission that joins an already-tracked job counts in jobs_dedup_inflight_total instead.", nil)
 	s.met.completed = r.Counter("jobs_completed_total", "Jobs that finished successfully.", nil)
 	s.met.failed = r.Counter("jobs_failed_total", "Jobs that ended in failure.", nil)
 	s.met.canceled = r.Counter("jobs_canceled_total", "Jobs canceled while queued or running.", nil)
@@ -424,7 +416,6 @@ func (s *Scheduler) SubmitAs(tenantName string, spec *Spec) (JobView, bool, erro
 		if !(view.Status == StatusFailed || view.Status == StatusCanceled) {
 			if view.Status == StatusDone {
 				view.Cached = true
-				s.counters.cacheServed++
 				s.met.cacheServed.Inc()
 			}
 			s.mu.Unlock()
@@ -455,8 +446,6 @@ func (s *Scheduler) SubmitAs(tenantName string, spec *Spec) (JobView, bool, erro
 		j.progress.Close()
 		close(j.done)
 		s.jobs[id] = j
-		s.counters.submitted++
-		s.counters.cacheServed++
 		s.pruneLocked()
 		s.mu.Unlock()
 		s.met.submitted.Inc()
@@ -480,7 +469,6 @@ func (s *Scheduler) SubmitAs(tenantName string, spec *Spec) (JobView, bool, erro
 	}
 	s.enqueueLocked(j)
 	s.jobs[id] = j
-	s.counters.submitted++
 	s.pruneLocked()
 	s.mu.Unlock()
 	s.met.submitted.Inc()
@@ -615,7 +603,6 @@ func (s *Scheduler) Cancel(id string) bool {
 		j.progress.Close()
 		close(j.done)
 		s.mu.Lock()
-		s.counters.canceled++
 		// The entry stays in its tenant's pending slice (dispatch skips
 		// it); only the live counts move. A job already handed to a
 		// worker had its counts moved by dispatch — runJob will observe
@@ -666,32 +653,22 @@ func (s *Scheduler) Wait(ctx context.Context, id string) (JobView, error) {
 	}
 }
 
-// Counters snapshots the scheduler counters.
+// Counters snapshots the scheduler counters: the job counters of the
+// metrics registry (Options.Obs) and the live queue depth and running
+// count.
 func (s *Scheduler) Counters() Counters {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	queued, running := int64(s.queuedTotal), s.running
+	s.mu.Unlock()
 	return Counters{
-		Submitted:   s.counters.submitted,
-		Completed:   s.counters.completed,
-		Failed:      s.counters.failed,
-		Canceled:    s.counters.canceled,
-		CacheServed: s.counters.cacheServed,
-		QueueDepth:  int64(s.queuedTotal),
-		Running:     s.running,
+		Submitted:   s.met.submitted.Value(),
+		Completed:   s.met.completed.Value(),
+		Failed:      s.met.failed.Value(),
+		Canceled:    s.met.canceled.Value(),
+		CacheServed: s.met.cacheServed.Value(),
+		QueueDepth:  queued,
+		Running:     running,
 	}
-}
-
-// PhaseLatencies summarizes the recorded per-phase wall-clock samples
-// (milliseconds) of completed jobs; the Median and P95 fields are the
-// server's latency lines.
-func (s *Scheduler) PhaseLatencies() map[string]stats.Summary {
-	s.phaseMu.Lock()
-	defer s.phaseMu.Unlock()
-	out := make(map[string]stats.Summary, len(s.phaseMS))
-	for phase, ms := range s.phaseMS {
-		out[phase] = stats.Summarize(ms)
-	}
-	return out
 }
 
 // Shutdown stops accepting submissions, cancels every queued and running
@@ -900,17 +877,6 @@ func (s *Scheduler) runJob(j *job) {
 	j.progress.Set(string(status), 0, 0)
 	j.progress.Close()
 
-	s.mu.Lock()
-	switch status {
-	case StatusDone:
-		s.counters.completed++
-	case StatusCanceled:
-		s.counters.canceled++
-	default:
-		s.counters.failed++
-	}
-	s.mu.Unlock()
-
 	j.mu.Lock()
 	elapsed := j.finished.Sub(j.started)
 	errMsg := j.errMsg
@@ -940,8 +906,8 @@ func (s *Scheduler) runJob(j *job) {
 	if status == StatusDone {
 		s.recordPhases(j)
 	}
-	// Last, so that Wait returns only after the job's counters, metrics
-	// and phase latencies are recorded.
+	// Last, so that Wait returns only after the job's counters and
+	// metrics are recorded.
 	close(j.done)
 }
 
@@ -995,21 +961,10 @@ func (s *Scheduler) runIsolated(ctx context.Context, j *job) (result []byte, err
 	return runSpecFn(ctx, j.spec, j.progress, s.opts.SweepParallel)
 }
 
-// recordPhases folds a completed job's phase durations into the latency
-// samples, keyed kind/phase, and into the per-phase histogram on the
-// metrics registry.
+// recordPhases folds a completed job's phase durations into the
+// per-phase histogram on the metrics registry.
 func (s *Scheduler) recordPhases(j *job) {
-	durations := j.progress.Durations()
-	s.phaseMu.Lock()
-	for _, pd := range durations {
-		if pd.Phase == "queued" || Status(pd.Phase).Terminal() {
-			continue
-		}
-		key := j.spec.Kind + "/" + pd.Phase
-		s.phaseMS[key] = append(s.phaseMS[key], float64(pd.Duration)/float64(time.Millisecond))
-	}
-	s.phaseMu.Unlock()
-	for _, pd := range durations {
+	for _, pd := range j.progress.Durations() {
 		if pd.Phase == "queued" || Status(pd.Phase).Terminal() {
 			continue
 		}

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"jayanti98/internal/obs"
 )
 
 // quickExploreSpec is a real workload small enough for unit tests: the
@@ -63,7 +65,8 @@ func waitStatus(t *testing.T, s *Scheduler, id string, want Status) JobView {
 }
 
 func TestSchedulerRunsJobAndDedupes(t *testing.T) {
-	s := newTestScheduler(t, Options{Workers: 2})
+	reg := obs.NewRegistry()
+	s := newTestScheduler(t, Options{Workers: 2, Obs: reg})
 
 	view, created, err := s.Submit(quickExploreSpec())
 	if err != nil {
@@ -115,10 +118,10 @@ func TestSchedulerRunsJobAndDedupes(t *testing.T) {
 	if c.Submitted != 1 || c.Completed != 1 || c.CacheServed != 1 {
 		t.Fatalf("counters = %+v", c)
 	}
-	// The completed explore job recorded a phase latency sample.
-	lats := s.PhaseLatencies()
-	if sum, ok := lats["explore/exhaustive"]; !ok || sum.N != 1 {
-		t.Fatalf("explore/exhaustive latency = %+v, want one sample", lats)
+	// The completed explore job recorded one exhaustive-phase sample.
+	h := reg.Histogram("job_phase_duration_seconds", "", nil, obs.Labels{"kind": KindExplore, "phase": "exhaustive"})
+	if h.Count() != 1 {
+		t.Fatalf("explore/exhaustive phase histogram holds %d samples, want 1", h.Count())
 	}
 }
 
@@ -187,7 +190,7 @@ func TestSchedulerCancelRunningJob(t *testing.T) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	})
-	s := newTestScheduler(t, Options{Workers: 1})
+	s := newTestScheduler(t, Options{Workers: 1, Obs: obs.NewRegistry()})
 
 	view, _, err := s.Submit(quickExploreSpec())
 	if err != nil {
@@ -252,7 +255,7 @@ func TestSchedulerCancelQueuedJob(t *testing.T) {
 			return nil, ctx.Err()
 		}
 	})
-	s := newTestScheduler(t, Options{Workers: 1})
+	s := newTestScheduler(t, Options{Workers: 1, Obs: obs.NewRegistry()})
 
 	first, _, err := s.Submit(quickExploreSpec())
 	if err != nil {
@@ -321,7 +324,7 @@ func TestSchedulerPanicIsolation(t *testing.T) {
 		}
 		return []byte(`{"ok":true}`), nil
 	})
-	s := newTestScheduler(t, Options{Workers: 1})
+	s := newTestScheduler(t, Options{Workers: 1, Obs: obs.NewRegistry()})
 
 	view, _, err := s.Submit(quickExploreSpec())
 	if err != nil {
@@ -448,7 +451,7 @@ func TestSchedulerShutdownRejectsAndCancels(t *testing.T) {
 }
 
 func TestSchedulerRejectsInvalidSpec(t *testing.T) {
-	s := newTestScheduler(t, Options{Workers: 1})
+	s := newTestScheduler(t, Options{Workers: 1, Obs: obs.NewRegistry()})
 	if _, _, err := s.Submit(&Spec{Kind: "bogus"}); err == nil {
 		t.Fatal("Submit accepted an invalid spec")
 	}

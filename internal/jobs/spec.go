@@ -135,6 +135,20 @@ type ExploreSpec struct {
 	LLSC string `json:"llsc,omitempty"`
 }
 
+// Config is the explore configuration the spec runs. The local run
+// (runExplore) and the distributed fuzz shards (internal/dist) both build
+// it here, so neither can drop a field.
+func (e *ExploreSpec) Config() explore.Config {
+	return explore.Config{
+		Alg:        e.Alg,
+		Object:     e.Object,
+		N:          e.N,
+		OpsPerProc: e.OpsPerProc,
+		Budget:     e.Budget,
+		LLSC:       e.LLSC,
+	}
+}
+
 // Normalize fills defaults in place so that semantically identical specs
 // produce identical canonical encodings. It is idempotent.
 func (s *Spec) Normalize() {
@@ -293,7 +307,7 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("jobs: explore opsPerProc %d out of range [1, 8]", e.OpsPerProc)
 		}
 		if isZoo {
-			// Mirror explore.newRawRunner's constraints at submit time so a
+			// Mirror explore.newRunner's zoo-algorithm constraints at submit time so a
 			// bad spec fails before it is scheduled.
 			if e.Object != zs.Object {
 				return fmt.Errorf("jobs: algorithm %s implements workload %q, got %q", e.Alg, zs.Object, e.Object)

@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -195,5 +196,42 @@ func TestSpecValidateRejects(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestExploreSpecConfigCarriesEveryField: every explore.Config field but
+// the toss assignment (which a spec cannot express) comes from the
+// ExploreSpec field of the same name, so a field added to Config without
+// a spec counterpart, or dropped by the conversion, fails here. Every
+// spec field is set to a distinct non-zero value first, so a field copied
+// from the wrong source cannot match by accident.
+func TestExploreSpecConfigCarriesEveryField(t *testing.T) {
+	var spec ExploreSpec
+	sv := reflect.ValueOf(&spec).Elem()
+	for i := 0; i < sv.NumField(); i++ {
+		f := sv.Field(i)
+		switch f.Kind() {
+		case reflect.String:
+			f.SetString("v-" + sv.Type().Field(i).Name)
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(i + 1))
+		default:
+			t.Fatalf("ExploreSpec.%s: unhandled kind %s", sv.Type().Field(i).Name, f.Kind())
+		}
+	}
+	cv := reflect.ValueOf(spec.Config())
+	for i := 0; i < cv.NumField(); i++ {
+		name := cv.Type().Field(i).Name
+		if name == "Tosses" {
+			continue
+		}
+		want := sv.FieldByName(name)
+		if !want.IsValid() {
+			t.Errorf("explore.Config.%s has no ExploreSpec field of the same name", name)
+			continue
+		}
+		if got := cv.Field(i); !reflect.DeepEqual(got.Interface(), want.Interface()) {
+			t.Errorf("Config().%s = %v, want the spec's %v", name, got.Interface(), want.Interface())
+		}
 	}
 }

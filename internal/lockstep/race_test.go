@@ -1,6 +1,7 @@
 package lockstep
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -21,7 +22,7 @@ func TestChunksSharedAcrossGoroutines(t *testing.T) {
 	algs := constructions()
 	const tasks = 64
 	const n = 6
-	_, err := sweep.Map(8, tasks, func(i int) (int, error) {
+	_, err := sweep.MapCtx(context.Background(), 8, tasks, func(i int) (int, error) {
 		alg := algs[i%len(algs)]
 		ms := machine.StartAll(alg, n)
 		defer machine.CloseAll(ms)
@@ -66,7 +67,7 @@ func TestChunksSharedAcrossGoroutines(t *testing.T) {
 func TestConcurrentLockstepPairs(t *testing.T) {
 	algs := constructions()
 	const tasks = 32
-	_, err := sweep.Map(8, tasks, func(i int) (int, error) {
+	_, err := sweep.MapCtx(context.Background(), 8, tasks, func(i int) (int, error) {
 		alg := algs[i%len(algs)]
 		n := 2 + i%3
 		schedule := make([]int, 120)

@@ -6,24 +6,27 @@
 //
 // Experiment map (see DESIGN.md §3):
 //
-//	E1  MeasureWakeup / SweepWakeup       — Theorem 6.1 bound per run
-//	E2  ExpectedComplexity                — randomized bound (Lemma 3.1)
-//	E3  SweepReduction                    — Theorem 6.2 per-type bounds
-//	E4  MeasureWakeup (UPGrowthOK)        — Lemma 5.1
-//	E5  VerifyIndistinguishability        — Lemma 5.2
-//	E6  core.CatchFastWakeup              — proof mechanics on a cheater
-//	E7  SweepConstruction (group-update)  — tightness: O(log n)
-//	E8  SweepConstruction (herlihy)       — baseline: Θ(n)
-//	E9  MoveScheduleComparison            — Section 4 motivation
-//	E10 RMWUnitTime                       — Section 7 observation
+//	E1  MeasureWakeup / SweepWakeupCtx       — Theorem 6.1 bound per run
+//	E2  ExpectedComplexityCtx                — randomized bound (Lemma 3.1)
+//	E3  SweepReductionCtx                    — Theorem 6.2 per-type bounds
+//	E4  MeasureWakeup (UPGrowthOK)           — Lemma 5.1
+//	E5  VerifyIndistinguishabilityCtx        — Lemma 5.2
+//	E6  core.CatchFastWakeup                 — proof mechanics on a cheater
+//	E7  SweepConstructionCtx (group-update)  — tightness: O(log n)
+//	E8  SweepConstructionCtx (herlihy)       — baseline: Θ(n)
+//	E9  MoveScheduleComparison               — Section 4 motivation
+//	E10 RMWUnitTime                          — Section 7 observation
 //
-// Every sweep has a *Parallel variant that fans its grid out over worker
-// goroutines through the engine in package sweep. The parallel variants
-// return byte-identical results at every parallelism level: each grid
-// point owns its algorithm, construction, memory, and (for randomized
-// sweeps) an RNG seed derived from its coordinates, and results are
-// collected in index order behind a barrier. The plain functions are the
-// parallel ones at parallelism 1.
+// Every sweep takes a context and a parallelism, and fans its grid out
+// over up to `parallel` worker goroutines (≤ 0 means one per CPU) through
+// the engine in package sweep. Its results are identical at every
+// parallelism: each grid point owns its algorithm, construction, memory,
+// and (for randomized sweeps) an RNG seed derived from its coordinates,
+// and results are collected in index order behind a barrier.
+// Cancellation stops dispatching grid points and returns ctx.Err()
+// (sweep.MapCtx semantics). ExpectedComplexity and
+// VerifyIndistinguishability keep a serial, uncancellable form for the
+// benchmark module (perfbench), which calls them.
 package lowerbound
 
 import (
@@ -154,24 +157,12 @@ func MeasureWakeup(alg machine.Algorithm, n int, ta machine.TossAssignment) (Wak
 	return res, nil
 }
 
-// SweepWakeup measures mk(n) for each n in ns (E1/E3 sweeps).
-func SweepWakeup(mk func(n int) machine.Algorithm, ns []int, ta machine.TossAssignment) ([]WakeupResult, error) {
-	return SweepWakeupParallel(mk, ns, ta, 1)
-}
-
-// SweepWakeupParallel is SweepWakeup fanned out over up to `parallel`
-// worker goroutines (≤ 0 means one per CPU). Each grid point builds its
-// own algorithm instance via mk and runs against its own simulated memory,
-// so work items share nothing; results come back in ns order and are
-// identical to the serial sweep at every parallelism level. ta must be a
-// pure function of (pid, j), as HashTosses and machine.ZeroTosses are.
-func SweepWakeupParallel(mk func(n int) machine.Algorithm, ns []int, ta machine.TossAssignment, parallel int) ([]WakeupResult, error) {
-	return SweepWakeupCtx(context.Background(), mk, ns, ta, parallel)
-}
-
-// SweepWakeupCtx is SweepWakeupParallel under a context: cancellation
-// stops dispatching grid points and returns ctx.Err() with the completed
-// prefix (sweep.MapCtx semantics).
+// SweepWakeupCtx measures mk(n) for each n in ns (E1/E3 sweeps). Each
+// grid point builds its own algorithm instance via mk and runs against its
+// own simulated memory, so work items share nothing; results come back in
+// ns order. ta must be a pure function of (pid, j), as HashTosses and
+// machine.ZeroTosses are. On cancellation the completed prefix comes back
+// with ctx.Err().
 func SweepWakeupCtx(ctx context.Context, mk func(n int) machine.Algorithm, ns []int, ta machine.TossAssignment, parallel int) ([]WakeupResult, error) {
 	return sweep.MapCtx(ctx, parallel, len(ns), func(i int) (WakeupResult, error) {
 		return MeasureWakeup(mk(ns[i]), ns[i], ta)
@@ -195,24 +186,17 @@ type ExpectedResult struct {
 	Failures int
 }
 
-// ExpectedComplexity estimates the expected complexity of mk(n) over
-// `samples` pseudo-random toss assignments derived from seed.
+// ExpectedComplexity is ExpectedComplexityCtx, serial and uncancellable.
 func ExpectedComplexity(mk func(n int) machine.Algorithm, n, samples int, seed int64) (ExpectedResult, error) {
-	return ExpectedComplexityParallel(mk, n, samples, seed, 1)
+	return ExpectedComplexityCtx(context.Background(), mk, n, samples, seed, 1)
 }
 
-// ExpectedComplexityParallel is ExpectedComplexity with the Monte-Carlo
-// samples fanned out over up to `parallel` workers (≤ 0 means one per
-// CPU). Sample i's toss assignment is seeded with sweep.Derive(seed, i) —
-// a pure function of (seed, i) — so every sample sees the same randomness
-// at every parallelism level and the estimate is byte-for-byte
-// reproducible.
-func ExpectedComplexityParallel(mk func(n int) machine.Algorithm, n, samples int, seed int64, parallel int) (ExpectedResult, error) {
-	return ExpectedComplexityCtx(context.Background(), mk, n, samples, seed, parallel)
-}
-
-// ExpectedComplexityCtx is ExpectedComplexityParallel under a context:
-// cancellation abandons the Monte-Carlo estimate and returns ctx.Err().
+// ExpectedComplexityCtx estimates the expected complexity of mk(n) over
+// `samples` pseudo-random toss assignments derived from seed. Sample i's
+// toss assignment is seeded with sweep.Derive(seed, i) — a pure function
+// of (seed, i) — so every sample sees the same randomness at every
+// parallelism level and the estimate is byte-for-byte reproducible.
+// Cancellation abandons the estimate and returns ctx.Err().
 func ExpectedComplexityCtx(ctx context.Context, mk func(n int) machine.Algorithm, n, samples int, seed int64, parallel int) (ExpectedResult, error) {
 	res := ExpectedResult{
 		Algorithm: mk(n).Name(),
@@ -248,27 +232,20 @@ func ExpectedComplexityCtx(ctx context.Context, mk func(n int) machine.Algorithm
 	return res, nil
 }
 
-// VerifyIndistinguishability checks Lemma 5.2 (E5) on one adversary run:
-// for every process p, with S = UP(p, steps(p)), the (S,A)-run is
-// indistinguishable from the (All,A)-run. Returns the number of subsets
-// checked and the first violation, if any.
+// VerifyIndistinguishability is VerifyIndistinguishabilityCtx, serial and
+// uncancellable.
 func VerifyIndistinguishability(alg machine.Algorithm, n int, ta machine.TossAssignment) (int, error) {
-	return VerifyIndistinguishabilityParallel(alg, n, ta, 1)
+	return VerifyIndistinguishabilityCtx(context.Background(), alg, n, ta, 1)
 }
 
-// VerifyIndistinguishabilityParallel is VerifyIndistinguishability with
-// the per-process (S,A)-run replays fanned out over up to `parallel`
-// workers (≤ 0 means one per CPU). The replays only read the shared
-// (All,A)-run (each builds its own memory and machines), so they are
-// independent; the checked count and first violation match the serial
-// pid-order scan.
-func VerifyIndistinguishabilityParallel(alg machine.Algorithm, n int, ta machine.TossAssignment, parallel int) (int, error) {
-	return VerifyIndistinguishabilityCtx(context.Background(), alg, n, ta, parallel)
-}
-
-// VerifyIndistinguishabilityCtx is VerifyIndistinguishabilityParallel
-// under a context: cancellation stops dispatching per-process replays and
-// returns the count of subsets checked so far with ctx.Err().
+// VerifyIndistinguishabilityCtx checks Lemma 5.2 (E5) on one adversary
+// run: for every process p, with S = UP(p, steps(p)), the (S,A)-run is
+// indistinguishable from the (All,A)-run. It returns the number of
+// subsets checked and the first violation, if any. The per-process
+// (S,A)-run replays only read the shared (All,A)-run (each builds its own
+// memory and machines), so they are independent; the checked count and
+// first violation match the serial pid-order scan. On cancellation the
+// count of subsets checked so far comes back with ctx.Err().
 func VerifyIndistinguishabilityCtx(ctx context.Context, alg machine.Algorithm, n int, ta machine.TossAssignment, parallel int) (int, error) {
 	run, err := core.RunAll(alg, n, ta, core.Config{})
 	if err != nil {
@@ -325,20 +302,9 @@ type ReductionResult struct {
 	PerOpBound int
 }
 
-// SweepReduction measures one reduction over a construction for each n.
-func SweepReduction(spec wakeup.ReductionSpec, construction string, ns []int, ta machine.TossAssignment) ([]ReductionResult, error) {
-	return SweepReductionParallel(spec, construction, ns, ta, 1)
-}
-
-// SweepReductionParallel is SweepReduction fanned out over up to
-// `parallel` workers (≤ 0 means one per CPU). Every grid point builds its
-// own construction instance (fresh registers), so items share nothing.
-func SweepReductionParallel(spec wakeup.ReductionSpec, construction string, ns []int, ta machine.TossAssignment, parallel int) ([]ReductionResult, error) {
-	return SweepReductionCtx(context.Background(), spec, construction, ns, ta, parallel)
-}
-
-// SweepReductionCtx is SweepReductionParallel under a context
-// (sweep.MapCtx semantics on cancellation).
+// SweepReductionCtx measures one reduction over a construction for each
+// n. Every grid point builds its own construction instance (fresh
+// registers), so items share nothing.
 func SweepReductionCtx(ctx context.Context, spec wakeup.ReductionSpec, construction string, ns []int, ta machine.TossAssignment, parallel int) ([]ReductionResult, error) {
 	return sweep.MapCtx(ctx, parallel, len(ns), func(i int) (ReductionResult, error) {
 		n := ns[i]
@@ -399,24 +365,12 @@ func MeasureConstruction(mk func(n int) universal.Construction, op func(n, pid i
 	}, nil
 }
 
-// SweepConstruction measures the construction across ns and classifies the
-// growth of its forced cost.
-func SweepConstruction(mk func(n int) universal.Construction, op func(n, pid int) objtype.Op, ns []int) ([]ConstructionResult, stats.Growth, error) {
-	return SweepConstructionParallel(mk, op, ns, 1)
-}
-
-// SweepConstructionParallel is SweepConstruction fanned out over up to
-// `parallel` workers (≤ 0 means one per CPU). mk is invoked once per grid
-// point inside its work item, so each measurement owns its construction
-// and simulated memory; the growth fit happens after the barrier, over the
-// index-ordered results.
-func SweepConstructionParallel(mk func(n int) universal.Construction, op func(n, pid int) objtype.Op, ns []int, parallel int) ([]ConstructionResult, stats.Growth, error) {
-	return SweepConstructionCtx(context.Background(), mk, op, ns, parallel)
-}
-
-// SweepConstructionCtx is SweepConstructionParallel under a context: on
-// cancellation the partial results come back with ctx.Err() and an empty
-// growth classification.
+// SweepConstructionCtx measures the construction across ns and classifies
+// the growth of its forced cost. mk is invoked once per grid point inside
+// its work item, so each measurement owns its construction and simulated
+// memory; the growth fit happens after the barrier, over the index-ordered
+// results. On cancellation the partial results come back with ctx.Err()
+// and an empty growth classification.
 func SweepConstructionCtx(ctx context.Context, mk func(n int) universal.Construction, op func(n, pid int) objtype.Op, ns []int, parallel int) ([]ConstructionResult, stats.Growth, error) {
 	out, err := sweep.MapCtx(ctx, parallel, len(ns), func(i int) (ConstructionResult, error) {
 		return MeasureConstruction(mk, op, ns[i])

@@ -1,6 +1,7 @@
 package lowerbound
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -37,12 +38,12 @@ func correctWakeupAlgorithms() []struct {
 func TestSweepWakeupParallelMatchesSerial(t *testing.T) {
 	ns := []int{2, 4, 8, 16}
 	for _, alg := range correctWakeupAlgorithms() {
-		serial, err := SweepWakeupParallel(alg.mk, ns, machine.ZeroTosses, 1)
+		serial, err := SweepWakeupCtx(context.Background(), alg.mk, ns, machine.ZeroTosses, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", alg.name, err)
 		}
 		for _, parallel := range []int{4, 16} {
-			par, err := SweepWakeupParallel(alg.mk, ns, machine.ZeroTosses, parallel)
+			par, err := SweepWakeupCtx(context.Background(), alg.mk, ns, machine.ZeroTosses, parallel)
 			if err != nil {
 				t.Fatalf("%s parallel=%d: %v", alg.name, parallel, err)
 			}
@@ -60,7 +61,7 @@ func TestSweepWakeupParallelMatchesSerial(t *testing.T) {
 func TestRaceSmallSweepEveryAlgorithm(t *testing.T) {
 	ns := []int{2, 4, 8}
 	for _, alg := range correctWakeupAlgorithms() {
-		results, err := SweepWakeupParallel(alg.mk, ns, machine.ZeroTosses, 4)
+		results, err := SweepWakeupCtx(context.Background(), alg.mk, ns, machine.ZeroTosses, 4)
 		if err != nil {
 			t.Fatalf("%s: %v", alg.name, err)
 		}
@@ -71,10 +72,10 @@ func TestRaceSmallSweepEveryAlgorithm(t *testing.T) {
 		}
 	}
 	specs := wakeup.Reductions()
-	if _, err := SweepReductionParallel(specs[0], "group-update", ns, machine.ZeroTosses, 4); err != nil {
+	if _, err := SweepReductionCtx(context.Background(), specs[0], "group-update", ns, machine.ZeroTosses, 4); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ExpectedComplexityParallel(func(int) machine.Algorithm { return wakeup.DoubleRegister() },
+	if _, err := ExpectedComplexityCtx(context.Background(), func(int) machine.Algorithm { return wakeup.DoubleRegister() },
 		8, 12, sweep.Seed("race", "double-register", 8, 0), 4); err != nil {
 		t.Fatal(err)
 	}
@@ -84,18 +85,18 @@ func TestRaceSmallSweepEveryAlgorithm(t *testing.T) {
 // must not depend on how samples are scheduled over workers.
 func TestExpectedComplexityParallelMatchesSerial(t *testing.T) {
 	mk := func(int) machine.Algorithm { return wakeup.DoubleRegister() }
-	serial, err := ExpectedComplexityParallel(mk, 16, 20, 7, 1)
+	serial, err := ExpectedComplexityCtx(context.Background(), mk, 16, 20, 7, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := ExpectedComplexityParallel(mk, 16, 20, 7, 8)
+	par, err := ExpectedComplexityCtx(context.Background(), mk, 16, 20, 7, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(serial, par) {
 		t.Fatalf("parallel estimate diverged:\nserial   %+v\nparallel %+v", serial, par)
 	}
-	// And the serial wrapper is the parallel path at 1 worker.
+	// And the serial form is the context form at 1 worker.
 	wrapped, err := ExpectedComplexity(mk, 16, 20, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -109,8 +110,8 @@ func TestExpectedComplexityParallelMatchesSerial(t *testing.T) {
 // per-process (S,A)-replays of E5.
 func TestVerifyIndistinguishabilityParallelMatchesSerial(t *testing.T) {
 	for _, alg := range []machine.Algorithm{wakeup.SetRegister(), wakeup.MoveCourier()} {
-		serial, serialErr := VerifyIndistinguishabilityParallel(alg, 8, machine.ZeroTosses, 1)
-		par, parErr := VerifyIndistinguishabilityParallel(alg, 8, machine.ZeroTosses, 4)
+		serial, serialErr := VerifyIndistinguishabilityCtx(context.Background(), alg, 8, machine.ZeroTosses, 1)
+		par, parErr := VerifyIndistinguishabilityCtx(context.Background(), alg, 8, machine.ZeroTosses, 4)
 		if (serialErr == nil) != (parErr == nil) {
 			t.Fatalf("%s: error mismatch: %v vs %v", alg.Name(), serialErr, parErr)
 		}
@@ -185,7 +186,7 @@ func TestMeasureWakeupSetRegister(t *testing.T) {
 
 func TestSweepWakeupBoundsHold(t *testing.T) {
 	ns := []int{2, 4, 8, 16, 32, 64}
-	results, err := SweepWakeup(func(n int) machine.Algorithm { return wakeup.SetRegister() }, ns, machine.ZeroTosses)
+	results, err := SweepWakeupCtx(context.Background(), func(n int) machine.Algorithm { return wakeup.SetRegister() }, ns, machine.ZeroTosses, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +246,7 @@ func TestSweepReductionFetchIncrement(t *testing.T) {
 			spec = s
 		}
 	}
-	results, err := SweepReduction(spec, "group-update", []int{2, 4, 8, 16}, machine.ZeroTosses)
+	results, err := SweepReductionCtx(context.Background(), spec, "group-update", []int{2, 4, 8, 16}, machine.ZeroTosses, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +267,7 @@ func TestAllReductionsOverGroupUpdateSmall(t *testing.T) {
 	for _, spec := range wakeup.Reductions() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
-			results, err := SweepReduction(spec, "group-update", []int{4, 8}, machine.ZeroTosses)
+			results, err := SweepReductionCtx(context.Background(), spec, "group-update", []int{4, 8}, machine.ZeroTosses, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -283,9 +284,9 @@ func TestSweepConstructionShapes(t *testing.T) {
 	ns := []int{2, 4, 8, 16, 32, 64, 128}
 	typ := func(n int) objtype.Type { return objtype.NewFetchIncrement(16) }
 
-	gu, guGrowth, err := SweepConstruction(
+	gu, guGrowth, err := SweepConstructionCtx(context.Background(),
 		func(n int) universal.Construction { return universal.NewGroupUpdate(typ(n), n, 0) },
-		FetchIncOp, ns)
+		FetchIncOp, ns, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,9 +302,9 @@ func TestSweepConstructionShapes(t *testing.T) {
 		}
 	}
 
-	he, heGrowth, err := SweepConstruction(
+	he, heGrowth, err := SweepConstructionCtx(context.Background(),
 		func(n int) universal.Construction { return universal.NewHerlihy(typ(n), n, 0) },
-		FetchIncOp, ns)
+		FetchIncOp, ns, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

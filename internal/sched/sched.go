@@ -88,10 +88,11 @@ func (s *Random) Next(_ int, live []int) int {
 }
 
 // Memory is the backend an execution applies shared-memory operations to.
-// *shmem.Memory (the single-threaded simulator) implements it natively;
-// *llsc.Memory (the concurrent memory) implements it too, so the same
-// executor — and the schedule-exploration harness of package explore —
-// can drive machines against either backend.
+// *shmem.Memory (the single-threaded simulator), *llsc.Memory (the same
+// register file behind a lock) and the Blelloch–Wei *bwllsc.Memory all
+// implement it, so Execute can drive machines against any of them. The
+// schedule-exploration harness of package explore also clones and
+// fingerprints its memory, so it takes the wider shmem.Backend instead.
 type Memory interface {
 	// Apply performs op on behalf of pid and returns the response.
 	Apply(pid int, op shmem.Op) shmem.Response

@@ -13,15 +13,15 @@
 //     derive a private seed from their grid coordinates with Seed, or from
 //     a base seed and sample index with Derive, so the same item always
 //     sees the same randomness at every parallelism level.
-//   - Errors reproduce serial semantics: Map returns the error of the
+//   - Errors reproduce serial semantics: MapCtx returns the error of the
 //     lowest-indexed failing item together with the results of every item
 //     before it, exactly as the serial loop would have.
-//   - Cancellation (MapCtx) is the one sanctioned breach of determinism:
-//     an uncancelled MapCtx is byte-identical to Map, but once ctx is done
-//     the set of items that managed to complete depends on timing. Callers
-//     must therefore never cache or render the partial results of a
-//     cancelled sweep as if they were a full run — the jobs layer treats
-//     ctx.Err() as "no result" for exactly this reason.
+//   - Cancellation is the one sanctioned breach of determinism: an
+//     uncancelled MapCtx is byte-identical at every worker count, but once
+//     ctx is done the set of items that managed to complete depends on
+//     timing. Callers must therefore never cache or render the partial
+//     results of a cancelled sweep as if they were a full run — the jobs
+//     layer treats ctx.Err() as "no result" for exactly this reason.
 package sweep
 
 import (
@@ -72,31 +72,26 @@ func Workers(requested int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Map runs fn(i) for every i in [0, n) on up to `workers` goroutines
+// MapCtx runs fn(i) for every i in [0, n) on up to `workers` goroutines
 // (Workers-resolved; clamped to n) and returns the results in index order.
 //
-// If any item fails, Map returns the error of the lowest-indexed failing
-// item and the results of all items before it — the same (partial results,
-// first error) a serial loop produces. Items after a known-failed index may
-// be skipped. A panicking item re-panics on the caller's goroutine with the
-// worker's stack attached, so a crash looks the same as in the serial loop.
-func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	return MapCtx(context.Background(), workers, n, fn)
-}
-
-// MapCtx is Map under a context: once ctx is done, no further items are
-// dispatched, and MapCtx returns ctx.Err() together with the results of
-// the items that completed before the cancellation point — the same
-// (partial results, first error) shape Map produces for a failing item,
-// with the cancellation behaving like an error at the first undispatched
-// index. An item error at a lower index still takes precedence, exactly
-// as in the serial loop.
+// If any item fails, MapCtx returns the error of the lowest-indexed
+// failing item and the results of all items before it — the same (partial
+// results, first error) a serial loop produces. Items after a known-failed
+// index may be skipped. A panicking item re-panics on the caller's
+// goroutine with the worker's stack attached, so a crash looks the same as
+// in the serial loop.
 //
-// Items already running when ctx is cancelled are not interrupted — fn
-// must watch ctx itself if mid-item cancellation matters. Determinism
-// caveat: which items complete before a cancellation depends on timing,
-// so only the error value (ctx.Err()) is deterministic for a cancelled
-// sweep; an uncancelled MapCtx is byte-identical to Map.
+// Once ctx is done, no further items are dispatched, and MapCtx returns
+// ctx.Err() together with the results of the items that completed before
+// the cancellation point: the cancellation behaves like an error at the
+// first undispatched index. An item error at a lower index still takes
+// precedence, exactly as in the serial loop. Items already running when
+// ctx is cancelled are not interrupted — fn must watch ctx itself if
+// mid-item cancellation matters. Determinism caveat: which items complete
+// before a cancellation depends on timing, so only the error value
+// (ctx.Err()) is deterministic for a cancelled sweep; an uncancelled
+// MapCtx is byte-identical at every worker count.
 func MapCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	workers = Workers(workers)
 	if workers > n {

@@ -13,7 +13,7 @@ import (
 
 func TestMapOrdersResultsByIndex(t *testing.T) {
 	n := 64
-	got, err := Map(8, n, func(i int) (int, error) {
+	got, err := MapCtx(context.Background(), 8, n, func(i int) (int, error) {
 		// Stagger completion so out-of-order finishes would be visible.
 		time.Sleep(time.Duration((n-i)%5) * time.Millisecond)
 		return i * i, nil
@@ -33,12 +33,12 @@ func TestMapOrdersResultsByIndex(t *testing.T) {
 
 func TestMapMatchesSerial(t *testing.T) {
 	fn := func(i int) (string, error) { return fmt.Sprintf("item-%d", i), nil }
-	serial, err := Map(1, 20, fn)
+	serial, err := MapCtx(context.Background(), 1, 20, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 16, 100} {
-		par, err := Map(workers, 20, fn)
+		par, err := MapCtx(context.Background(), workers, 20, fn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +51,7 @@ func TestMapMatchesSerial(t *testing.T) {
 func TestMapReturnsFirstErrorByIndex(t *testing.T) {
 	err3 := errors.New("boom at 3")
 	err7 := errors.New("boom at 7")
-	got, err := Map(8, 10, func(i int) (int, error) {
+	got, err := MapCtx(context.Background(), 8, 10, func(i int) (int, error) {
 		switch i {
 		case 3:
 			// Let the higher-indexed failure land first; the reported
@@ -79,7 +79,7 @@ func TestMapReturnsFirstErrorByIndex(t *testing.T) {
 func TestMapSerialErrorSemantics(t *testing.T) {
 	failAt2 := errors.New("fail")
 	var calls atomic.Int64
-	got, err := Map(1, 10, func(i int) (int, error) {
+	got, err := MapCtx(context.Background(), 1, 10, func(i int) (int, error) {
 		calls.Add(1)
 		if i == 2 {
 			return 0, failAt2
@@ -104,7 +104,7 @@ func TestMapPanicPropagates(t *testing.T) {
 			t.Fatalf("panic value lost: %v", r)
 		}
 	}()
-	_, _ = Map(4, 8, func(i int) (int, error) {
+	_, _ = MapCtx(context.Background(), 4, 8, func(i int) (int, error) {
 		if i == 5 {
 			panic("kaboom")
 		}
@@ -113,7 +113,7 @@ func TestMapPanicPropagates(t *testing.T) {
 }
 
 func TestMapZeroItems(t *testing.T) {
-	got, err := Map(4, 0, func(i int) (int, error) { return 0, errors.New("never") })
+	got, err := MapCtx(context.Background(), 4, 0, func(i int) (int, error) { return 0, errors.New("never") })
 	if err != nil || len(got) != 0 {
 		t.Fatalf("got %v, %v", got, err)
 	}
@@ -178,7 +178,7 @@ func TestDeriveStreamDistinct(t *testing.T) {
 // TestMapRaceClean hammers the engine with shared-nothing items under the
 // race detector: each item owns RNG state derived from its index.
 func TestMapRaceClean(t *testing.T) {
-	sums, err := Map(8, 128, func(i int) (uint64, error) {
+	sums, err := MapCtx(context.Background(), 8, 128, func(i int) (uint64, error) {
 		var sum uint64
 		s := uint64(Derive(1, i))
 		for j := 0; j < 1000; j++ {
@@ -190,7 +190,7 @@ func TestMapRaceClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := Map(3, 128, func(i int) (uint64, error) {
+	again, err := MapCtx(context.Background(), 3, 128, func(i int) (uint64, error) {
 		var sum uint64
 		s := uint64(Derive(1, i))
 		for j := 0; j < 1000; j++ {
@@ -205,29 +205,6 @@ func TestMapRaceClean(t *testing.T) {
 	for i := range sums {
 		if sums[i] != again[i] {
 			t.Fatalf("item %d differed across parallelism levels", i)
-		}
-	}
-}
-
-// TestMapCtxUncancelledMatchesMap: with a live context, MapCtx is Map.
-func TestMapCtxUncancelledMatchesMap(t *testing.T) {
-	fn := func(i int) (int, error) { return i * 3, nil }
-	want, err := Map(4, 32, fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 8} {
-		got, err := MapCtx(context.Background(), workers, 32, fn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d results, want %d", workers, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: results[%d] = %d, want %d", workers, i, got[i], want[i])
-			}
 		}
 	}
 }

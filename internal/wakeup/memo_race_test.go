@@ -1,6 +1,7 @@
 package wakeup_test
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -24,7 +25,7 @@ func TestPidMemoSharedByParallelRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		parallel, err := lowerbound.VerifyIndistinguishabilityParallel(wakeup.SetRegister(), n, machine.ZeroTosses, 4)
+		parallel, err := lowerbound.VerifyIndistinguishabilityCtx(context.Background(), wakeup.SetRegister(), n, machine.ZeroTosses, 4)
 		if err != nil || parallel != serial {
 			t.Fatalf("parallel check = (%d, %v), serial %d", parallel, err, serial)
 		}
