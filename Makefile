@@ -18,7 +18,7 @@ BENCH_SHA ?= $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo local)
 # exploration hot paths this codebase optimizes for, kept quick enough
 # for CI. Timing diffs only gate when baseline and current ran on the
 # same CPU model; allocation and paper-level metrics always gate.
-HOTPATH_BENCH ?= E1WakeupForcedSteps|E2RandomizedWakeup|E4UPTracking|E5Indistinguishability|E7GroupUpdate|E8Herlihy|ShmemLLSC|PsetChurn|ValuesEqual|MaxSteps|LLSCFingerprint|ExhaustiveExplore|MachineStep|VMStep|CampaignExec|TASStep|BWLLSC
+HOTPATH_BENCH ?= E1WakeupForcedSteps|E2RandomizedWakeup|E4UPTracking|E5Indistinguishability|E7GroupUpdate|E8Herlihy|ShmemLLSC|PsetChurn|ValuesEqual|MaxSteps|LLSCFingerprint|ExhaustiveExplore|ExploreFuzz|MachineStep|VMStep|CampaignExec|TASStep|BWLLSC
 # Committed baseline artifact to diff against (first BENCH_*.json here).
 BENCH_BASELINE ?= $(firstword $(wildcard BENCH_*.json))
 
@@ -137,6 +137,7 @@ fuzz-short:
 	$(GO) test ./internal/wakeup/ -run '^$$' -fuzz '^FuzzPidMemo$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/linz/ -run '^$$' -fuzz '^FuzzOnlineMemo$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/jobs/ -run '^$$' -fuzz '^FuzzJournalRecord$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/jobs/ -run '^$$' -fuzz '^FuzzSpec$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/campaign/ -run '^$$' -fuzz '^FuzzCheckpoint$$' -fuzztime $(FUZZTIME)
 
 # Differential proof that the bytecode VM and the goroutine interpreter are

@@ -588,6 +588,40 @@ func BenchmarkExhaustiveExploreOps(b *testing.B) {
 	}
 }
 
+// BenchmarkExploreFuzz measures random-schedule search: perfbench's two
+// explore fuzz batches (group-update at n=4 with two ops per process, and
+// one tas-tournament walk at n=8) and the service's cold job (group-update
+// at n=3 over 28 samples), each at a fixed seed on one worker. A walk's
+// cost is mostly the online checker's transitions and the machines' steps.
+// steps/op is the campaign's TotalSteps, which bench-compare gates exactly.
+func BenchmarkExploreFuzz(b *testing.B) {
+	cases := []struct {
+		name    string
+		cfg     explore.Config
+		samples int
+	}{
+		{name: "group-update/n=4/ops=2", cfg: explore.Config{Alg: "group-update", Object: "fetch-increment", N: 4, OpsPerProc: 2}, samples: 12},
+		{name: "tas-tournament/n=8", cfg: explore.Config{Alg: "tas-tournament", Object: "tas", N: 8, OpsPerProc: 1}, samples: 1},
+		{name: "group-update/n=3/service", cfg: explore.Config{Alg: "group-update", Object: "fetch-increment", N: 3, OpsPerProc: 1}, samples: 28},
+	}
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			var rep *explore.FuzzReport
+			for i := 0; i < b.N; i++ {
+				var err error
+				rep, err = explore.Fuzz(tc.cfg, explore.FuzzOptions{Samples: tc.samples, Seed: 7, Workers: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(rep.Failures) != 0 {
+					b.Fatalf("fuzz found %d failures", len(rep.Failures))
+				}
+			}
+			b.ReportMetric(float64(rep.TotalSteps), "steps/op")
+		})
+	}
+}
+
 // BenchmarkCampaignExec measures campaign-round execution throughput —
 // the coverage-guided hot path (guided runs with state-digest tracing,
 // corpus mutation, slot-order folds) that a long-lived campaign spends

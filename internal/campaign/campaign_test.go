@@ -2,7 +2,9 @@ package campaign
 
 import (
 	"context"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -46,6 +48,40 @@ func TestSpecNormalizeAndID(t *testing.T) {
 	}
 	if id3 == id1 {
 		t.Fatal("different seeds, same campaign ID")
+	}
+}
+
+// TestSpecIDDistinguishesLargeSeeds: campaigns whose seeds differ only in
+// bits a float64 cannot hold (above 2^53) have different IDs. The ID is
+// the checkpoint key, so a collision would resume one campaign from the
+// other's state. IDs of specs whose integers fit a float64 exactly are
+// the ones the float64 canonical encoding gave them.
+func TestSpecIDDistinguishesLargeSeeds(t *testing.T) {
+	for _, seed := range []int64{1 << 53, 1 << 60} {
+		a, b := &Spec{Seed: seed}, &Spec{Seed: seed + 1}
+		ida, err := a.ID()
+		if err != nil {
+			t.Fatal(err)
+		}
+		idb, err := b.ID()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ida == idb {
+			t.Errorf("seeds %d and %d share campaign ID %s", seed, seed+1, ida)
+		}
+	}
+	pinned := []struct {
+		spec Spec
+		id   string
+	}{
+		{Spec{N: 3, Seed: 7}, "6ce3e214a83acbc09790e827fe7fdade9c7bd5448b1a303cd23804ba9ab79fe5"},
+		{Spec{Alg: "tas-tournament", N: 3, BatchSize: 16, Seed: 12}, "9e3bb58496b33202de8a4f231f4a6efbb6c97fcc9b0f7c884c702373146761ae"},
+	}
+	for _, tc := range pinned {
+		if got, err := tc.spec.ID(); err != nil || got != tc.id {
+			t.Errorf("%+v: ID %s (%v), want %s", tc.spec, got, err, tc.id)
+		}
 	}
 }
 
@@ -202,6 +238,65 @@ func TestApplyRoundValidation(t *testing.T) {
 	}
 	if _, err := st.ApplyRound(&RoundResult{Round: 0, Results: make([]InputResult, 2)}); err == nil {
 		t.Fatal("wrong result count accepted")
+	}
+}
+
+// TestApplyRoundCoverageIsSortedSet: the coverage ApplyRound merges is the
+// ascending set of every digest the rounds reached, for random traces that
+// repeat digests within a trace, across slots and across rounds, and it
+// stays so through a checkpoint round trip. A checkpoint whose coverage is
+// unsorted or repeats a digest decodes to that ascending set.
+func TestApplyRoundCoverageIsSortedSet(t *testing.T) {
+	spec := Spec{BatchSize: 4}
+	spec.Normalize()
+	st := NewState(spec)
+	rng := rand.New(rand.NewSource(1))
+	seen := map[uint64]bool{}
+	for round := 0; round < 40; round++ {
+		rr := &RoundResult{Round: round, Results: make([]InputResult, spec.BatchSize)}
+		for slot := range rr.Results {
+			trace := make([]uint64, rng.Intn(24))
+			for i := range trace {
+				// Few distinct values, spread over the whole range.
+				trace[i] = uint64(rng.Intn(300)) * 0x9e3779b97f4a7c15
+				seen[trace[i]] = true
+			}
+			rr.Results[slot].Trace = trace
+		}
+		if _, err := st.ApplyRound(rr); err != nil {
+			t.Fatal(err)
+		}
+		want := make([]uint64, 0, len(seen))
+		for d := range seen {
+			want = append(want, d)
+		}
+		slices.Sort(want)
+		if !slices.Equal(st.Coverage, want) {
+			t.Fatalf("round %d: coverage %v, want the sorted set %v", round, st.Coverage, want)
+		}
+		if round == 20 {
+			data, err := st.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st, err = DecodeState(data); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	st, err := DecodeState([]byte(`{"spec":{"batchSize":1},"coverage":[9,3,9,5]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []uint64{3, 5, 9}; !slices.Equal(st.Coverage, want) {
+		t.Fatalf("decoded coverage %v, want %v", st.Coverage, want)
+	}
+	if _, err := st.ApplyRound(&RoundResult{Results: []InputResult{{Trace: []uint64{4, 9, 1}}}}); err != nil {
+		t.Fatal(err)
+	}
+	if want := []uint64{1, 3, 4, 5, 9}; !slices.Equal(st.Coverage, want) {
+		t.Fatalf("coverage after a round %v, want %v", st.Coverage, want)
 	}
 }
 

@@ -49,7 +49,7 @@ func (c *Corpus) Schedules() [][]int {
 // JSON. Two campaign replicas that evolved the same corpus — the
 // determinism tests' claim — produce equal digests.
 func (c *Corpus) Digest() string {
-	canon, err := canonicalJSON(c.Entries)
+	canon, err := CanonicalJSON(c.Entries)
 	if err != nil {
 		// Entries are plain ints; marshalling cannot fail.
 		panic(err)

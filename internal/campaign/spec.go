@@ -21,6 +21,7 @@
 package campaign
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -174,36 +175,37 @@ func (s *Spec) ExploreConfig() explore.Config {
 }
 
 // ID normalizes and validates the spec and returns its content hash: the
-// lowercase hex SHA-256 of the canonical JSON encoding (keys sorted via a
-// generic-value round trip, the same scheme job IDs use). The ID doubles
-// as the checkpoint key in the jobs cache.
+// lowercase hex SHA-256 of CanonicalJSON, the encoding job IDs hash too.
+// The ID doubles as the checkpoint key in the jobs cache.
 func (s *Spec) ID() (string, error) {
 	s.Normalize()
 	if err := s.Validate(); err != nil {
 		return "", err
 	}
-	canon, err := canonicalJSON(s)
+	canon, err := CanonicalJSON(s)
 	if err != nil {
-		return "", err
+		return "", fmt.Errorf("campaign: canonical encoding: %w", err)
 	}
 	sum := sha256.Sum256(canon)
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// canonicalJSON marshals v, re-serializes through a generic value so
-// object keys sort, and returns the stable bytes.
-func canonicalJSON(v any) ([]byte, error) {
+// CanonicalJSON returns v's canonical JSON encoding: v marshalled, then
+// re-serialized through a generic value so object keys sort and the bytes
+// do not depend on struct field order. Numbers pass through as json.Number,
+// so every integer keeps its digits; a float64 round trip would merge
+// integers above 2^53 that differ only in their low bits. Job IDs
+// (jobs.Spec.Canonical) and campaign IDs both hash these bytes.
+func CanonicalJSON(v any) ([]byte, error) {
 	raw, err := json.Marshal(v)
 	if err != nil {
-		return nil, fmt.Errorf("campaign: canonical encoding: %w", err)
+		return nil, err
 	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.UseNumber()
 	var generic any
-	if err := json.Unmarshal(raw, &generic); err != nil {
-		return nil, fmt.Errorf("campaign: canonical encoding: %w", err)
+	if err := dec.Decode(&generic); err != nil {
+		return nil, err
 	}
-	out, err := json.Marshal(generic)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: canonical encoding: %w", err)
-	}
-	return out, nil
+	return json.Marshal(generic)
 }

@@ -3,6 +3,7 @@ package campaign
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"jayanti98/internal/explore"
 )
@@ -115,11 +116,13 @@ func (st *State) ApplyRound(rr *RoundResult) (RoundDelta, error) {
 		return RoundDelta{}, fmt.Errorf("campaign: round %d has %d results, want %d", rr.Round, len(rr.Results), st.Spec.BatchSize)
 	}
 	var delta RoundDelta
+	var added []uint64
 	cov := st.coverage()
 	for slot, res := range rr.Results {
 		st.Execs++
 		st.TotalSteps += int64(res.Steps)
 		fresh := cov.AddTrace(res.Trace)
+		added = append(added, fresh...)
 		delta.NewDigests += len(fresh)
 		if len(fresh) > 0 && len(res.Schedule) > 0 {
 			st.Corpus.Add(Entry{
@@ -135,9 +138,27 @@ func (st *State) ApplyRound(rr *RoundResult) (RoundDelta, error) {
 			delta.Failures = append(delta.Failures, SlotFailure{Slot: slot, Result: res})
 		}
 	}
-	st.Coverage = cov.Snapshot()
+	st.Coverage = mergeSorted(st.Coverage, added)
 	st.Round++
 	return delta, nil
+}
+
+// mergeSorted returns the ascending union of sorted, an ascending set, and
+// fresh, whose digests are distinct and not in sorted; it sorts fresh in
+// place. Only the round's new digests are sorted, so a round costs time
+// linear in the coverage it has already accumulated.
+func mergeSorted(sorted, fresh []uint64) []uint64 {
+	slices.Sort(fresh)
+	out := make([]uint64, 0, len(sorted)+len(fresh))
+	for len(sorted) > 0 && len(fresh) > 0 {
+		if sorted[0] < fresh[0] {
+			out, sorted = append(out, sorted[0]), sorted[1:]
+		} else {
+			out, fresh = append(out, fresh[0]), fresh[1:]
+		}
+	}
+	out = append(out, sorted...)
+	return append(out, fresh...)
 }
 
 // MaxStoredFindings caps the kept findings per campaign; failures beyond
@@ -190,5 +211,9 @@ func DecodeState(data []byte) (*State, error) {
 		return nil, err
 	}
 	st.cov = explore.NewCoverageFrom(st.Coverage)
+	if len(st.Coverage) != st.cov.Len() || !slices.IsSorted(st.Coverage) {
+		// ApplyRound merges into Coverage, which needs the canonical form.
+		st.Coverage = st.cov.Snapshot()
+	}
 	return &st, nil
 }

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"math/rand"
+	"slices"
 
 	"jayanti98/internal/linz"
 	"jayanti98/internal/sweep"
@@ -91,18 +92,20 @@ func RunGuided(cfg Config, prefix []int, seed int64, tossRange int64) (*CoverRec
 // RunGuided for its rules). Its runner checks on memo (nil: a private one,
 // which the returned runner's memo field then holds). mark, when not nil,
 // sees the initial state and the state after every delivered step; Fuzz
-// passes nil and so computes no state digest.
+// passes nil, so its runner keeps no history digests and no state digest
+// is computed.
 func walk(cfg Config, prefix []int, seed, tossRange int64, memo *linz.Memo, mark func(*runner)) (*runner, error) {
 	if tossRange <= 0 {
 		tossRange = 2
 	}
-	if mark == nil {
+	digests := mark != nil
+	if !digests {
 		mark = func(*runner) {}
 	}
 	rng := rand.New(rand.NewSource(seed))
 	tossRng := rand.New(rand.NewSource(sweep.Derive(seed, 1)))
 	cfg.Tosses = func(int, int) int64 { return tossRng.Int63n(tossRange) }
-	r, err := newRunner(cfg, memo)
+	r, err := newRunner(cfg, memo, digests)
 	if err != nil {
 		return nil, err
 	}
@@ -115,8 +118,9 @@ func walk(cfg Config, prefix []int, seed, tossRange int64, memo *linz.Memo, mark
 			mark(r)
 		}
 	}
+	var en []int
 	for r.fail == nil && !r.done() {
-		en := r.enabled()
+		en = r.appendEnabled(en[:0])
 		if len(en) == 0 {
 			break
 		}
@@ -197,12 +201,7 @@ func (c *Coverage) Snapshot() []uint64 {
 	for d := range c.set {
 		out = append(out, d)
 	}
-	// Insertion-order independence: sort ascending.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1] > out[j]; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
+	slices.Sort(out)
 	return out
 }
 

@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"reflect"
 	"testing"
 
 	"jayanti98/internal/algos"
@@ -26,7 +27,7 @@ func TestRunnerEngines(t *testing.T) {
 		cfgs = append(cfgs, Config{Alg: name, Object: spec.Object, N: 2, OpsPerProc: 1})
 	}
 	for _, cfg := range cfgs {
-		r, err := newRunner(cfg, nil)
+		r, err := newRunner(cfg, nil, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -34,6 +35,48 @@ func TestRunnerEngines(t *testing.T) {
 			if got := m.EngineName(); got != "vm" {
 				t.Errorf("%s: machine %d on engine %q, want vm", cfg.Alg, pid, got)
 			}
+		}
+	}
+}
+
+// TestRunnerDigestsOnlyWhereRead: a runner keeps its machines' history
+// digests exactly when its caller reads the product state. Exhaustive
+// search and RunGuided do; a Fuzz walk and RunSchedule do not, and their
+// runs are the same runs either way.
+func TestRunnerDigestsOnlyWhereRead(t *testing.T) {
+	cfg := Config{Alg: "group-update", Object: "fetch-increment", N: 3, OpsPerProc: 1}
+	digests := func(r *runner) (on int) {
+		for _, m := range r.ms {
+			if _, _, enabled := m.HistoryDigest(); enabled {
+				on++
+			}
+		}
+		return on
+	}
+	fuzzed, err := walk(cfg, nil, 5, 0, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	guided, err := walk(cfg, nil, 5, 0, nil, func(*runner) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := digests(fuzzed); got != 0 {
+		t.Errorf("a fuzz walk kept %d history digests, want none", got)
+	}
+	if got := digests(guided); got != cfg.N {
+		t.Errorf("a guided walk kept %d history digests, want %d", got, cfg.N)
+	}
+	if a, b := fuzzed.record(), guided.record(); !reflect.DeepEqual(a, b) {
+		t.Errorf("the walks differ:\n%+v\n%+v", a, b)
+	}
+	for _, digested := range []bool{false, true} {
+		r, err := newRunner(cfg, nil, digested)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := digests(r) > 0, digested; got != want {
+			t.Errorf("newRunner(digests=%t) keeps digests: %t", digested, got)
 		}
 	}
 }

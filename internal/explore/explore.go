@@ -324,7 +324,11 @@ type runner struct {
 // newRunner builds the system and advances every process to its first
 // shared-memory operation (or termination). Its online checker shares
 // memo's sets and transitions; a nil memo gives the runner a private one,
-// which r.memo then holds for the caller to reuse.
+// which r.memo then holds for the caller to reuse. digests says whether
+// the caller reads the product state (appendMemoKey): exhaustive search
+// keys its visited set on it and RunGuided hashes it into coverage
+// traces. Without digests the machines keep no history digest, which
+// changes nothing else a run reports.
 //
 // A construction runs its compiled workload body (body.go): the leading
 // toss, then per operation the invoke event, the construction's Invoke and
@@ -337,7 +341,7 @@ type runner struct {
 // algorithms to the real-time order (a completed loser before the
 // winner's first step is a genuine test&set violation, and the
 // doorway-less tournament mutant would produce exactly that).
-func newRunner(cfg Config, memo *linz.Memo) (*runner, error) {
+func newRunner(cfg Config, memo *linz.Memo, digests bool) (*runner, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -394,6 +398,11 @@ func newRunner(cfg Config, memo *linz.Memo) (*runner, error) {
 	}
 	r.mem, r.memo, r.online = mem, memo, memo.NewOnline()
 	r.ms = machine.StartAll(alg, cfg.N)
+	if !digests {
+		for _, m := range r.ms {
+			m.DisableHistory() // before advance's first Peek
+		}
+	}
 	for pid := 0; pid < cfg.N && r.fail == nil; pid++ {
 		r.advance(pid)
 	}
@@ -493,14 +502,17 @@ func (r *runner) setFailure(kind FailureKind, detail string) {
 }
 
 // enabled returns the pids with a pending shared-memory operation, sorted.
-func (r *runner) enabled() []int {
-	var out []int
+func (r *runner) enabled() []int { return r.appendEnabled(nil) }
+
+// appendEnabled appends enabled's pids to dst, for a caller that reuses
+// one buffer across steps.
+func (r *runner) appendEnabled(dst []int) []int {
 	for pid := range r.ms {
 		if r.isEnabled(pid) {
-			out = append(out, pid)
+			dst = append(dst, pid)
 		}
 	}
-	return out
+	return dst
 }
 
 func (r *runner) isEnabled(pid int) bool {
@@ -583,6 +595,7 @@ func (r *runner) step(pid int) bool {
 // Every component is either fixed-size or length-prefixed, so the
 // concatenation is injective given cfg.N — no separators needed. Callers
 // reuse dst across DFS nodes and convert to string only for the map lookup.
+// The runner must keep digests (newRunner).
 func (r *runner) appendMemoKey(dst []byte) []byte {
 	for _, m := range r.ms {
 		ev, sum, enabled := m.HistoryDigest()
@@ -658,7 +671,7 @@ func (r *runner) record() *RunRecord {
 // the schedule, on the first failure, or when all processes terminate; a
 // completed run is post-hoc checked with linz.Check.
 func RunSchedule(cfg Config, schedule []int) (*RunRecord, error) {
-	r, err := newRunner(cfg, nil)
+	r, err := newRunner(cfg, nil, false)
 	if err != nil {
 		return nil, err
 	}

@@ -415,17 +415,21 @@ func TestJournalCorruptRecordSkipped(t *testing.T) {
 		[]byte(`{"id":"other","spec":{"kind":"explore","explore":{"mode":"fuzz"}},"status":"queued","created":"2026-01-01T00:00:00Z"}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// Two records whose specs do not hash to their IDs: job A's ID with
-	// job B's spec, and a spec that no longer validates.
+	// Three records whose specs do not hash to their IDs: job A's ID with
+	// job B's spec, a spec that no longer validates, and a large-seed spec
+	// under the ID its canonical bytes had while they rounded integers
+	// above 2^53 (seeds 2^60 and 2^60+1 then shared it).
 	a := fuzzSpec(5)
 	idA, err := a.ID()
 	if err != nil {
 		t.Fatal(err)
 	}
 	invalidID := strings.Repeat("ef", 32)
+	roundedID := "f39ac846d9e59b89046de60354f7d71f34b10f9df5e8d2a4f2ed2ffdd82c23ba"
 	for id, spec := range map[string]*Spec{
 		idA:       fuzzSpec(6),
 		invalidID: {Kind: KindExplore, Explore: &ExploreSpec{N: 99}},
+		roundedID: fuzzSpec(1<<60 + 1),
 	} {
 		data, err := json.Marshal(JobRecord{ID: id, Spec: spec, Status: StatusQueued, Created: time.Now()})
 		if err != nil {
@@ -443,13 +447,13 @@ func TestJournalCorruptRecordSkipped(t *testing.T) {
 	if err != nil || final.Status != StatusDone {
 		t.Fatalf("valid record did not replay: %+v, %v", final, err)
 	}
-	for _, bad := range []string{garbageID, mismatchID, idA, invalidID} {
+	for _, bad := range []string{garbageID, mismatchID, idA, invalidID, roundedID} {
 		if _, ok := s.Get(bad); ok {
 			t.Fatalf("rejected record %s produced a job", bad[:8])
 		}
 	}
-	if got := s.met.journalSkipped.Value(); got != 4 {
-		t.Fatalf("journalSkipped = %d, want 4", got)
+	if got := s.met.journalSkipped.Value(); got != 5 {
+		t.Fatalf("journalSkipped = %d, want 5", got)
 	}
 	view, _, err := s.Submit(fuzzSpec(5))
 	if err != nil {

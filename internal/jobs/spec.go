@@ -17,7 +17,6 @@ package jobs
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"slices"
 	"sort"
@@ -363,20 +362,12 @@ func (s *Spec) Validate() error {
 	}
 }
 
-// Canonical returns the spec's canonical encoding: the normalized spec
-// marshalled to JSON and re-serialized through a generic value, so object
-// keys are sorted and the bytes are independent of struct field order.
-// The spec must already be normalized (ID and the scheduler do this).
+// Canonical returns the spec's canonical encoding (campaign.CanonicalJSON):
+// object keys are sorted, the bytes are independent of struct field order,
+// and every integer keeps all its digits. The spec must already be
+// normalized (ID and the scheduler do this).
 func (s *Spec) Canonical() ([]byte, error) {
-	raw, err := json.Marshal(s)
-	if err != nil {
-		return nil, fmt.Errorf("jobs: canonical encoding: %w", err)
-	}
-	var v any
-	if err := json.Unmarshal(raw, &v); err != nil {
-		return nil, fmt.Errorf("jobs: canonical encoding: %w", err)
-	}
-	out, err := json.Marshal(v) // map keys sort
+	out, err := campaign.CanonicalJSON(s)
 	if err != nil {
 		return nil, fmt.Errorf("jobs: canonical encoding: %w", err)
 	}

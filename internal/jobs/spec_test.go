@@ -1,10 +1,15 @@
 package jobs
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
+
+	"jayanti98/internal/campaign"
 )
 
 // mustID hashes the spec or fails the test.
@@ -233,5 +238,133 @@ func TestExploreSpecConfigCarriesEveryField(t *testing.T) {
 		if got := cv.Field(i); !reflect.DeepEqual(got.Interface(), want.Interface()) {
 			t.Errorf("Config().%s = %v, want the spec's %v", name, got.Interface(), want.Interface())
 		}
+	}
+}
+
+// TestSpecIDDistinguishesLargeSeeds: seeds that differ only in bits a
+// float64 cannot hold (above 2^53) are different jobs, and the canonical
+// bytes keep every digit. The ID is the cache key, so a collision would
+// serve one spec the other's result.
+func TestSpecIDDistinguishesLargeSeeds(t *testing.T) {
+	for _, seed := range []int64{1 << 53, 1 << 60, math.MaxInt64 - 1} {
+		explore := func(seed int64) *Spec {
+			return &Spec{Kind: KindExplore, Explore: &ExploreSpec{Mode: "fuzz", Seed: seed}}
+		}
+		round := func(seed int64) *Spec {
+			return &Spec{Kind: KindCampaignRound, CampaignRound: &campaign.RoundSpec{Campaign: campaign.Spec{Seed: seed}}}
+		}
+		for kind, mk := range map[string]func(int64) *Spec{"explore": explore, "campaign-round": round} {
+			a, b := mk(seed), mk(seed+1)
+			if ida, idb := mustID(t, a), mustID(t, b); ida == idb {
+				t.Errorf("%s: seeds %d and %d share job ID %s", kind, seed, seed+1, ida)
+			}
+			canon, err := b.Canonical()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := fmt.Sprintf(`"seed":%d`, seed+1); !strings.Contains(string(canon), want) {
+				t.Errorf("%s: canonical bytes %s lack %s", kind, canon, want)
+			}
+		}
+	}
+}
+
+// TestSpecIDPinned: the IDs of specs whose integers all fit a float64
+// exactly are the ones the float64 canonical encoding gave them, so
+// cached results and journal records of such specs stay valid.
+func TestSpecIDPinned(t *testing.T) {
+	cases := []struct {
+		spec *Spec
+		id   string
+	}{
+		{&Spec{Kind: KindExplore, Explore: &ExploreSpec{Alg: "group-update", N: 3, Mode: "fuzz", Samples: 28, Seed: 12345}},
+			"c12fe0c530eba95abaca468daa1fbe764efb815e22a108ba009352f0abefcaea"},
+		{&Spec{Kind: KindSweep, Sweep: &SweepSpec{Type: "queue", MaxN: 8}},
+			"18ed07c4220401dbf265165999e7a95e2d0059e72f275b1a30b8f6972e053bd8"},
+		{&Spec{Kind: KindReport, Report: &ReportSpec{Quick: true, Experiments: []string{"E1", "E7/E8"}}},
+			"c2d4ace4625ceec30b0ebdee2c5ffd83c4d54a1210e55894b5cc922ff3d0c81a"},
+	}
+	for _, tc := range cases {
+		if got := mustID(t, tc.spec); got != tc.id {
+			t.Errorf("%s spec: ID %s, want %s", tc.spec.Kind, got, tc.id)
+		}
+	}
+}
+
+// FuzzSpec feeds POST bodies through the job API's decoder (unknown fields
+// rejected) and then ID, the path every submission takes. ID must never
+// panic. For a spec it accepts, normalizing again must change nothing,
+// and the canonical bytes must decode back to the normalized spec (a nil
+// and an empty slice count as equal) with the same ID.
+func FuzzSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := decodeSpec(data)
+		if err != nil {
+			return
+		}
+		id, err := spec.ID()
+		if err != nil {
+			return
+		}
+		canon, err := spec.Canonical()
+		if err != nil {
+			t.Fatalf("canonical encoding of an accepted spec: %v", err)
+		}
+		spec.Normalize()
+		if again, err := spec.Canonical(); err != nil || !bytes.Equal(again, canon) {
+			t.Fatalf("Normalize is not idempotent (%v):\n%s\n%s", err, canon, again)
+		}
+		back, err := decodeSpec(canon)
+		if err != nil {
+			t.Fatalf("canonical bytes do not decode: %v\n%s", err, canon)
+		}
+		if !equalSpecs(reflect.ValueOf(back), reflect.ValueOf(spec)) {
+			t.Fatalf("canonical bytes decode to\n%+v\nnot the normalized spec\n%+v\n%s", back, spec, canon)
+		}
+		if backID, err := back.ID(); err != nil || backID != id {
+			t.Fatalf("decoded canonical spec has ID %s (%v), want %s", backID, err, id)
+		}
+	})
+}
+
+// decodeSpec decodes a spec as POST /v1/jobs does.
+func decodeSpec(data []byte) (*Spec, error) {
+	var spec Spec
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		return nil, err
+	}
+	return &spec, nil
+}
+
+// equalSpecs is reflect.DeepEqual, but for counting a nil and an empty
+// slice as equal.
+func equalSpecs(a, b reflect.Value) bool {
+	switch a.Kind() {
+	case reflect.Pointer:
+		if a.IsNil() || b.IsNil() {
+			return a.IsNil() == b.IsNil()
+		}
+		return equalSpecs(a.Elem(), b.Elem())
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if !equalSpecs(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Slice:
+		if a.Len() != b.Len() {
+			return false
+		}
+		for i := 0; i < a.Len(); i++ {
+			if !equalSpecs(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	default:
+		return a.Equal(b)
 	}
 }

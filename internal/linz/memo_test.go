@@ -2,7 +2,9 @@ package linz
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -157,48 +159,67 @@ func TestOnlineMemoSharesTransitions(t *testing.T) {
 	}
 }
 
-// fmtRenderConfig is the fmt rendering appendConfig replaced; Key bytes
-// depend on the two agreeing.
-func fmtRenderConfig(c onlineConfig) string {
-	procs := make([]int, 0, len(c.lin))
-	for p := range c.lin {
+// fmtRenderConfig is the fmt rendering appendConfig replaced, of a config
+// whose lin is given as a map; Key bytes depend on the two agreeing.
+func fmtRenderConfig(state objtype.Value, lin map[int]objtype.Value) string {
+	procs := make([]int, 0, len(lin))
+	for p := range lin {
 		procs = append(procs, p)
 	}
 	sort.Ints(procs)
 	var b strings.Builder
-	fmt.Fprintf(&b, "%v", c.state)
+	fmt.Fprintf(&b, "%v", state)
 	for _, p := range procs {
-		fmt.Fprintf(&b, "|p%d=%v", p, c.lin[p])
+		fmt.Fprintf(&b, "|p%d=%v", p, lin[p])
 	}
 	return b.String()
 }
 
 // TestAppendConfigMatchesFmt: configs over the state and response types
 // of every workload, and over values fmt must render itself, render to
-// exactly fmt's bytes, with and without an added proc.
+// exactly fmt's bytes: as given, with a proc added by withLin's sorted
+// insert, and with one removed by withoutLin.
 func TestAppendConfigMatchesFmt(t *testing.T) {
 	values := []objtype.Value{nil, 0, 1, -7, "", "2a", objtype.Empty, int64(3), true,
 		[]objtype.Value{"a", 3, nil}, []objtype.Value(nil), []int{5}}
 	rng := rand.New(rand.NewSource(1))
-	var procs []int
+	var scratch []linEntry
+	check := func(state objtype.Value, lin []linEntry, want map[int]objtype.Value) {
+		t.Helper()
+		if got, want := string(appendConfig(nil, state, lin)), fmtRenderConfig(state, want); got != want {
+			t.Fatalf("appendConfig = %q, fmt = %q", got, want)
+		}
+	}
 	for i := 0; i < 2000; i++ {
 		lin := map[int]objtype.Value{}
 		for k := rng.Intn(4); k > 0; k-- {
 			lin[rng.Intn(12)-2] = values[rng.Intn(len(values))]
 		}
+		var sorted []linEntry
+		for p, v := range lin {
+			sorted = append(sorted, linEntry{proc: p, resp: v})
+		}
+		slices.SortFunc(sorted, func(a, b linEntry) int { return a.proc - b.proc })
 		state := values[rng.Intn(len(values))]
-		c := onlineConfig{state: state, lin: lin}
-		if got, want := string(appendConfig(nil, &procs, state, lin, false, 0, nil)), fmtRenderConfig(c); got != want {
-			t.Fatalf("appendConfig = %q, fmt = %q", got, want)
+		check(state, sorted, lin)
+		extra := rng.Intn(16) - 3
+		at, found := findLin(sorted, extra)
+		if _, ok := lin[extra]; ok != found {
+			t.Fatalf("findLin(%v, %d) found = %t", sorted, extra, found)
 		}
-		extra := 20 + rng.Intn(3)
-		v := values[rng.Intn(len(values))]
-		withExtra := map[int]objtype.Value{extra: v}
-		for p, x := range lin {
-			withExtra[p] = x
+		if !found {
+			v := values[rng.Intn(len(values))]
+			scratch = withLin(scratch, sorted, at, linEntry{proc: extra, resp: v})
+			with := maps.Clone(lin)
+			with[extra] = v
+			check(state, scratch, with)
 		}
-		if got, want := string(appendConfig(nil, &procs, state, lin, true, extra, v)), fmtRenderConfig(onlineConfig{state: state, lin: withExtra}); got != want {
-			t.Fatalf("appendConfig with p%d = %q, fmt = %q", extra, got, want)
+		if len(sorted) > 0 {
+			at := rng.Intn(len(sorted))
+			scratch = withoutLin(scratch, sorted, at)
+			without := maps.Clone(lin)
+			delete(without, sorted[at].proc)
+			check(state, scratch, without)
 		}
 	}
 }

@@ -24,18 +24,22 @@
 //
 // Because the next config set is a pure function of the current set, the
 // pending operations and the event, the checkers of one search share that
-// work through a Memo: every set is interned once under its Key, and every
-// (set, pending ops, event) transition is computed once and then answered
-// by one map lookup. An exhaustive search replays the same prefixes many
-// times, so most of its events are such lookups.
+// work through a Memo: every set is interned once, found by an
+// order-independent hash of its configs' renderings (members are compared
+// exactly on a hash match), and every (set, pending ops, event)
+// transition is computed once and then answered by one map lookup. An
+// exhaustive search replays the same prefixes many times, so most of its
+// events are such lookups. A set's canonical Key is built the first time
+// it is asked for: exhaustive search and coverage traces read it, a fuzz
+// walk never does.
 package linz
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
-	"maps"
+	"hash/maphash"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -68,51 +72,98 @@ type pendingOp struct {
 	op   objtype.Op
 }
 
+// linEntry is one linearized pending operation: its process and the
+// response the specification forced at its linearization point.
+type linEntry struct {
+	proc int
+	resp objtype.Value
+}
+
 // onlineConfig is one consistent hypothesis: the sequential state after
 // the operations linearized so far, plus the pending operations among
-// them with the responses the specification forced at their
-// linearization points.
+// them with their forced responses, sorted by proc. A config's lin is
+// never written once the config is built.
 type onlineConfig struct {
 	state objtype.Value
-	lin   map[int]objtype.Value
+	lin   []linEntry
 }
 
 // appendConfig appends a config's canonical rendering to dst: fmt's %v
 // of the state, then "|p<proc>=" and fmt's %v of the forced response for
-// each linearized proc in increasing order. The config's lin is lin plus,
-// when add is set, extra ↦ v (extra not in lin). Rendering goes through
-// shmem.AppendFmt, which writes fmt's bytes without fmt for the common
-// value types, and procs is sorting scratch.
-func appendConfig(dst []byte, procs *[]int, state objtype.Value, lin map[int]objtype.Value, add bool, extra int, v objtype.Value) []byte {
-	ps := (*procs)[:0]
-	for p := range lin {
-		ps = append(ps, p)
-	}
-	if add {
-		ps = append(ps, extra)
-	}
-	slices.Sort(ps)
-	*procs = ps
+// each linearized proc in increasing order (lin's order). Rendering goes
+// through shmem.AppendFmt, which writes fmt's bytes without fmt for the
+// common value types.
+func appendConfig(dst []byte, state objtype.Value, lin []linEntry) []byte {
 	dst = shmem.AppendFmt(dst, state)
-	for _, p := range ps {
+	for _, e := range lin {
 		dst = append(dst, "|p"...)
-		dst = strconv.AppendInt(dst, int64(p), 10)
+		dst = strconv.AppendInt(dst, int64(e.proc), 10)
 		dst = append(dst, '=')
-		if add && p == extra {
-			dst = shmem.AppendFmt(dst, v)
-		} else {
-			dst = shmem.AppendFmt(dst, lin[p])
-		}
+		dst = shmem.AppendFmt(dst, e.resp)
 	}
 	return dst
 }
 
-// configSet is one interned config set. Once interned it is immutable:
-// every checker on the memo that reaches the same Key shares it.
+// findLin returns the index of proc's entry in lin, or where it would be
+// inserted and false.
+func findLin(lin []linEntry, proc int) (int, bool) {
+	for i, e := range lin {
+		if e.proc >= proc {
+			return i, e.proc == proc
+		}
+	}
+	return len(lin), false
+}
+
+// withLin writes lin with e inserted at index i (findLin's) to dst[:0].
+func withLin(dst, lin []linEntry, i int, e linEntry) []linEntry {
+	dst = append(dst[:0], lin[:i]...)
+	dst = append(dst, e)
+	return append(dst, lin[i:]...)
+}
+
+// withoutLin writes lin without its entry at index i to dst[:0].
+func withoutLin(dst, lin []linEntry, i int) []linEntry {
+	dst = append(dst[:0], lin[:i]...)
+	return append(dst, lin[i+1:]...)
+}
+
+// configSet is one interned config set. Once interned it is immutable, but
+// for its Key, which the first Key call builds and caches: every checker
+// on the memo that reaches the same set shares it.
 type configSet struct {
 	id      uint64
-	key     string                  // canonical Key, built once
-	configs map[string]onlineConfig // rendered config → config
+	hash    uint64 // sum of the renderings' hashes (Memo.seed)
+	configs []onlineConfig
+	text    string     // the configs' renderings, concatenated in config order
+	ends    []int      // configs[i]'s rendering ends at text[ends[i]]
+	same    *configSet // the memo's previous set with this hash
+	key     string
+	keyed   bool
+}
+
+// render returns configs[i]'s canonical rendering.
+func (s *configSet) render(i int) string {
+	start := 0
+	if i > 0 {
+		start = s.ends[i-1]
+	}
+	return s.text[start:s.ends[i]]
+}
+
+// Key returns the set's canonical key: its configs' renderings, sorted and
+// joined by "&". The first call builds it and later calls return it; the
+// write is covered by the memo's one-goroutine contract.
+func (s *configSet) Key() string {
+	if !s.keyed {
+		rs := make([]string, len(s.configs))
+		for i := range rs {
+			rs[i] = s.render(i)
+		}
+		slices.Sort(rs)
+		s.key, s.keyed = strings.Join(rs, "&"), true
+	}
+	return s.key
 }
 
 // Memo shares config sets and transitions among the Online checkers it
@@ -124,14 +175,85 @@ type configSet struct {
 type Memo struct {
 	typ   objtype.Type
 	limit int                   // config-set cap (onlineConfigCap)
-	sets  map[string]*configSet // by canonical Key
+	seed  maphash.Seed          // of the rendering hashes
+	sets  map[uint64]*configSet // by hash, newest first (configSet.same)
+	count int                   // sets interned: ids are 0 … count-1
 	next  map[string]*configSet // transition key → successor set
 	init  *configSet
 
-	// Scratch of the transition key and of config renderings.
-	buf    []byte
-	cfgBuf []byte
-	procs  []int
+	build building // the set the current step constructs
+
+	// Scratch of the transition key, of a candidate config's lin and of
+	// the outstanding ops after a return.
+	buf   []byte
+	lin   []linEntry
+	after []pendingOp
+	// slab backs the lins of the configs added so far; it is only ever
+	// appended to, so every lin carved out of it stays intact.
+	slab []linEntry
+}
+
+// building is the config set one step constructs: the configs, their
+// renderings concatenated in text, and an index from a rendering's hash
+// to the configs with that hash.
+type building struct {
+	configs []onlineConfig
+	text    []byte
+	ends    []int
+	sum     uint64 // sum of the renderings' hashes
+	index   map[uint64]int
+	prev    []int // previous config with the same hash, or -1
+	// configs[:lo] are not in index yet: they were copied from a set,
+	// and no config added later can equal one of them (see invoke).
+	lo int
+}
+
+// reset empties b, then copies in from's configs when from is not nil.
+func (b *building) reset(from *configSet) {
+	b.configs, b.text, b.ends, b.prev = b.configs[:0], b.text[:0], b.ends[:0], b.prev[:0]
+	clear(b.index)
+	b.sum, b.lo = 0, 0
+	if from == nil {
+		return
+	}
+	b.configs = append(b.configs, from.configs...)
+	b.text = append(b.text, from.text...)
+	b.ends = append(b.ends, from.ends...)
+	for range from.configs {
+		b.prev = append(b.prev, -1)
+	}
+	b.sum, b.lo = from.hash, len(from.configs)
+}
+
+// render returns configs[i]'s rendering.
+func (b *building) render(i int) []byte {
+	start := 0
+	if i > 0 {
+		start = b.ends[i-1]
+	}
+	return b.text[start:b.ends[i]]
+}
+
+// head returns the newest config whose rendering hashes to h, or -1.
+func (b *building) head(h uint64) int {
+	if i, ok := b.index[h]; ok {
+		return i
+	}
+	return -1
+}
+
+// insert indexes config i under its rendering's hash h.
+func (b *building) insert(i int, h uint64) {
+	b.prev[i] = b.head(h)
+	b.index[h] = i
+}
+
+// indexAll indexes the configs copied in by reset.
+func (b *building) indexAll(seed maphash.Seed) {
+	for i := 0; i < b.lo; i++ {
+		b.insert(i, maphash.Bytes(seed, b.render(i)))
+	}
+	b.lo = 0
 }
 
 // NewMemo creates an empty memo for n-process objects of the given type.
@@ -143,11 +265,14 @@ func newMemo(typ objtype.Type, n, limit int) *Memo {
 	m := &Memo{
 		typ:   typ,
 		limit: limit,
-		sets:  make(map[string]*configSet),
+		seed:  maphash.MakeSeed(),
+		sets:  make(map[uint64]*configSet),
 		next:  make(map[string]*configSet),
+		build: building{index: make(map[uint64]int)},
 	}
-	init := onlineConfig{state: typ.Init(n), lin: map[int]objtype.Value{}}
-	m.init = m.intern(map[string]onlineConfig{m.render(init): init})
+	m.build.reset(nil)
+	_ = m.add(typ.Init(n), nil) // one config fits every cap
+	m.init = m.intern()
 	return m
 }
 
@@ -163,27 +288,87 @@ func (m *Memo) NewOnline() *Online {
 	return &Online{memo: m, set: m.init}
 }
 
-// render returns c's canonical rendering.
-func (m *Memo) render(c onlineConfig) string {
-	m.cfgBuf = appendConfig(m.cfgBuf[:0], &m.procs, c.state, c.lin, false, 0, nil)
-	return string(m.cfgBuf)
+// add adds the config (state, lin) to the set under construction unless
+// the set already holds it. lin may be scratch: a config that is added
+// keeps a copy. add fails, adding nothing, when the set is at the cap.
+func (m *Memo) add(state objtype.Value, lin []linEntry) error {
+	b := &m.build
+	start := len(b.text)
+	b.text = appendConfig(b.text, state, lin)
+	r := b.text[start:]
+	h := maphash.Bytes(m.seed, r)
+	for i := b.head(h); i >= 0; i = b.prev[i] {
+		if bytes.Equal(b.render(i), r) {
+			b.text = b.text[:start]
+			return nil
+		}
+	}
+	if len(b.configs) >= m.limit {
+		b.text = b.text[:start]
+		return fmt.Errorf("linz: online: config set exceeded %d entries (history too concurrent for online checking)", m.limit)
+	}
+	var kept []linEntry
+	if len(lin) > 0 {
+		if cap(m.slab)-len(m.slab) < len(lin) {
+			// Chunks double from 16 entries up to 1024: a short-lived
+			// memo stays small, a long search allocates rarely.
+			m.slab = make([]linEntry, 0, max(len(lin), min(2*cap(m.slab), 1024), 16))
+		}
+		at := len(m.slab)
+		m.slab = append(m.slab, lin...)
+		kept = m.slab[at:len(m.slab):len(m.slab)]
+	}
+	b.configs = append(b.configs, onlineConfig{state: state, lin: kept})
+	b.ends = append(b.ends, len(b.text))
+	b.prev = append(b.prev, -1)
+	b.insert(len(b.configs)-1, h)
+	b.sum += h
+	return nil
 }
 
-// intern returns the memo's set with the configs' canonical key, adding
-// configs as that set if it is new.
-func (m *Memo) intern(configs map[string]onlineConfig) *configSet {
-	keys := make([]string, 0, len(configs))
-	for k := range configs {
-		keys = append(keys, k)
+// intern returns the memo's set equal to the one under construction,
+// interning a copy of it if the memo has none. A set is looked up by its
+// hash and told apart from others with that hash by its members.
+func (m *Memo) intern() *configSet {
+	b := &m.build
+	for s := m.sets[b.sum]; s != nil; s = s.same {
+		if m.holds(s) {
+			return s
+		}
 	}
-	sort.Strings(keys)
-	key := strings.Join(keys, "&")
-	if s, ok := m.sets[key]; ok {
-		return s
+	s := &configSet{
+		id:      uint64(m.count),
+		hash:    b.sum,
+		configs: slices.Clone(b.configs),
+		text:    string(b.text),
+		ends:    slices.Clone(b.ends),
+		same:    m.sets[b.sum],
 	}
-	s := &configSet{id: uint64(len(m.sets)), key: key, configs: configs}
-	m.sets[key] = s
+	m.sets[b.sum] = s
+	m.count++
 	return s
+}
+
+// holds reports whether s has exactly the configs under construction.
+// Both sides' configs are distinct, so equal sizes and s's configs all
+// being present mean equal sets.
+func (m *Memo) holds(s *configSet) bool {
+	b := &m.build
+	if len(s.configs) != len(b.configs) {
+		return false
+	}
+	b.indexAll(m.seed)
+next:
+	for i := range s.configs {
+		r := s.render(i)
+		for j := b.head(maphash.String(m.seed, r)); j >= 0; j = b.prev[j] {
+			if string(b.render(j)) == r {
+				continue next
+			}
+		}
+		return false
+	}
+	return true
 }
 
 // Transition-key tags. The key is the injective binary encoding of the
@@ -266,90 +451,99 @@ func (m *Memo) step(tag byte, from *configSet, pending []pendingOp, proc int, op
 			return s, nil
 		}
 	}
-	configs := make(map[string]onlineConfig, len(from.configs))
-	after := make([]pendingOp, 0, len(pending)+1)
+	var err error
 	if tag == transInvoke {
-		maps.Copy(configs, from.configs)
-		after = append(after, pending...)
-		after = append(after, pendingOp{proc: proc, op: op})
+		err = m.invoke(from, pending, proc, op)
 	} else {
-		for _, c := range from.configs {
-			if fixed, lin := c.lin[proc]; lin {
-				// Linearized earlier; the forced response must match.
-				if shmem.ValuesEqual(fixed, resp) {
-					c2 := onlineConfig{state: c.state, lin: withoutProc(c.lin, proc)}
-					configs[m.render(c2)] = c2
-				}
-				continue
-			}
-			// Linearize at the return point. Configs where other pending
-			// ops linearize first are already present (the set is
-			// closed), so this covers every legal order.
-			st, r := m.typ.Apply(c.state, op)
-			if shmem.ValuesEqual(r, resp) {
-				c2 := onlineConfig{state: st, lin: c.lin}
-				configs[m.render(c2)] = c2
-			}
-		}
-		for _, p := range pending {
-			if p.proc != proc {
-				after = append(after, p)
-			}
-		}
+		err = m.ret(from, pending, proc, op, resp)
 	}
-	if err := m.closure(configs, after); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	s := m.intern(configs)
+	s := m.intern()
 	if cacheable {
 		m.next[string(key)] = s
 	}
 	return s, nil
 }
 
-// closure extends configs with every configuration reachable by
-// linearizing pending-but-unlinearized operations, in any order.
-func (m *Memo) closure(configs map[string]onlineConfig, pending []pendingOp) error {
-	queue := make([]onlineConfig, 0, len(configs))
-	for _, c := range configs {
-		queue = append(queue, c)
+// invoke builds the set that follows from when proc invokes op.
+//
+// from is closed under the outstanding ops (pending), none of which is
+// proc's, so no config of from has proc linearized. Linearizing an
+// outstanding op on a config of from gives a config of from again, so on
+// from's configs only op can lead somewhere new, and everywhere it leads
+// has proc linearized, so lies outside from. The closure therefore tries
+// op alone on from's configs, and every outstanding op on the configs
+// that adds (op is linearized in each of them already). The result, from's
+// configs plus those, is the closure of from under all the outstanding
+// ops: the set a closure trying every op on every config computes, so the
+// cap error fires exactly when it would there.
+func (m *Memo) invoke(from *configSet, pending []pendingOp, proc int, op objtype.Op) error {
+	m.build.reset(from)
+	for _, c := range from.configs {
+		st, r := m.typ.Apply(c.state, op)
+		i, _ := findLin(c.lin, proc)
+		m.lin = withLin(m.lin, c.lin, i, linEntry{proc: proc, resp: r})
+		if err := m.add(st, m.lin); err != nil {
+			return err
+		}
 	}
-	for len(queue) > 0 {
-		c := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
+	return m.closure(len(from.configs), pending)
+}
+
+// ret builds the set that follows from when proc's outstanding op returns
+// resp, then closes it under the ops still outstanding.
+func (m *Memo) ret(from *configSet, pending []pendingOp, proc int, op objtype.Op, resp objtype.Value) error {
+	m.build.reset(nil)
+	for _, c := range from.configs {
+		var err error
+		if i, lin := findLin(c.lin, proc); lin {
+			// Linearized earlier; the forced response must match.
+			if shmem.ValuesEqual(c.lin[i].resp, resp) {
+				m.lin = withoutLin(m.lin, c.lin, i)
+				err = m.add(c.state, m.lin)
+			}
+		} else if st, r := m.typ.Apply(c.state, op); shmem.ValuesEqual(r, resp) {
+			// Linearize at the return point. Configs where other pending
+			// ops linearize first are already present (the set is
+			// closed), so this covers every legal order.
+			err = m.add(st, c.lin)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	m.after = m.after[:0]
+	for _, p := range pending {
+		if p.proc != proc {
+			m.after = append(m.after, p)
+		}
+	}
+	return m.closure(0, m.after)
+}
+
+// closure extends the set under construction with every configuration
+// reachable from its configs at index lo and later by linearizing
+// pending-but-unlinearized operations, in any order: every config added
+// is visited in turn.
+func (m *Memo) closure(lo int, pending []pendingOp) error {
+	b := &m.build
+	for k := lo; k < len(b.configs); k++ {
+		c := b.configs[k]
 		for _, p := range pending {
-			if _, done := c.lin[p.proc]; done {
+			i, done := findLin(c.lin, p.proc)
+			if done {
 				continue
 			}
 			st, r := m.typ.Apply(c.state, p.op)
-			m.cfgBuf = appendConfig(m.cfgBuf[:0], &m.procs, st, c.lin, true, p.proc, r)
-			if _, seen := configs[string(m.cfgBuf)]; seen {
-				continue
+			m.lin = withLin(m.lin, c.lin, i, linEntry{proc: p.proc, resp: r})
+			if err := m.add(st, m.lin); err != nil {
+				return err
 			}
-			if len(configs) >= m.limit {
-				return fmt.Errorf("linz: online: config set exceeded %d entries (history too concurrent for online checking)", m.limit)
-			}
-			lin := make(map[int]objtype.Value, len(c.lin)+1)
-			for q, v := range c.lin {
-				lin[q] = v
-			}
-			lin[p.proc] = r
-			c2 := onlineConfig{state: st, lin: lin}
-			configs[string(m.cfgBuf)] = c2
-			queue = append(queue, c2)
 		}
 	}
 	return nil
-}
-
-func withoutProc(lin map[int]objtype.Value, proc int) map[int]objtype.Value {
-	out := make(map[int]objtype.Value, len(lin))
-	for p, v := range lin {
-		if p != proc {
-			out[p] = v
-		}
-	}
-	return out
 }
 
 // Clone returns an independent checker at o's point in the history, on
@@ -429,5 +623,6 @@ func (o *Online) Events() int { return o.events }
 // Key returns a canonical rendering of the config set. Histories with
 // equal Keys (and equal pending-operation sets, which the caller's state
 // already determines) are interchangeable for every future event
-// sequence: the explorer folds Key into its memoization state.
-func (o *Online) Key() string { return o.set.key }
+// sequence: the explorer folds Key into its memoization state. A set's
+// Key is built the first time any checker asks for it.
+func (o *Online) Key() string { return o.set.Key() }
