@@ -110,8 +110,9 @@ var keyGoldens = []struct {
 	},
 }
 
-// TestOnlineKeyGolden pins the checker's observable state — the exact Key
-// bytes, Ok, Violation and Events — after every event of fixed sequences.
+// TestOnlineKeyGolden pins the checker's observable state — the returned
+// error, Ok, Events, Violation and the exact Key bytes — after every event
+// of fixed sequences.
 // Exhaustive memo keys and campaign coverage digests hash Key, so any drift
 // in its bytes would re-key every stored checkpoint.
 func TestOnlineKeyGolden(t *testing.T) {
