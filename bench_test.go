@@ -8,6 +8,7 @@ package jayanti98_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -134,6 +135,33 @@ func BenchmarkSeedDerivation(b *testing.B) {
 		sink += sweep.Seed("E2", "double-register", 64, i)
 	}
 	_ = sink
+}
+
+// BenchmarkSeededStream measures the seeded-stream layer under every
+// random walk: seed one stream and draw 64 Intn values, about what one
+// explore walk or campaign input reads. math-rand fills its whole table
+// on Seed; sweep (sweep.NewRand, the same stream) seeds lazily.
+func BenchmarkSeededStream(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		new  func(int64) *rand.Rand
+	}{
+		{"math-rand", func(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }},
+		{"sweep", sweep.NewRand},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			sink := 0
+			for i := 0; i < b.N; i++ {
+				rng := tc.new(sweep.Derive(7, i))
+				for j := 0; j < 64; j++ {
+					sink += rng.Intn(3)
+				}
+			}
+			if sink == 0 {
+				b.Fatal("no draws")
+			}
+		})
+	}
 }
 
 // BenchmarkE3TypeLowerBounds runs every Theorem 6.2 reduction over the

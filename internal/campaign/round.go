@@ -3,7 +3,6 @@ package campaign
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"jayanti98/internal/explore"
 	"jayanti98/internal/sweep"
@@ -117,7 +116,7 @@ func inputPrefix(rs *RoundSpec, seed int64) []int {
 	if len(rs.Corpus) == 0 {
 		return nil
 	}
-	rng := rand.New(rand.NewSource(sweep.Derive(seed, 2)))
+	rng := sweep.NewRand(sweep.Derive(seed, 2))
 	if rng.Intn(4) == 0 {
 		return nil
 	}

@@ -91,7 +91,7 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 		// Jitter only decorrelates poll times across the fleet; seeding
 		// it from the worker ID keeps the process free of wall-clock
 		// seeded RNGs without correlating two workers' backoff.
-		rng: rand.New(rand.NewSource(sweep.Seed("dist/worker", opts.ID, 0, 0))),
+		rng: sweep.NewRand(sweep.Seed("dist/worker", opts.ID, 0, 0)),
 	}
 	if w.client == nil {
 		w.client = &http.Client{Timeout: 30 * time.Second}

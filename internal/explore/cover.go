@@ -1,7 +1,6 @@
 package explore
 
 import (
-	"math/rand"
 	"slices"
 
 	"jayanti98/internal/linz"
@@ -102,8 +101,8 @@ func walk(cfg Config, prefix []int, seed, tossRange int64, memo *linz.Memo, mark
 	if !digests {
 		mark = func(*runner) {}
 	}
-	rng := rand.New(rand.NewSource(seed))
-	tossRng := rand.New(rand.NewSource(sweep.Derive(seed, 1)))
+	rng := sweep.NewRand(seed)
+	tossRng := sweep.NewRand(sweep.Derive(seed, 1))
 	cfg.Tosses = func(int, int) int64 { return tossRng.Int63n(tossRange) }
 	r, err := newRunner(cfg, memo, digests)
 	if err != nil {

@@ -3,6 +3,8 @@ package explore
 import (
 	"context"
 	"errors"
+	"io/fs"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -237,6 +239,21 @@ func TestFuzzCtxCancellation(t *testing.T) {
 	}
 	if rep != nil {
 		t.Fatalf("cancelled campaign produced a report: %+v", rep)
+	}
+}
+
+// TestFuzzCtxRejectsOptionsBeforeOutDir: invalid options are an error
+// before any side effect, so the replay directory is not created.
+func TestFuzzCtxRejectsOptionsBeforeOutDir(t *testing.T) {
+	cfg := Config{Alg: "group-update", Object: "fetch-increment", N: 2, OpsPerProc: 1}
+	for _, opt := range []FuzzOptions{{Samples: 1, Offset: -1}, {Samples: 0}} {
+		opt.OutDir = filepath.Join(t.TempDir(), "replays")
+		if rep, err := FuzzCtx(context.Background(), cfg, opt); err == nil {
+			t.Errorf("%+v: no error, report %+v", opt, rep)
+		}
+		if _, err := os.Stat(opt.OutDir); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("%+v: OutDir left behind (stat: %v)", opt, err)
+		}
 	}
 }
 

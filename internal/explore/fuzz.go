@@ -70,6 +70,9 @@ func FuzzCtx(ctx context.Context, cfg Config, opt FuzzOptions) (*FuzzReport, err
 	if opt.Samples < 1 {
 		return nil, fmt.Errorf("explore: fuzz needs at least 1 sample, got %d", opt.Samples)
 	}
+	if opt.Offset < 0 {
+		return nil, fmt.Errorf("explore: fuzz sample offset %d negative", opt.Offset)
+	}
 	if opt.OutDir != "" {
 		if err := os.MkdirAll(opt.OutDir, 0o755); err != nil {
 			return nil, fmt.Errorf("explore: fuzz: %w", err)
@@ -78,9 +81,6 @@ func FuzzCtx(ctx context.Context, cfg Config, opt FuzzOptions) (*FuzzReport, err
 	type sampleResult struct {
 		steps  int
 		replay *Replay
-	}
-	if opt.Offset < 0 {
-		return nil, fmt.Errorf("explore: fuzz sample offset %d negative", opt.Offset)
 	}
 	// Samples share online-checker memos, one per concurrently running
 	// sample: a sample takes a free memo (or starts one) and hands it back

@@ -1,8 +1,11 @@
 package explore
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 
 	"jayanti98/internal/machine"
@@ -98,15 +101,55 @@ func WriteReplay(path string, rp *Replay) error {
 	return nil
 }
 
-// ReadReplay loads a replay written by WriteReplay.
+// ReadReplay loads a replay written by WriteReplay (see DecodeReplay).
 func ReadReplay(path string) (*Replay, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("explore: replay: %w", err)
 	}
+	rp, err := DecodeReplay(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return rp, nil
+}
+
+// DecodeReplay decodes a replay as WriteReplay encodes it and rejects
+// bytes WriteReplay cannot have written: malformed JSON or data after it,
+// an unknown field or failure kind, a configuration Config would not
+// accept (n or ops per process below 1, an unknown LL/SC backend), a
+// negative budget, a scheduled pid outside [0, n), or toss rows for more
+// than n processes. Whether this build runs the replay's algorithm is
+// left to Verify, which fails as RunSchedule does on such a
+// configuration.
+func DecodeReplay(data []byte) (*Replay, error) {
 	var rp Replay
-	if err := json.Unmarshal(data, &rp); err != nil {
-		return nil, fmt.Errorf("explore: replay %s: %w", path, err)
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&rp); err != nil {
+		return nil, fmt.Errorf("explore: replay: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("explore: replay: data after the JSON object")
+	}
+	switch rp.Kind {
+	case FailCrash, FailNonLinearizable, FailBudgetExhausted, FailInternal:
+	default:
+		return nil, fmt.Errorf("explore: replay: unknown failure kind %q", rp.Kind)
+	}
+	if err := rp.Config().validate(); err != nil {
+		return nil, err
+	}
+	if rp.Budget < 0 {
+		return nil, fmt.Errorf("explore: replay: negative budget %d", rp.Budget)
+	}
+	for i, pid := range rp.Schedule {
+		if pid < 0 || pid >= rp.N {
+			return nil, fmt.Errorf("explore: replay: schedule step %d runs p%d, outside [0, %d)", i, pid, rp.N)
+		}
+	}
+	if len(rp.Tosses) > rp.N {
+		return nil, fmt.Errorf("explore: replay: toss rows for %d processes, n = %d", len(rp.Tosses), rp.N)
 	}
 	return &rp, nil
 }

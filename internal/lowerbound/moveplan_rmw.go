@@ -2,11 +2,11 @@ package lowerbound
 
 import (
 	"fmt"
-	"math/rand"
 
 	"jayanti98/internal/moveplan"
 	"jayanti98/internal/objtype"
 	"jayanti98/internal/shmem"
+	"jayanti98/internal/sweep"
 )
 
 // MoveScheduleResult compares the naive and secretive schedules on one
@@ -36,7 +36,7 @@ func MoveScheduleComparison(n int, seed int64) []MoveScheduleResult {
 	for i := 0; i < n; i++ {
 		chain[i] = moveplan.Move{Src: i, Dst: i + 1}
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := sweep.NewRand(seed)
 	random := make(moveplan.Plan, n)
 	for i := 0; i < n; i++ {
 		random[i] = moveplan.Move{Src: rng.Intn(n + 1), Dst: rng.Intn(n + 1)}

@@ -23,6 +23,7 @@ import (
 
 	"jayanti98/internal/machine"
 	"jayanti98/internal/shmem"
+	"jayanti98/internal/sweep"
 )
 
 // Scheduler picks which live process performs the next shared-memory step.
@@ -76,7 +77,7 @@ type Random struct {
 // with the same seed produce the same pick sequence; concurrent executions
 // must each build their own.
 func NewRandom(seed int64) *Random {
-	return &Random{rng: rand.New(rand.NewSource(seed))}
+	return &Random{rng: sweep.NewRand(seed)}
 }
 
 // Name implements Scheduler.

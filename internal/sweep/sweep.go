@@ -11,8 +11,9 @@
 //   - Work items must share no mutable state; in particular no *rand.Rand
 //     (see sched.Random) may be shared between items. Randomized items
 //     derive a private seed from their grid coordinates with Seed, or from
-//     a base seed and sample index with Derive, so the same item always
-//     sees the same randomness at every parallelism level.
+//     a base seed and sample index with Derive, and draw from it through
+//     NewRand, so the same item always sees the same randomness at every
+//     parallelism level.
 //   - Errors reproduce serial semantics: MapCtx returns the error of the
 //     lowest-indexed failing item together with the results of every item
 //     before it, exactly as the serial loop would have.
