@@ -125,21 +125,26 @@ cover:
 	fi
 
 # Native fuzzing, ~FUZZTIME per target (plain `go test` already runs the
-# committed corpus under testdata/fuzz as unit tests).
+# committed corpus under testdata/fuzz as unit tests). Go's fuzzer spends
+# up to 60 s minimizing each new interesting input by default and runs no
+# new inputs meanwhile, which would eat a target's whole budget; FUZZ caps
+# minimization at 2 s.
+FUZZ = -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
+
 fuzz-short:
-	$(GO) test ./internal/core/ -run '^$$' -fuzz '^FuzzLemma51AndDeterminism$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/core/ -run '^$$' -fuzz '^FuzzIndistinguishability$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/core/ -run '^$$' -fuzz '^FuzzUPMonotone$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/shmem/ -run '^$$' -fuzz '^FuzzRegStateEqual$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/lockstep/ -run '^$$' -fuzz '^FuzzVMEquivalence$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/algos/tas/ -run '^$$' -fuzz '^FuzzTAS$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/wakeup/ -run '^$$' -fuzz '^FuzzPidCodec$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/wakeup/ -run '^$$' -fuzz '^FuzzPidMemo$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/linz/ -run '^$$' -fuzz '^FuzzOnlineMemo$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/jobs/ -run '^$$' -fuzz '^FuzzJournalRecord$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/jobs/ -run '^$$' -fuzz '^FuzzSpec$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/campaign/ -run '^$$' -fuzz '^FuzzCheckpoint$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/explore/ -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core/ -run '^$$' -fuzz '^FuzzLemma51AndDeterminism$$' $(FUZZ)
+	$(GO) test ./internal/core/ -run '^$$' -fuzz '^FuzzIndistinguishability$$' $(FUZZ)
+	$(GO) test ./internal/core/ -run '^$$' -fuzz '^FuzzUPMonotone$$' $(FUZZ)
+	$(GO) test ./internal/shmem/ -run '^$$' -fuzz '^FuzzRegStateEqual$$' $(FUZZ)
+	$(GO) test ./internal/lockstep/ -run '^$$' -fuzz '^FuzzVMEquivalence$$' $(FUZZ)
+	$(GO) test ./internal/algos/tas/ -run '^$$' -fuzz '^FuzzTAS$$' $(FUZZ)
+	$(GO) test ./internal/wakeup/ -run '^$$' -fuzz '^FuzzPidCodec$$' $(FUZZ)
+	$(GO) test ./internal/wakeup/ -run '^$$' -fuzz '^FuzzPidMemo$$' $(FUZZ)
+	$(GO) test ./internal/linz/ -run '^$$' -fuzz '^FuzzOnlineMemo$$' $(FUZZ)
+	$(GO) test ./internal/jobs/ -run '^$$' -fuzz '^FuzzJournalRecord$$' $(FUZZ)
+	$(GO) test ./internal/jobs/ -run '^$$' -fuzz '^FuzzSpec$$' $(FUZZ)
+	$(GO) test ./internal/campaign/ -run '^$$' -fuzz '^FuzzCheckpoint$$' $(FUZZ)
+	$(GO) test ./internal/explore/ -run '^$$' -fuzz '^FuzzReplay$$' $(FUZZ)
 
 # Differential proof that the bytecode VM and the goroutine interpreter are
 # observably identical: exhaustive lockstep exploration at n ∈ {2,3} for

@@ -374,10 +374,10 @@ func BenchmarkMachineStep(b *testing.B) {
 }
 
 // BenchmarkVMStep measures the bytecode VM's per-shared-step cost on the
-// same spin workload as BenchmarkMachineStep. The interpreter pays two
-// channel handshakes and a goroutine wakeup per step; the VM resumes
-// in-line on the caller's stack, so the gap between the two numbers is the
-// engine speedup every adversary and exploration loop inherits.
+// same spin workload as BenchmarkMachineStep. The goroutine engine pays
+// two channel handoffs per step, one each way, and the goroutine switches
+// they cause; the VM resumes in-line on the caller's stack, so the gap
+// between the two numbers is what a body gains from a compiled twin.
 func BenchmarkVMStep(b *testing.B) {
 	chunk := vmachine.MustCompile(&vmachine.Program{
 		Name: "spin",

@@ -274,3 +274,60 @@ func TestNewMuxIdempotentExpvars(t *testing.T) {
 		cancel()
 	}
 }
+
+// TestBodiesRejectTrailingData: a body holding a valid request followed
+// by more bytes is refused with a 400 {"error": ...} on the job, campaign
+// and shard routes, and nothing is created or leased.
+func TestBodiesRejectTrailingData(t *testing.T) {
+	opts, err := parseFlags([]string{"-workers", "1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, srv, _, _, _ := newTestServer(t, opts)
+	for _, c := range []struct{ path, body string }{
+		{"/v1/jobs", `{"kind":"explore","explore":{"alg":"central","mode":"exhaustive"}}{"garbage":`},
+		{"/v1/campaigns", `{"alg":"group-update","n":2,"batchSize":8,"maxRounds":2}{"garbage":`},
+		{"/v1/shards/lease", `{"worker":"w1"}{"garbage":`},
+		{"/v1/jobs", `{"kind":"explore","explore":{"alg":"central","mode":"exhaustive"}} x`},
+	} {
+		resp, err := http.Post(srv.URL+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e struct {
+			Error string `json:"error"`
+		}
+		decErr := json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || decErr != nil || e.Error == "" {
+			t.Errorf("POST %s %q: %d, error %q (%v), want 400 with an error", c.path, c.body, resp.StatusCode, e.Error, decErr)
+		}
+	}
+	if n := len(sched.List()); n != 0 {
+		t.Errorf("%d jobs created, want 0", n)
+	}
+	resp, err := http.Get(srv.URL + "/v1/campaigns")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var list struct {
+		Campaigns []json.RawMessage `json:"campaigns"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list.Campaigns) != 0 {
+		t.Errorf("%d campaigns started, want 0", len(list.Campaigns))
+	}
+
+	// Trailing whitespace is not data: the same job spec with it is taken.
+	resp, err = http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(`{"kind":"explore","explore":{"alg":"central","mode":"exhaustive"}}`+" \n\t\r\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("spec with trailing whitespace: %d, want 201", resp.StatusCode)
+	}
+}

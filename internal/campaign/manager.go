@@ -493,7 +493,7 @@ func (m *Manager) run(ctx context.Context, c *instance) {
 // processFailures confirms, shrinks, persists, and records the round's
 // failures, returning how many new findings were kept. Shrinking runs
 // under the campaign context, so stopping a campaign cuts a long shrink
-// short (explore.ShrinkCtx) without losing the counterexample.
+// short (explore.Minimize) without losing the counterexample.
 func (m *Manager) processFailures(ctx context.Context, c *instance, round int, delta RoundDelta) int {
 	kept := 0
 	shrinks := 0
@@ -508,27 +508,23 @@ func (m *Manager) processFailures(ctx context.Context, c *instance, round int, d
 		}
 		shrinks++
 		res := sf.Result
-		rcfg := spec.ExploreConfig()
-		rcfg.Tosses = explore.ReplayTosses(res.Tosses)
-		kind := explore.FailureKind(res.FailKind)
-		shrunk := explore.ShrinkCtx(ctx, rcfg, res.Schedule, kind)
-		final, err := explore.RunSchedule(rcfg, shrunk)
-		if err != nil || final.Failure == nil {
+		seed := sweep.Derive(spec.Seed, round*spec.BatchSize+sf.Slot)
+		rp, err := explore.Minimize(ctx, spec.ExploreConfig(), res.Schedule, res.Tosses, explore.FailureKind(res.FailKind), seed)
+		if err != nil {
 			logger.Warn("campaign failure did not reproduce for shrinking",
-				"round", round, "slot", sf.Slot, "kind", res.FailKind)
+				"round", round, "slot", sf.Slot, "kind", res.FailKind, "error", err)
 			continue
 		}
 		f := Finding{
-			Kind:        string(final.Failure.Kind),
-			Detail:      final.Failure.Detail,
-			Schedule:    final.Schedule,
-			Tosses:      final.Tosses,
-			OriginalLen: len(res.Schedule),
+			Kind:        string(rp.Kind),
+			Detail:      rp.Detail,
+			Schedule:    rp.Schedule,
+			Tosses:      rp.Tosses,
+			OriginalLen: rp.OriginalLen,
 			Round:       round,
 			Slot:        sf.Slot,
-			Seed:        sweep.Derive(spec.Seed, round*spec.BatchSize+sf.Slot),
+			Seed:        seed,
 		}
-		rp := explore.NewReplay(rcfg, final, f.Seed, len(res.Schedule))
 		if m.opts.FindingsDir != "" {
 			if err := os.MkdirAll(m.opts.FindingsDir, 0o755); err != nil {
 				logger.Error("campaign findings dir", "error", err)

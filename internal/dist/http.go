@@ -7,6 +7,7 @@ import (
 	"net/http"
 
 	"jayanti98/internal/jobs"
+	"jayanti98/internal/obs"
 )
 
 // The shard pull protocol, mounted on lbserver next to the jobs API:
@@ -77,12 +78,12 @@ const (
 func (c *Coordinator) RegisterRoutes(mux *http.ServeMux) {
 	mux.HandleFunc("POST /v1/shards/lease", func(w http.ResponseWriter, r *http.Request) {
 		var req LeaseRequest
-		if err := decodeBody(w, r, maxControlBytes, &req); err != nil {
-			distError(w, decodeStatus(err), err)
+		if code, err := obs.DecodeBody(w, r, maxControlBytes, &req); err != nil {
+			obs.WriteError(w, code, fmt.Errorf("dist: decoding request: %w", err))
 			return
 		}
 		if req.Worker == "" {
-			distError(w, http.StatusBadRequest, errors.New("dist: lease request without worker"))
+			obs.WriteError(w, http.StatusBadRequest, errors.New("dist: lease request without worker"))
 			return
 		}
 		grant := c.Lease(req.Worker)
@@ -90,7 +91,7 @@ func (c *Coordinator) RegisterRoutes(mux *http.ServeMux) {
 			w.WriteHeader(http.StatusNoContent)
 			return
 		}
-		distJSON(w, http.StatusOK, LeaseResponse{
+		obs.WriteJSON(w, http.StatusOK, LeaseResponse{
 			ShardID:   grant.ShardID,
 			Lease:     grant.Lease,
 			TTLMillis: grant.TTL.Milliseconds(),
@@ -101,37 +102,36 @@ func (c *Coordinator) RegisterRoutes(mux *http.ServeMux) {
 
 	mux.HandleFunc("POST /v1/shards/{id}/result", func(w http.ResponseWriter, r *http.Request) {
 		var req ResultRequest
-		if err := decodeBody(w, r, c.maxResult, &req); err != nil {
-			code := decodeStatus(err)
+		if code, err := obs.DecodeBody(w, r, c.maxResult, &req); err != nil {
 			if code == http.StatusRequestEntityTooLarge {
 				c.resultTooLarge(r.PathValue("id"))
 			}
-			distError(w, code, err)
+			obs.WriteError(w, code, fmt.Errorf("dist: decoding request: %w", err))
 			return
 		}
 		err := c.Result(r.PathValue("id"), req.Lease, req.Hash, []byte(req.Payload))
 		if err != nil {
-			distError(w, statusFor(err), err)
+			obs.WriteError(w, statusFor(err), err)
 			return
 		}
-		distJSON(w, http.StatusOK, map[string]string{"status": "accepted"})
+		obs.WriteJSON(w, http.StatusOK, map[string]string{"status": "accepted"})
 	})
 
 	mux.HandleFunc("POST /v1/shards/{id}/heartbeat", func(w http.ResponseWriter, r *http.Request) {
 		var req HeartbeatRequest
-		if err := decodeBody(w, r, maxControlBytes, &req); err != nil {
-			distError(w, decodeStatus(err), err)
+		if code, err := obs.DecodeBody(w, r, maxControlBytes, &req); err != nil {
+			obs.WriteError(w, code, fmt.Errorf("dist: decoding request: %w", err))
 			return
 		}
 		if err := c.Heartbeat(r.PathValue("id"), req.Lease); err != nil {
-			distError(w, statusFor(err), err)
+			obs.WriteError(w, statusFor(err), err)
 			return
 		}
-		distJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		obs.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 
 	mux.HandleFunc("GET /v1/shards", func(w http.ResponseWriter, r *http.Request) {
-		distJSON(w, http.StatusOK, c.Snapshot())
+		obs.WriteJSON(w, http.StatusOK, c.Snapshot())
 	})
 }
 
@@ -147,34 +147,4 @@ func statusFor(err error) int {
 	default:
 		return http.StatusInternalServerError
 	}
-}
-
-// decodeBody decodes a JSON body of at most limit bytes into v.
-func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("dist: decoding request: %w", err)
-	}
-	return nil
-}
-
-// decodeStatus maps a decodeBody error to its status code: 413 for a body
-// over the limit, 400 for anything else.
-func decodeStatus(err error) int {
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		return http.StatusRequestEntityTooLarge
-	}
-	return http.StatusBadRequest
-}
-
-func distJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func distError(w http.ResponseWriter, code int, err error) {
-	distJSON(w, code, map[string]string{"error": err.Error()})
 }

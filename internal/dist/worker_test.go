@@ -279,11 +279,11 @@ func TestWorkerDoesNotRetry413(t *testing.T) {
 	var uploads atomic.Int64
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/shards/{id}/heartbeat", func(w http.ResponseWriter, r *http.Request) {
-		distJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		obs.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	mux.HandleFunc("POST /v1/shards/{id}/result", func(w http.ResponseWriter, r *http.Request) {
 		uploads.Add(1)
-		distJSON(w, http.StatusRequestEntityTooLarge, map[string]string{"error": "too large"})
+		obs.WriteJSON(w, http.StatusRequestEntityTooLarge, map[string]string{"error": "too large"})
 	})
 	srv := httptest.NewServer(mux)
 	defer srv.Close()

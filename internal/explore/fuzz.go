@@ -30,9 +30,6 @@ type FuzzOptions struct {
 	// OutDir, when non-empty, receives one JSON replay file per failing
 	// sample (written after the campaign, in sample order).
 	OutDir string
-	// NoShrink skips counterexample minimization (useful when a failure's
-	// raw schedule is itself of interest).
-	NoShrink bool
 	// TossRange is the exclusive upper bound on random coin-toss outcomes
 	// (0 means 2: coin flips).
 	TossRange int64
@@ -46,7 +43,7 @@ type FuzzReport struct {
 	// fingerprint for the whole campaign).
 	TotalSteps int
 	// Failures holds one replay per failing sample, in sample order, with
-	// schedules already shrunk unless NoShrink was set.
+	// schedules already shrunk.
 	Failures []*Replay
 	// Paths holds the file each failure was persisted to, aligned with
 	// Failures (empty when OutDir was "").
@@ -55,9 +52,9 @@ type FuzzReport struct {
 
 // Fuzz runs random schedules of cfg: at every step an enabled process is
 // picked uniformly, and coin tosses are drawn uniformly from
-// [0, TossRange). Every failing sample is minimized with ShrinkCtx and
-// converted into a self-contained Replay; with OutDir set, replays are
-// also persisted as JSON files (see ReadReplay / Verify).
+// [0, TossRange). Every failing sample is minimized into a self-contained
+// Replay (Minimize); with OutDir set, replays are also persisted as JSON
+// files (see ReadReplay / Verify).
 func Fuzz(cfg Config, opt FuzzOptions) (*FuzzReport, error) {
 	return FuzzCtx(context.Background(), cfg, opt)
 }
@@ -106,26 +103,10 @@ func FuzzCtx(ctx context.Context, cfg Config, opt FuzzOptions) (*FuzzReport, err
 		if r.fail == nil {
 			return res, nil
 		}
-		// Reproduce with the recorded tosses, minimizing the schedule
-		// unless asked not to. The budget stays as configured so a
-		// budget-exhaustion failure reproduces under the same bound.
-		// Shrinking runs under the campaign context: a cancelled ctx cuts
-		// minimization short but still yields a failing schedule.
 		rec := r.record()
-		rcfg := cfg
-		rcfg.Tosses = ReplayTosses(rec.Tosses)
-		schedule := rec.Schedule
-		if !opt.NoShrink {
-			schedule = ShrinkCtx(ctx, rcfg, rec.Schedule, rec.Failure.Kind)
+		if res.replay, err = Minimize(ctx, cfg, rec.Schedule, rec.Tosses, rec.Failure.Kind, seed); err != nil {
+			return sampleResult{}, fmt.Errorf("explore: sample %d (seed %d): %w", i, seed, err)
 		}
-		final, err := RunSchedule(rcfg, schedule)
-		if err != nil {
-			return sampleResult{}, fmt.Errorf("explore: sample %d (seed %d): rerun: %w", i, seed, err)
-		}
-		if final.Failure == nil {
-			return sampleResult{}, fmt.Errorf("explore: sample %d (seed %d): failure %v did not reproduce from its own schedule", i, seed, rec.Failure)
-		}
-		res.replay = NewReplay(cfg, final, seed, len(rec.Schedule))
 		return res, nil
 	})
 	if err != nil {

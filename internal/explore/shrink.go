@@ -1,6 +1,28 @@
 package explore
 
-import "context"
+import (
+	"context"
+	"fmt"
+)
+
+// Minimize turns a failing run found under cfg into its replay: it
+// shrinks schedule with ShrinkCtx under the run's recorded tosses, reruns
+// the shrunk schedule, and returns an error unless that rerun fails too.
+// The budget stays as configured, so a budget-exhaustion failure
+// reproduces under the same bound. seed is the sample seed the run was
+// found with; a cancelled ctx cuts shrinking short but still yields a
+// failing schedule.
+func Minimize(ctx context.Context, cfg Config, schedule []int, tosses [][]int64, kind FailureKind, seed int64) (*Replay, error) {
+	cfg.Tosses = ReplayTosses(tosses)
+	final, err := RunSchedule(cfg, ShrinkCtx(ctx, cfg, schedule, kind))
+	if err != nil {
+		return nil, fmt.Errorf("rerun: %w", err)
+	}
+	if final.Failure == nil {
+		return nil, fmt.Errorf("failure %s did not reproduce from its own schedule", kind)
+	}
+	return NewReplay(cfg, final, seed, len(schedule)), nil
+}
 
 // ShrinkCtx minimizes a failing schedule: it returns a (usually much
 // shorter) schedule that still produces a failure of the same kind under

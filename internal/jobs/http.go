@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"time"
 
+	"jayanti98/internal/obs"
 	"jayanti98/internal/tenant"
 )
 
@@ -52,10 +53,8 @@ func NewHandler(s *Scheduler) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var spec Spec
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
-			httpError(w, decodeStatus(err), fmt.Errorf("decoding spec: %w", err))
+		if code, err := obs.DecodeBody(w, r, maxSpecBytes, &spec); err != nil {
+			obs.WriteError(w, code, fmt.Errorf("decoding spec: %w", err))
 			return
 		}
 		view, created, err := s.SubmitAs(tenant.FromContext(r.Context()), &spec)
@@ -63,13 +62,13 @@ func NewHandler(s *Scheduler) *http.ServeMux {
 		switch {
 		case errors.As(err, &busy):
 			w.Header().Set("Retry-After", strconv.Itoa(int((busy.RetryAfter+time.Second-1)/time.Second)))
-			httpError(w, http.StatusTooManyRequests, err)
+			obs.WriteError(w, http.StatusTooManyRequests, err)
 			return
 		case errors.Is(err, ErrQueueFull) || errors.Is(err, ErrShuttingDown):
-			httpError(w, http.StatusServiceUnavailable, err)
+			obs.WriteError(w, http.StatusServiceUnavailable, err)
 			return
 		case err != nil:
-			httpError(w, http.StatusBadRequest, err)
+			obs.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		// A brand-new job answers 201; a deduplicated or cache-served
@@ -78,7 +77,7 @@ func NewHandler(s *Scheduler) *http.ServeMux {
 		if created {
 			code = http.StatusCreated
 		}
-		writeJSON(w, code, view)
+		obs.WriteJSON(w, code, view)
 	})
 
 	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
@@ -88,7 +87,7 @@ func NewHandler(s *Scheduler) *http.ServeMux {
 			switch want {
 			case StatusQueued, StatusRunning, StatusDone, StatusFailed, StatusCanceled:
 			default:
-				httpError(w, http.StatusBadRequest, fmt.Errorf("unknown status %q", q))
+				obs.WriteError(w, http.StatusBadRequest, fmt.Errorf("unknown status %q", q))
 				return
 			}
 			kept := views[:0]
@@ -105,7 +104,7 @@ func NewHandler(s *Scheduler) *http.ServeMux {
 		for i := range views {
 			views[i].Result = nil
 		}
-		writeJSON(w, http.StatusOK, struct {
+		obs.WriteJSON(w, http.StatusOK, struct {
 			Jobs []JobView `json:"jobs"`
 		}{views})
 	})
@@ -113,24 +112,24 @@ func NewHandler(s *Scheduler) *http.ServeMux {
 	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		view, ok := s.Get(r.PathValue("id"))
 		if !ok {
-			httpError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
+			obs.WriteError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 			return
 		}
-		writeJSON(w, http.StatusOK, view)
+		obs.WriteJSON(w, http.StatusOK, view)
 	})
 
 	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
 		view, ok := s.Get(id)
 		if !ok {
-			httpError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
+			obs.WriteError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
 			return
 		}
 		// Cancelling a finished job is a conflict, not a not-found: the
 		// caller's mental model ("this job is still running") is stale, so
 		// answer 409 and include the final view to correct it.
 		if view.Status.Terminal() {
-			writeJSON(w, http.StatusConflict, view)
+			obs.WriteJSON(w, http.StatusConflict, view)
 			return
 		}
 		// Cancel tombstones the journal record, so the cancellation is as
@@ -138,7 +137,7 @@ func NewHandler(s *Scheduler) *http.ServeMux {
 		// job as canceled instead of re-enqueueing it.
 		s.Cancel(id)
 		view, _ = s.Get(id)
-		writeJSON(w, http.StatusOK, view)
+		obs.WriteJSON(w, http.StatusOK, view)
 	})
 
 	mux.HandleFunc("GET /v1/jobs/{id}/events", func(w http.ResponseWriter, r *http.Request) {
@@ -146,11 +145,11 @@ func NewHandler(s *Scheduler) *http.ServeMux {
 	})
 
 	mux.HandleFunc("GET /v1/cache/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.Cache().Stats())
+		obs.WriteJSON(w, http.StatusOK, s.Cache().Stats())
 	})
 
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		obs.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 
 	return mux
@@ -177,7 +176,7 @@ type statusEvent struct {
 func serveEvents(s *Scheduler, w http.ResponseWriter, r *http.Request) {
 	view, events, cancel, ok := s.Subscribe(r.PathValue("id"))
 	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
+		obs.WriteError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
 	defer cancel()
@@ -254,27 +253,6 @@ func serveEvents(s *Scheduler, w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
-}
-
 // maxSpecBytes bounds a submitted spec's body. Specs are a few hundred
 // bytes; the bound keeps one client from growing the server without limit.
 const maxSpecBytes = 1 << 20
-
-// decodeStatus maps a body-decoding error to its status code: 413 for a
-// body over maxSpecBytes, 400 for anything else.
-func decodeStatus(err error) int {
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		return http.StatusRequestEntityTooLarge
-	}
-	return http.StatusBadRequest
-}
-
-func httpError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]string{"error": err.Error()})
-}

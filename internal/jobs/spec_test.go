@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"jayanti98/internal/campaign"
+	"jayanti98/internal/obs"
 )
 
 // mustID hashes the spec or fails the test.
@@ -291,15 +292,16 @@ func TestSpecIDPinned(t *testing.T) {
 	}
 }
 
-// FuzzSpec feeds POST bodies through the job API's decoder (unknown fields
-// rejected) and then ID, the path every submission takes. ID must never
-// panic. For a spec it accepts, normalizing again must change nothing,
-// and the canonical bytes must decode back to the normalized spec (a nil
-// and an empty slice count as equal) with the same ID.
+// FuzzSpec feeds POST bodies through the job API's decoder, obs.DecodeJSON
+// (unknown fields and trailing data rejected), and then ID, the path every
+// submission takes. ID must never panic. For a spec it accepts,
+// normalizing again must change nothing, and the canonical bytes must
+// decode back to the normalized spec (a nil and an empty slice count as
+// equal) with the same ID.
 func FuzzSpec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		spec, err := decodeSpec(data)
-		if err != nil {
+		spec := new(Spec)
+		if err := obs.DecodeJSON(bytes.NewReader(data), spec); err != nil {
 			return
 		}
 		id, err := spec.ID()
@@ -314,8 +316,8 @@ func FuzzSpec(f *testing.F) {
 		if again, err := spec.Canonical(); err != nil || !bytes.Equal(again, canon) {
 			t.Fatalf("Normalize is not idempotent (%v):\n%s\n%s", err, canon, again)
 		}
-		back, err := decodeSpec(canon)
-		if err != nil {
+		back := new(Spec)
+		if err := obs.DecodeJSON(bytes.NewReader(canon), back); err != nil {
 			t.Fatalf("canonical bytes do not decode: %v\n%s", err, canon)
 		}
 		if !equalSpecs(reflect.ValueOf(back), reflect.ValueOf(spec)) {
@@ -325,17 +327,6 @@ func FuzzSpec(f *testing.F) {
 			t.Fatalf("decoded canonical spec has ID %s (%v), want %s", backID, err, id)
 		}
 	})
-}
-
-// decodeSpec decodes a spec as POST /v1/jobs does.
-func decodeSpec(data []byte) (*Spec, error) {
-	var spec Spec
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		return nil, err
-	}
-	return &spec, nil
 }
 
 // equalSpecs is reflect.DeepEqual, but for counting a nil and an empty

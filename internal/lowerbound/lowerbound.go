@@ -265,17 +265,6 @@ func VerifyIndistinguishabilityCtx(ctx context.Context, alg machine.Algorithm, n
 	return len(out), err
 }
 
-// GroupUpdateClient adapts a universal construction into the ObjectClient
-// the Theorem 6.2 reductions expect.
-type constructionClient struct {
-	obj universal.Construction
-}
-
-// Invoke implements wakeup.ObjectClient.
-func (c constructionClient) Invoke(p machine.Port, op objtype.Op) objtype.Value {
-	return c.obj.Invoke(p, op)
-}
-
 // BuildReduction assembles the wakeup algorithm of a Theorem 6.2 reduction
 // over an object implemented by the named construction ("group-update",
 // "herlihy", or "central").
@@ -284,7 +273,7 @@ func BuildReduction(spec wakeup.ReductionSpec, construction string, n int) (mach
 	if err != nil {
 		return nil, nil, fmt.Errorf("lowerbound: %w", err)
 	}
-	return spec.Build(constructionClient{obj}), obj, nil
+	return spec.Build(obj), obj, nil
 }
 
 // ReductionResult is one measurement of a Theorem 6.2 reduction (E3).

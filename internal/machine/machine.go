@@ -83,21 +83,13 @@ type TossAssignment func(pid, j int) int64
 // deterministic algorithms.
 func ZeroTosses(int, int) int64 { return 0 }
 
-// yielder is what an Env needs from its machine: a way to publish a pending
-// action and block for its input. Only the goroutine engine runs bodies, so
-// only goDriver implements it.
-type yielder interface {
-	yieldToss() int64
-	yieldOp(op shmem.Op) shmem.Response
-}
-
 // Env is the interface an algorithm body uses to interact with the world.
 // All shared-memory helpers block until the scheduler performs the op and
 // delivers the response.
 type Env struct {
 	id int
 	n  int
-	m  yielder
+	g  *goDriver
 }
 
 // ID returns the executing process's identifier in [0, N).
@@ -107,10 +99,10 @@ func (e *Env) ID() int { return e.id }
 func (e *Env) N() int { return e.n }
 
 // Toss performs a local coin toss and returns its outcome.
-func (e *Env) Toss() int64 { return e.m.yieldToss() }
+func (e *Env) Toss() int64 { return e.g.yield(Action{Kind: ActToss}).toss }
 
 // Do performs a raw shared-memory operation.
-func (e *Env) Do(op shmem.Op) shmem.Response { return e.m.yieldOp(op) }
+func (e *Env) Do(op shmem.Op) shmem.Response { return e.g.yield(Action{Kind: ActOp, Op: op}).resp }
 
 // LL performs LL(reg) and returns the register's value.
 func (e *Env) LL(reg int) shmem.Value {

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"encoding/json"
+	"errors"
+	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -163,4 +165,51 @@ func TracesHandler(t *Tracer) http.Handler {
 		}
 		_ = enc.Encode(t.Trees())
 	})
+}
+
+// WriteJSON answers with v encoded as JSON under the given status code.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+// WriteError answers {"error": "..."} under the given status code, the
+// error shape of every JSON API the service mounts.
+func WriteError(w http.ResponseWriter, code int, err error) {
+	WriteJSON(w, code, map[string]string{"error": err.Error()})
+}
+
+// DecodeJSON decodes the one JSON value in r into v. It rejects unknown
+// fields and anything but whitespace after the value.
+func DecodeJSON(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	switch _, err := dec.Token(); {
+	case err == io.EOF:
+		return nil
+	case err == nil:
+		return errors.New("data after the JSON value")
+	default:
+		return err
+	}
+}
+
+// DecodeBody decodes a request body of at most limit bytes with
+// DecodeJSON. On failure it also returns the status code to answer: 413
+// for a body over limit, 400 for any other.
+func DecodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) (int, error) {
+	err := DecodeJSON(http.MaxBytesReader(w, r.Body, limit), v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return http.StatusOK, nil
+	case errors.As(err, &tooLarge):
+		return http.StatusRequestEntityTooLarge, err
+	default:
+		return http.StatusBadRequest, err
+	}
 }

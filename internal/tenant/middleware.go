@@ -2,7 +2,7 @@ package tenant
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"net/http"
 	"strconv"
 	"strings"
@@ -71,7 +71,7 @@ func Middleware(next http.Handler, opts MiddlewareOptions) http.Handler {
 		if !ok {
 			unauthorized.Inc()
 			w.Header().Set("WWW-Authenticate", `Bearer realm="lbserver"`)
-			tenantError(w, http.StatusUnauthorized, "unknown or missing API key")
+			obs.WriteError(w, http.StatusUnauthorized, errors.New("unknown or missing API key"))
 			return
 		}
 		met.Counter("tenant_requests_total", "Requests admitted past tenant auth, by tenant.",
@@ -81,7 +81,7 @@ func Middleware(next http.Handler, opts MiddlewareOptions) http.Handler {
 				met.Counter("tenant_rate_limited_total", "Requests rejected 429 by the tenant token bucket, by tenant.",
 					obs.Labels{"tenant": t.Name}).Inc()
 				w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(retry)))
-				tenantError(w, http.StatusTooManyRequests, "rate limit exceeded for tenant "+t.Name)
+				obs.WriteError(w, http.StatusTooManyRequests, errors.New("rate limit exceeded for tenant "+t.Name))
 				return
 			}
 		}
@@ -97,10 +97,4 @@ func retryAfterSeconds(d time.Duration) int {
 		secs = 1
 	}
 	return secs
-}
-
-func tenantError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg})
 }
