@@ -59,8 +59,8 @@ serve-smoke:
 	./scripts/serve_smoke.sh
 
 # Smoke the distributed subsystem: 1 coordinator + 2 workers, one worker
-# SIGKILLed mid-job, and the merged result must be byte-identical to a
-# local no-worker run.
+# SIGKILLed mid-sweep, then an explore fuzz job; each merged result must
+# be byte-identical to a local no-worker run.
 dist-smoke:
 	./scripts/dist_smoke.sh
 
@@ -143,6 +143,7 @@ fuzz-short:
 	$(GO) test ./internal/linz/ -run '^$$' -fuzz '^FuzzOnlineMemo$$' $(FUZZ)
 	$(GO) test ./internal/jobs/ -run '^$$' -fuzz '^FuzzJournalRecord$$' $(FUZZ)
 	$(GO) test ./internal/jobs/ -run '^$$' -fuzz '^FuzzSpec$$' $(FUZZ)
+	$(GO) test ./internal/jobs/ -run '^$$' -fuzz '^FuzzMergeParts$$' $(FUZZ)
 	$(GO) test ./internal/campaign/ -run '^$$' -fuzz '^FuzzCheckpoint$$' $(FUZZ)
 	$(GO) test ./internal/explore/ -run '^$$' -fuzz '^FuzzReplay$$' $(FUZZ)
 

@@ -21,7 +21,6 @@ import (
 	"log"
 
 	"jayanti98/internal/lowerbound"
-	"jayanti98/internal/report"
 	"jayanti98/internal/sweep"
 	"jayanti98/internal/universal"
 )
@@ -53,14 +52,6 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("\n%s on %s — measured growth: %s\n\n", name, st.New(2).Name(), growth)
-		tbl := report.NewTable("n", "forced steps/op", "documented bound", "Ω ⌈log₄ n⌉")
-		for _, r := range results {
-			bound := "not wait-free"
-			if r.StepBound > 0 {
-				bound = fmt.Sprintf("%d", r.StepBound)
-			}
-			tbl.AddRow(r.N, r.MaxSteps, bound, r.LowerBound)
-		}
-		fmt.Print(tbl)
+		fmt.Print(lowerbound.ConstructionTable(results))
 	}
 }

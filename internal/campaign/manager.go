@@ -110,10 +110,6 @@ type ManagerOptions struct {
 	// FindingsDir receives one replay file per kept finding (empty: no
 	// files; findings still appear in stats).
 	FindingsDir string
-	// ShrinksPerRound bounds shrink attempts per round (≤ 0: 4) — a
-	// round of a very broken construction can fail in every slot, and
-	// each shrink is many re-executions.
-	ShrinksPerRound int
 	// Obs, Tracer, Logger are the observability sinks (nil: process
 	// defaults / discard).
 	Obs    *obs.Registry
@@ -166,9 +162,6 @@ func NewManager(opts ManagerOptions) *Manager {
 	}
 	if opts.CheckpointEvery <= 0 {
 		opts.CheckpointEvery = 1
-	}
-	if opts.ShrinksPerRound <= 0 {
-		opts.ShrinksPerRound = 4
 	}
 	m := &Manager{opts: opts, campaigns: make(map[string]*instance)}
 	m.reg = opts.Obs
@@ -490,6 +483,11 @@ func (m *Manager) run(ctx context.Context, c *instance) {
 	logger.Info("campaign "+string(final), "rounds", c.state.Round, "findings_seen", c.state.FindingsSeen)
 }
 
+// shrinksPerRound bounds shrink attempts per round: a round of a very
+// broken construction can fail in every slot, and each shrink is many
+// re-executions.
+const shrinksPerRound = 4
+
 // processFailures confirms, shrinks, persists, and records the round's
 // failures, returning how many new findings were kept. Shrinking runs
 // under the campaign context, so stopping a campaign cuts a long shrink
@@ -503,7 +501,7 @@ func (m *Manager) processFailures(ctx context.Context, c *instance, round int, d
 		full := len(c.state.Findings) >= MaxStoredFindings
 		spec := c.state.Spec
 		c.mu.Unlock()
-		if full || shrinks >= m.opts.ShrinksPerRound {
+		if full || shrinks >= shrinksPerRound {
 			break
 		}
 		shrinks++

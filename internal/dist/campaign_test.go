@@ -22,11 +22,11 @@ func campaignRoundJobSpec(corpus [][]int) *jobs.Spec {
 
 func TestCoordsCampaignRound(t *testing.T) {
 	spec := campaignRoundJobSpec(nil)
-	coords, ok := Coords(spec)
+	coords, ok := spec.Coords()
 	if !ok || coords != 24 {
 		t.Fatalf("Coords = (%d, %v), want (24, true)", coords, ok)
 	}
-	if _, ok := Coords(&jobs.Spec{Kind: jobs.KindCampaignRound}); ok {
+	if _, ok := (&jobs.Spec{Kind: jobs.KindCampaignRound}).Coords(); ok {
 		t.Fatal("campaign-round spec without sub-spec counted as shardable")
 	}
 }
@@ -43,7 +43,7 @@ func TestShardMergeMatchesSerialCampaignRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	serial := serialResult(t, spec)
-	coords, _ := Coords(spec)
+	coords, _ := spec.Coords()
 	for _, shards := range []int{1, 2, 3, 7, coords} {
 		merged := distributedResult(t, spec, shards)
 		if !bytes.Equal(merged, serial) {

@@ -156,7 +156,7 @@ func NewCoordinator(opts Options) *Coordinator {
 		r = obs.Default()
 	}
 	c.met.distributed = r.Counter("dist_jobs_distributed_total", "Jobs executed across the worker fleet.", nil)
-	c.met.fallback = r.Counter("dist_jobs_fallback_total", "Jobs declined to local execution (not shardable, or no active workers).", nil)
+	c.met.fallback = r.Counter("dist_jobs_fallback_total", "Jobs handed back to local execution (no active workers, or distribution abandoned).", nil)
 	c.met.leased = r.Counter("dist_shards_leased_total", "Shard leases granted (re-leases included).", nil)
 	c.met.completed = r.Counter("dist_shards_completed_total", "Shard results accepted after hash verification.", nil)
 	c.met.released = r.Counter("dist_shards_released_total", "Leases expired and re-queued (worker crashed or stalled).", nil)
@@ -195,13 +195,13 @@ func (c *Coordinator) activeWorkersLocked() int {
 // Run implements jobs.Runner: partition, enqueue, wait for the fleet,
 // merge. It declines (handled=false) when the spec is not shardable or
 // no workers are active — including when every worker vanishes mid-run,
-// a shard's result is refused as too large (resultTooLarge), or a shard's
-// lease expires more than maxShardReleases times (expireLocked). Then the
-// partial shard results are discarded and the scheduler recomputes
-// locally (determinism makes the recomputation byte-identical, so
-// abandoning is always safe).
+// a shard's result is refused as too large (resultTooLarge), a shard's
+// lease expires more than maxShardReleases times (expireLocked), or the
+// accepted parts do not merge. Then the partial shard results are
+// discarded and the scheduler recomputes locally (determinism makes the
+// recomputation byte-identical, so abandoning is always safe).
 func (c *Coordinator) Run(ctx context.Context, id string, spec *jobs.Spec, p *jobs.Progress) ([]byte, bool, error) {
-	n, ok := Coords(spec)
+	n, ok := spec.Coords()
 	if !ok || n == 0 {
 		return nil, false, nil
 	}
@@ -259,14 +259,20 @@ func (c *Coordinator) Run(ctx context.Context, id string, spec *jobs.Spec, p *jo
 		select {
 		case <-j.done:
 			c.remove(j)
-			payloads := make([][]byte, len(j.shards))
+			lens := make([]int, len(j.shards))
+			parts := make([][]byte, len(j.shards))
 			for i, s := range j.shards {
-				payloads[i] = s.payload
+				lens[i], parts[i] = s.rng.Len(), s.payload
 			}
-			merged, err := Merge(spec, ranges, payloads)
+			merged, err := jobs.MergeParts(spec, lens, parts)
 			if err != nil {
-				span.SetAttr("error", err.Error())
-				return nil, true, err
+				// The parts passed their hash checks, so a worker sent
+				// these bytes; the job's result is not theirs to decide.
+				c.met.fallback.Inc()
+				span.SetAttr("abandoned", "parts do not merge")
+				c.logger.Warn("shard parts do not merge; abandoning distribution",
+					"job_id", obs.ShortID(id), "error", err.Error())
+				return nil, false, nil
 			}
 			return merged, true, nil
 		case <-j.dropped: // dropLocked already removed the job

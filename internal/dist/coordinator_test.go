@@ -89,7 +89,7 @@ func TestCoordinatorLeaseResultMerge(t *testing.T) {
 			continue
 		}
 		seen++
-		payload, err := ExecuteShard(context.Background(), g.Spec, g.Range, 1)
+		payload, err := jobs.RunPart(context.Background(), g.Spec, g.Range.Lo, g.Range.Hi, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +167,7 @@ func TestCoordinatorReleasesExpiredLease(t *testing.T) {
 		t.Fatalf("re-lease = %+v, old = %+v: want same shard, new token", fresh, old)
 	}
 
-	payload, err := ExecuteShard(context.Background(), fresh.Spec, fresh.Range, 1)
+	payload, err := jobs.RunPart(context.Background(), fresh.Spec, fresh.Range.Lo, fresh.Range.Hi, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestCoordinatorRejectsHashMismatch(t *testing.T) {
 	if g == nil {
 		t.Fatal("never got a lease")
 	}
-	payload, err := ExecuteShard(context.Background(), g.Spec, g.Range, 1)
+	payload, err := jobs.RunPart(context.Background(), g.Spec, g.Range.Lo, g.Range.Hi, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

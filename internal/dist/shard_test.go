@@ -3,7 +3,6 @@ package dist
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"testing"
 
 	"jayanti98/internal/jobs"
@@ -69,6 +68,8 @@ func TestPartitionCoversContiguously(t *testing.T) {
 	}
 }
 
+// TestCoordsShardability pins which specs the coordinator splits across
+// the fleet, and into how many coordinates.
 func TestCoordsShardability(t *testing.T) {
 	norm := func(s *jobs.Spec) *jobs.Spec {
 		t.Helper()
@@ -99,7 +100,7 @@ func TestCoordsShardability(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			coords, ok := Coords(tc.spec)
+			coords, ok := tc.spec.Coords()
 			if coords != tc.coords || ok != tc.shardable {
 				t.Fatalf("Coords = (%d, %v), want (%d, %v)", coords, ok, tc.coords, tc.shardable)
 			}
@@ -117,23 +118,34 @@ func serialResult(t *testing.T, spec *jobs.Spec) []byte {
 	return out
 }
 
-// distributedResult executes every shard of the partition and merges.
+// lens returns each range's coordinate count, MergeParts' view of a
+// partition.
+func lens(ranges []Range) []int {
+	out := make([]int, len(ranges))
+	for i, r := range ranges {
+		out[i] = r.Len()
+	}
+	return out
+}
+
+// distributedResult runs every range of the partition as a worker would
+// and merges the parts as the coordinator does.
 func distributedResult(t *testing.T, spec *jobs.Spec, shards int) []byte {
 	t.Helper()
-	n, ok := Coords(spec)
+	n, ok := spec.Coords()
 	if !ok {
 		t.Fatalf("spec kind %q not shardable", spec.Kind)
 	}
 	ranges := Partition(n, shards)
-	payloads := make([][]byte, len(ranges))
+	parts := make([][]byte, len(ranges))
 	for i, r := range ranges {
-		p, err := ExecuteShard(context.Background(), spec, r, 2)
+		p, err := jobs.RunPart(context.Background(), spec, r.Lo, r.Hi, 2)
 		if err != nil {
 			t.Fatalf("shard %d %+v: %v", i, r, err)
 		}
-		payloads[i] = p
+		parts[i] = p
 	}
-	merged, err := Merge(spec, ranges, payloads)
+	merged, err := jobs.MergeParts(spec, lens(ranges), parts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +162,7 @@ func TestShardMergeMatchesSerialSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	serial := serialResult(t, spec)
-	coords, _ := Coords(spec)
+	coords, _ := spec.Coords()
 	for _, shards := range []int{1, 2, 3, 5, coords, coords + 7} {
 		merged := distributedResult(t, spec, shards)
 		if !bytes.Equal(merged, serial) {
@@ -181,6 +193,8 @@ func TestShardMergeMatchesSerialFuzz(t *testing.T) {
 	}
 }
 
+// TestExecuteShardRejectsBadInput: a worker refuses a grant whose spec
+// does not shard or whose range leaves the grid.
 func TestExecuteShardRejectsBadInput(t *testing.T) {
 	sweepSpec := &jobs.Spec{Kind: jobs.KindSweep, Sweep: &jobs.SweepSpec{Type: "queue", MaxN: 4}}
 	sweepSpec.Normalize()
@@ -192,6 +206,7 @@ func TestExecuteShardRejectsBadInput(t *testing.T) {
 		r    Range
 	}{
 		{"not shardable", report, Range{0, 1}},
+		{"nil spec", nil, Range{0, 1}},
 		{"negative lo", sweepSpec, Range{-1, 2}},
 		{"hi beyond grid", sweepSpec, Range{0, 1000}},
 		{"empty range", sweepSpec, Range{2, 2}},
@@ -199,8 +214,8 @@ func TestExecuteShardRejectsBadInput(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := ExecuteShard(context.Background(), tc.spec, tc.r, 1); err == nil {
-				t.Fatal("ExecuteShard accepted")
+			if _, err := jobs.RunPart(context.Background(), tc.spec, tc.r.Lo, tc.r.Hi, 1); err == nil {
+				t.Fatal("RunPart accepted")
 			}
 		})
 	}
@@ -209,25 +224,22 @@ func TestExecuteShardRejectsBadInput(t *testing.T) {
 func TestMergeRejectsInconsistentShards(t *testing.T) {
 	spec := &jobs.Spec{Kind: jobs.KindSweep, Sweep: &jobs.SweepSpec{Type: "queue", MaxN: 4}}
 	spec.Normalize()
-	n, _ := Coords(spec)
+	n, _ := spec.Coords()
 	ranges := Partition(n, 2)
 
-	if _, err := Merge(spec, ranges, [][]byte{[]byte(`{}`)}); err == nil {
-		t.Fatal("Merge accepted a range/payload count mismatch")
+	if _, err := jobs.MergeParts(spec, lens(ranges), [][]byte{[]byte(`{}`)}); err == nil {
+		t.Fatal("MergeParts accepted a range/part count mismatch")
 	}
-	short, err := json.Marshal(sweepShardPayload{})
-	if err != nil {
-		t.Fatal(err)
+	short := []byte(`{"results":[]}`)
+	if _, err := jobs.MergeParts(spec, lens(ranges), [][]byte{short, short}); err == nil {
+		t.Fatal("MergeParts accepted a part with too few results")
 	}
-	if _, err := Merge(spec, ranges, [][]byte{short, short}); err == nil {
-		t.Fatal("Merge accepted a shard with too few results")
-	}
-	if _, err := Merge(spec, ranges, [][]byte{[]byte(`not json`), short}); err == nil {
-		t.Fatal("Merge accepted a corrupt payload")
+	if _, err := jobs.MergeParts(spec, lens(ranges), [][]byte{[]byte(`not json`), short}); err == nil {
+		t.Fatal("MergeParts accepted a corrupt part")
 	}
 	report := &jobs.Spec{Kind: jobs.KindReport}
 	report.Normalize()
-	if _, err := Merge(report, nil, nil); err == nil {
-		t.Fatal("Merge accepted a non-shardable spec")
+	if _, err := jobs.MergeParts(report, nil, nil); err == nil {
+		t.Fatal("MergeParts accepted a non-shardable spec")
 	}
 }

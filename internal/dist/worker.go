@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"jayanti98/internal/jobs"
 	"jayanti98/internal/obs"
 	"jayanti98/internal/sweep"
 )
@@ -48,9 +49,9 @@ type WorkerOptions struct {
 }
 
 // Worker is the pull side of the shard protocol: poll the coordinator
-// with jittered exponential backoff, execute granted shards through the
-// in-process entry points, stream heartbeats while executing, and upload
-// content-hashed payloads.
+// with jittered exponential backoff, run each granted range with
+// jobs.RunPart, stream heartbeats while it runs, and upload the
+// content-hashed part.
 type Worker struct {
 	opts   WorkerOptions
 	client *http.Client
@@ -256,7 +257,7 @@ func (w *Worker) execute(ctx context.Context, grant *LeaseResponse) error {
 		}
 	}()
 
-	payload, execErr := ExecuteShard(execCtx, grant.Spec, grant.Range, w.opts.Parallel)
+	payload, execErr := jobs.RunPart(execCtx, grant.Spec, grant.Range.Lo, grant.Range.Hi, w.opts.Parallel)
 	stopHB()
 	hbWG.Wait()
 	if execErr != nil {

@@ -201,7 +201,7 @@ func TestProtocolHTTPStatusCodes(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	payload, err := ExecuteShard(ctx, grant.Spec, grant.Range, 1)
+	payload, err := jobs.RunPart(ctx, grant.Spec, grant.Range.Lo, grant.Range.Hi, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,5 +438,88 @@ func TestPoisonShardRunsJobLocally(t *testing.T) {
 	}
 	if st := c.Snapshot(); len(st.Jobs) != 0 || st.PendingShards != 0 {
 		t.Fatalf("dropped job left ledger state: %+v", st)
+	}
+}
+
+// TestUnmergeablePartsRunJobLocally: a part that passes its hash check
+// but does not merge (here a sweep part with no results for its six
+// coordinates) is never salvaged into a failed job. The coordinator
+// declines, and the scheduler recomputes the job locally to the serial
+// bytes.
+func TestUnmergeablePartsRunJobLocally(t *testing.T) {
+	c := newTestCoordinator(Options{LeaseTTL: time.Minute, MaxShards: 1})
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // a worker that uploads an empty part for whatever it leases
+		defer wg.Done()
+		empty := []byte(`{"results":[]}`)
+		for ctx.Err() == nil {
+			if g := c.Lease("w1"); g != nil {
+				if err := c.Result(g.ShardID, g.Lease, HashPayload(empty), empty); err != nil {
+					t.Errorf("upload: %v", err)
+				}
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	defer func() {
+		cancel()
+		wg.Wait()
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for c.ActiveWorkers() < 1 {
+		if !time.Now().Before(deadline) {
+			t.Fatal("worker never polled")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	tracer := obs.NewTracer(0)
+	s, err := jobs.NewScheduler(jobs.Options{Workers: 1, Dist: c, Obs: obs.NewRegistry(), Tracer: tracer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		sctx, scancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer scancel()
+		if err := s.Shutdown(sctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
+	spec := testSpec(t)
+	view, _, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wctx, wcancel := context.WithTimeout(ctx, 20*time.Second)
+	defer wcancel()
+	final, err := s.Wait(wctx, view.ID)
+	if err != nil {
+		t.Fatalf("job never finished: %v", err)
+	}
+	if final.Status != jobs.StatusDone {
+		t.Fatalf("job status %s (%s), want done", final.Status, final.Error)
+	}
+	if serial := serialResult(t, spec); !bytes.Equal(final.Result, serial) {
+		t.Fatalf("local result differs from serial\nserial: %s\ngot:    %s", serial, final.Result)
+	}
+	if got := c.met.completed.Value(); got != 1 {
+		t.Fatalf("dist_shards_completed_total = %d, want 1", got)
+	}
+	if got := c.met.fallback.Value(); got != 1 {
+		t.Fatalf("dist_jobs_fallback_total = %d, want 1", got)
+	}
+	if st := c.Snapshot(); len(st.Jobs) != 0 || st.PendingShards != 0 {
+		t.Fatalf("declined job left ledger state: %+v", st)
+	}
+	var abandoned string
+	for _, sd := range tracer.Spans() {
+		if sd.Name == "dist "+spec.Kind {
+			abandoned = sd.Attrs["abandoned"]
+		}
+	}
+	if abandoned != "parts do not merge" {
+		t.Fatalf("dist span abandoned = %q, want %q", abandoned, "parts do not merge")
 	}
 }

@@ -47,8 +47,12 @@ func NewProgress() *Progress {
 // Set advances the tracker to (phase, done, total) and broadcasts the
 // event. Within an unchanged phase, done is clamped to be non-decreasing;
 // a phase change restarts the done counter and closes the previous
-// phase's duration. Set after Close is a no-op.
+// phase's duration. Set after Close, or on a nil Progress (a part run
+// for a dist worker), is a no-op.
 func (p *Progress) Set(phase string, done, total int) {
+	if p == nil {
+		return
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {

@@ -5,13 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"jayanti98/internal/campaign"
 	"jayanti98/internal/experiments"
 	"jayanti98/internal/explore"
 	"jayanti98/internal/lowerbound"
 	"jayanti98/internal/obs"
 	"jayanti98/internal/report"
-	"jayanti98/internal/universal"
 )
 
 // ExperimentResult is one report section: the markdown cmd/lbreport
@@ -70,9 +68,7 @@ type ExploreResult struct {
 
 // Execute normalizes and validates spec, then runs it in-process and
 // returns its result bytes — the same bytes the scheduler would compute
-// and cache for the spec. It is the reference implementation the
-// distributed path (internal/dist) must be byte-identical to: the
-// shard-merge property tests compare against it.
+// and cache for the spec.
 func Execute(ctx context.Context, spec *Spec, p *Progress, parallel int) ([]byte, error) {
 	spec.Normalize()
 	if err := spec.Validate(); err != nil {
@@ -89,15 +85,18 @@ func Execute(ctx context.Context, spec *Spec, p *Progress, parallel int) ([]byte
 func runSpec(ctx context.Context, spec *Spec, p *Progress, parallel int) ([]byte, error) {
 	var payload any
 	var err error
-	switch spec.Kind {
-	case KindReport:
+	switch m := spec.coordMap(); {
+	case m != nil:
+		// A shardable spec runs as the one-part run [0, n) of its
+		// coordinate map (coords.go).
+		var pt part
+		if pt, err = m.run(ctx, spec, 0, m.coords(spec), p, parallel); err == nil {
+			payload, err = m.assemble(spec, []part{pt})
+		}
+	case spec.Kind == KindReport:
 		payload, err = runReport(ctx, spec.Report, p, parallel)
-	case KindSweep:
-		payload, err = runSweep(ctx, spec.Sweep, p, parallel)
-	case KindExplore:
-		payload, err = runExplore(ctx, spec.Explore, p, parallel)
-	case KindCampaignRound:
-		payload, err = runCampaignRound(ctx, spec.CampaignRound, p, parallel)
+	case spec.Kind == KindExplore:
+		payload, err = runExhaustive(ctx, spec.Explore, p, parallel)
 	default:
 		err = fmt.Errorf("jobs: unknown kind %q", spec.Kind)
 	}
@@ -130,164 +129,36 @@ func runReport(ctx context.Context, spec *ReportSpec, p *Progress, parallel int)
 	return res, nil
 }
 
-func runSweep(ctx context.Context, spec *SweepSpec, p *Progress, parallel int) (*SweepResult, error) {
-	st, err := lowerbound.SweepTypeFor(spec.Type)
-	if err != nil {
-		return nil, err
+// runExhaustive searches every schedule of the spec (one shared DFS
+// frontier, so not a map over independent coordinates).
+func runExhaustive(ctx context.Context, spec *ExploreSpec, p *Progress, parallel int) (*ExploreResult, error) {
+	if spec.Mode != "exhaustive" {
+		return nil, fmt.Errorf("jobs: explore mode %q", spec.Mode)
 	}
-	ns := spec.Ns()
-	constructions := spec.ConstructionNames()
-	flat := make([]lowerbound.ConstructionResult, 0, len(constructions)*len(ns))
-	for i, name := range constructions {
-		name := name
-		p.Set(name, i, len(constructions))
-		sctx, span := obs.StartSpan(ctx, "sweep "+name)
-		span.SetAttr("construction", name)
-		span.SetAttr("type", spec.Type)
-		mk := func(n int) universal.Construction {
-			return universal.Must(universal.New(name, st.New(n), n, 0))
-		}
-		results, _, err := lowerbound.SweepConstructionCtx(sctx, mk, st.Op, ns, parallel)
-		span.End()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		flat = append(flat, results...)
-		p.Set(name, i+1, len(constructions))
-	}
-	return BuildSweepResult(spec, flat)
-}
-
-// BuildSweepResult assembles the KindSweep payload from the flat,
-// coordinate-ordered measurement slice (construction-major, n-minor —
-// the order runSweep produces and internal/dist's index-ordered shard
-// merge reconstructs). Each measurement is a pure function of its
-// (construction, n) coordinate, so any partition of the grid feeds this
-// function identical inputs and the payload is byte-identical no matter
-// where the shard boundaries fell.
-func BuildSweepResult(spec *SweepSpec, flat []lowerbound.ConstructionResult) (*SweepResult, error) {
-	ns := spec.Ns()
-	constructions := spec.ConstructionNames()
-	if want := len(constructions) * len(ns); len(flat) != want {
-		return nil, fmt.Errorf("jobs: sweep has %d results, want %d (%d constructions × %d ns)",
-			len(flat), want, len(constructions), len(ns))
-	}
-	res := &SweepResult{Type: spec.Type, Ns: ns}
-	for i, name := range constructions {
-		results := flat[i*len(ns) : (i+1)*len(ns)]
-		tbl := report.NewTable("n", "forced steps/op", "documented bound", "Ω ⌈log₄ n⌉")
-		for _, r := range results {
-			if r.Construction != name {
-				return nil, fmt.Errorf("jobs: sweep result %q at coordinates of %q", r.Construction, name)
-			}
-			bound := "not wait-free"
-			if r.StepBound > 0 {
-				bound = fmt.Sprintf("%d", r.StepBound)
-			}
-			tbl.AddRow(r.N, r.MaxSteps, bound, r.LowerBound)
-		}
-		res.Constructions = append(res.Constructions, ConstructionSweep{
-			Construction: name,
-			Growth:       string(lowerbound.ConstructionGrowth(ns, results)),
-			Results:      results,
-			Table:        tbl,
-		})
-	}
-	return res, nil
-}
-
-func runExplore(ctx context.Context, spec *ExploreSpec, p *Progress, parallel int) (*ExploreResult, error) {
-	cfg := spec.Config()
-	res := &ExploreResult{Mode: spec.Mode, Failures: []ExploreFailure{}}
-	ctx, span := obs.StartSpan(ctx, "explore "+spec.Mode)
+	ctx, span := obs.StartSpan(ctx, "explore exhaustive")
 	defer span.End()
 	span.SetAttr("alg", spec.Alg)
 	span.SetAttr("mode", spec.Mode)
-	switch spec.Mode {
-	case "exhaustive":
-		p.Set("exhaustive", 0, 1)
-		rep, err := explore.ExhaustiveCtx(ctx, cfg, parallel)
-		if err != nil {
-			return nil, err
-		}
-		res.Budget = rep.Cfg.Budget
-		res.States = rep.States
-		res.Runs = rep.Runs
-		res.Complete = rep.Complete
-		if rep.Failure != nil {
-			res.Failures = append(res.Failures, ExploreFailure{
-				Kind:     string(rep.Failure.Kind),
-				Detail:   rep.Failure.Detail,
-				Schedule: rep.Record.Schedule,
-			})
-		}
-		p.Set("exhaustive", 1, 1)
-	case "fuzz":
-		p.Set("fuzz", 0, 1)
-		rep, err := explore.FuzzCtx(ctx, cfg, explore.FuzzOptions{
-			Samples: spec.Samples,
-			Seed:    spec.Seed,
-			Workers: parallel,
-		})
-		if err != nil {
-			return nil, err
-		}
-		failures := make([]ExploreFailure, 0, len(rep.Failures))
-		for _, f := range rep.Failures {
-			failures = append(failures, NewExploreFailure(f))
-		}
-		res = BuildFuzzResult(spec, rep.TotalSteps, failures)
-		p.Set("fuzz", 1, 1)
-	default:
-		return nil, fmt.Errorf("jobs: explore mode %q", spec.Mode)
-	}
-	return res, nil
-}
-
-// runCampaignRound executes one coverage-guided campaign round in-process
-// — the local reference implementation the distributed shard path
-// (internal/dist) must be byte-identical to.
-func runCampaignRound(ctx context.Context, rs *campaign.RoundSpec, p *Progress, parallel int) (*campaign.RoundResult, error) {
-	ctx, span := obs.StartSpan(ctx, "campaign round batch")
-	defer span.End()
-	span.SetAttr("alg", rs.Campaign.Alg)
-	span.SetAttr("round", fmt.Sprintf("%d", rs.Round))
-	p.Set("campaign-round", 0, 1)
-	rr, err := campaign.ExecuteRound(ctx, rs, parallel)
+	p.Set("exhaustive", 0, 1)
+	rep, err := explore.ExhaustiveCtx(ctx, spec.Config(), parallel)
 	if err != nil {
 		return nil, err
 	}
-	p.Set("campaign-round", 1, 1)
-	return rr, nil
-}
-
-// NewExploreFailure converts a schedule-search counterexample to its wire
-// form (the replay's events are dropped; the schedule plus seed suffice to
-// reproduce it).
-func NewExploreFailure(f *explore.Replay) ExploreFailure {
-	return ExploreFailure{
-		Kind:        string(f.Kind),
-		Detail:      f.Detail,
-		Schedule:    f.Schedule,
-		OriginalLen: f.OriginalLen,
-		Seed:        f.Seed,
+	res := &ExploreResult{
+		Mode:     spec.Mode,
+		Budget:   rep.Cfg.Budget,
+		States:   rep.States,
+		Runs:     rep.Runs,
+		Complete: rep.Complete,
+		Failures: []ExploreFailure{},
 	}
-}
-
-// BuildFuzzResult assembles the KindExplore payload of a fuzz campaign
-// from its sample-ordered failures and summed step count. Sample i always
-// derives its private seed with sweep.Derive(Seed, i) regardless of which
-// process ran it, so concatenating per-shard failures in sample order
-// (internal/dist) reproduces the serial payload byte-for-byte.
-func BuildFuzzResult(spec *ExploreSpec, totalSteps int, failures []ExploreFailure) *ExploreResult {
-	if failures == nil {
-		failures = []ExploreFailure{}
+	if rep.Failure != nil {
+		res.Failures = append(res.Failures, ExploreFailure{
+			Kind:     string(rep.Failure.Kind),
+			Detail:   rep.Failure.Detail,
+			Schedule: rep.Record.Schedule,
+		})
 	}
-	return &ExploreResult{
-		Mode:       spec.Mode,
-		Budget:     spec.Budget,
-		Samples:    spec.Samples,
-		TotalSteps: totalSteps,
-		Failures:   failures,
-	}
+	p.Set("exhaustive", 1, 1)
+	return res, nil
 }

@@ -4,8 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
+
+	"jayanti98/internal/campaign"
+	"jayanti98/internal/obs"
 )
 
 // runNormalized normalizes, validates, and executes a spec directly.
@@ -123,5 +128,82 @@ func TestRunSpecProgressPhases(t *testing.T) {
 	want := append([]string{"queued"}, "group-update", "herlihy", "central")
 	if strings.Join(phases, ",") != strings.Join(want, ",") {
 		t.Fatalf("phases = %v, want %v", phases, want)
+	}
+}
+
+// TestRunSpecPhasesAndSpans pins what a local run of each kind shows a
+// watcher: its progress events, in order, and its spans, in the order
+// they end, each a child of the job's span. For the shardable kinds this
+// is the one-part run of their coordinate map, which must report per
+// construction (sweep) or per batch like a dedicated runner would.
+func TestRunSpecPhasesAndSpans(t *testing.T) {
+	cases := []struct {
+		name   string
+		spec   *Spec
+		events []string
+		spans  []string
+	}{
+		{"report", &Spec{Kind: KindReport, Report: &ReportSpec{Experiments: []string{"E2", "E1"}, Quick: true}},
+			[]string{"E1 0/2", "E1 1/2", "E2 1/2", "E2 2/2"},
+			[]string{"experiment E1 {quick=true}", "experiment E2 {quick=true}"}},
+		{"sweep", &Spec{Kind: KindSweep, Sweep: &SweepSpec{Type: "queue", MaxN: 4}},
+			[]string{"group-update 0/3", "group-update 1/3", "herlihy 1/3", "herlihy 2/3", "central 2/3", "central 3/3"},
+			[]string{
+				"sweep group-update {construction=group-update,type=queue}",
+				"sweep herlihy {construction=herlihy,type=queue}",
+				"sweep central {construction=central,type=queue}",
+			}},
+		{"explore fuzz", &Spec{Kind: KindExplore, Explore: &ExploreSpec{Mode: "fuzz", Alg: "central", Samples: 23, Seed: 5, Budget: 3}},
+			[]string{"fuzz 0/1", "fuzz 1/1"},
+			[]string{"explore fuzz {alg=central,mode=fuzz}"}},
+		{"explore exhaustive", &Spec{Kind: KindExplore, Explore: &ExploreSpec{Mode: "exhaustive", Alg: "central", N: 2}},
+			[]string{"exhaustive 0/1", "exhaustive 1/1"},
+			[]string{"explore exhaustive {alg=central,mode=exhaustive}"}},
+		{"campaign round", &Spec{Kind: KindCampaignRound, CampaignRound: &campaign.RoundSpec{
+			Campaign: campaign.Spec{Alg: "group-update", Object: "fetch-increment", N: 2, BatchSize: 24, MaxCorpus: 8},
+			Round:    1, Corpus: [][]int{{0, 1, 0, 1}, {1, 1, 0}}}},
+			[]string{"campaign-round 0/1", "campaign-round 1/1"},
+			[]string{"campaign round batch {alg=group-update,round=1}"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := tc.spec.ID(); err != nil {
+				t.Fatal(err)
+			}
+			tr := obs.NewTracer(0)
+			ctx, root := tr.Start(context.Background(), "job")
+			p := NewProgress()
+			ch, cancel := p.Subscribe()
+			defer cancel()
+			if _, err := runSpec(ctx, tc.spec, p, 2); err != nil {
+				t.Fatal(err)
+			}
+			p.Close()
+			root.End()
+			var events []string
+			for e := range ch {
+				events = append(events, fmt.Sprintf("%s %d/%d", e.Phase, e.Done, e.Total))
+			}
+			var spans []string
+			all := tr.Spans()
+			rootID := all[len(all)-1].SpanID
+			for _, sd := range all[:len(all)-1] {
+				if sd.ParentID != rootID {
+					t.Errorf("span %q is not a child of the job span", sd.Name)
+				}
+				var attrs []string
+				for k, v := range sd.Attrs {
+					attrs = append(attrs, k+"="+v)
+				}
+				sort.Strings(attrs)
+				spans = append(spans, sd.Name+" {"+strings.Join(attrs, ",")+"}")
+			}
+			if got, want := strings.Join(events, "; "), strings.Join(tc.events, "; "); got != want {
+				t.Errorf("progress events:\n got %s\nwant %s", got, want)
+			}
+			if got, want := strings.Join(spans, "; "), strings.Join(tc.spans, "; "); got != want {
+				t.Errorf("spans:\n got %s\nwant %s", got, want)
+			}
+		})
 	}
 }

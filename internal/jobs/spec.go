@@ -82,10 +82,8 @@ type SweepSpec struct {
 	MaxN int `json:"maxN,omitempty"`
 }
 
-// Ns returns the sweep's process counts: doubling from 2 up to MaxN.
-// The slice is the coordinate axis shared by serial execution
-// (runSweep), the distributed shard partitioner (internal/dist), and
-// result assembly (BuildSweepResult); all three must agree on it.
+// Ns returns the sweep's process counts: doubling from 2 up to MaxN,
+// the minor axis of the sweep's coordinate map (coords.go).
 func (s *SweepSpec) Ns() []int {
 	var ns []int
 	for n := 2; n <= s.MaxN; n *= 2 {
@@ -134,9 +132,7 @@ type ExploreSpec struct {
 	LLSC string `json:"llsc,omitempty"`
 }
 
-// Config is the explore configuration the spec runs. The local run
-// (runExplore) and the distributed fuzz shards (internal/dist) both build
-// it here, so neither can drop a field.
+// Config is the explore configuration the spec runs, exhaustive or fuzz.
 func (e *ExploreSpec) Config() explore.Config {
 	return explore.Config{
 		Alg:        e.Alg,

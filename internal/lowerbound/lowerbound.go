@@ -38,6 +38,7 @@ import (
 	"jayanti98/internal/machine"
 	"jayanti98/internal/objtype"
 	"jayanti98/internal/obs"
+	"jayanti98/internal/report"
 	"jayanti98/internal/shmem"
 	"jayanti98/internal/stats"
 	"jayanti98/internal/sweep"
@@ -372,11 +373,7 @@ func SweepConstructionCtx(ctx context.Context, mk func(n int) universal.Construc
 
 // ConstructionGrowth classifies how a construction's forced per-op cost
 // grows across the sweep's process counts (empty with fewer than three
-// points — no fit is meaningful). It is shared by the in-process sweep
-// above and the distributed shard merge (internal/dist), which re-derives
-// the classification from the index-ordered shard results; both paths
-// must see the same function so a distributed sweep stays byte-identical
-// to a serial one.
+// points — no fit is meaningful).
 func ConstructionGrowth(ns []int, results []ConstructionResult) stats.Growth {
 	if len(ns) < 3 {
 		return ""
@@ -387,6 +384,22 @@ func ConstructionGrowth(ns []int, results []ConstructionResult) stats.Growth {
 	}
 	growth, _, _ := stats.ClassifyGrowth(ns, ys)
 	return growth
+}
+
+// ConstructionTable renders one construction's sweep as the table
+// cmd/unisweep prints and a sweep job carries: forced steps per operation
+// against the documented bound ("not wait-free" when there is none) and
+// the Ω(⌈log₄ n⌉) floor.
+func ConstructionTable(results []ConstructionResult) *report.Table {
+	tbl := report.NewTable("n", "forced steps/op", "documented bound", "Ω ⌈log₄ n⌉")
+	for _, r := range results {
+		bound := "not wait-free"
+		if r.StepBound > 0 {
+			bound = fmt.Sprintf("%d", r.StepBound)
+		}
+		tbl.AddRow(r.N, r.MaxSteps, bound, r.LowerBound)
+	}
+	return tbl
 }
 
 // FetchIncOp is the op generator for fetch&increment sweeps.

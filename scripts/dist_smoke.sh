@@ -1,10 +1,10 @@
 #!/bin/sh
 # dist_smoke.sh — end-to-end smoke test of the distributed execution
-# subsystem: one lbserver coordinator, two lbworkers, one sweep job.
-# Worker A is SIGKILLed mid-run so its lease expires and the shard is
-# re-leased to worker B; the job must still complete, and the result must
-# be byte-identical to a local (no-worker) run of the same spec — the
-# determinism contract the shard protocol is built on.
+# subsystem: one lbserver coordinator, two lbworkers, a sweep job and an
+# explore fuzz job. Worker A is SIGKILLed mid-sweep so its lease expires
+# and the shard is re-leased to worker B; the sweep must still complete.
+# Each job's result must be byte-identical to a local (no-worker) run of
+# the same spec — the determinism contract the shard protocol is built on.
 set -eu
 
 ADDR=${LBSERVER_ADDR:-127.0.0.1:18474}
@@ -71,6 +71,47 @@ wait_metric() {
     done
 }
 
+# wait_done BASE ID: poll the job until it is done; fail if it fails.
+wait_done() {
+    status=
+    i=0
+    while [ "$i" -lt 600 ]; do
+        view=$(curl -fsS "$1/v1/jobs/$2")
+        status=$(printf '%s' "$view" | grep -o '"status":"[a-z]*"' | head -1 | cut -d'"' -f4)
+        case "$status" in
+        done) return 0 ;;
+        failed | canceled)
+            echo "dist-smoke: job $2 at $1 ended $status: $view" >&2
+            exit 1
+            ;;
+        esac
+        i=$((i + 1))
+        sleep 0.2
+    done
+    echo "dist-smoke: job $2 at $1 never finished (last status: $status)" >&2
+    exit 1
+}
+
+# submit BASE SPEC: submit a job and print its ID.
+submit() {
+    resp=$(curl -fsS -X POST -H 'Content-Type: application/json' -d "$2" "$1/v1/jobs")
+    printf '%s' "$resp" | grep -o '"id":"[0-9a-f]\{64\}"' | head -1 | cut -d'"' -f4
+}
+
+# same_bytes ID NAME: the content-addressed cache files of the distributed
+# and the local run of one job must be identical.
+same_bytes() {
+    dist_hash=$(sha256sum "$TMP/dist-cache/$1.json" | cut -d' ' -f1)
+    local_hash=$(sha256sum "$TMP/local-cache/$1.json" | cut -d' ' -f1)
+    if [ "$dist_hash" != "$local_hash" ]; then
+        echo "dist-smoke: distributed result of $1 differs from local run" >&2
+        echo "  distributed: $dist_hash" >&2
+        echo "  local:       $local_hash" >&2
+        exit 1
+    fi
+    echo "dist-smoke: $2 result byte-identical to local run ($dist_hash)"
+}
+
 "$TMP/lbworker" -server "$BASE" -id worker-a -backoff 50ms &
 WORKER_A_PID=$!
 wait_metric dist_workers_active 1
@@ -80,10 +121,9 @@ echo "dist-smoke: worker-a polling"
 # constructions x ns 2..256 = 24 coordinates over 8 shards, the largest
 # taking seconds.
 SPEC='{"kind":"sweep","sweep":{"type":"fetch&increment","maxN":256}}'
-resp=$(curl -fsS -X POST -H 'Content-Type: application/json' -d "$SPEC" "$BASE/v1/jobs")
-id=$(printf '%s' "$resp" | grep -o '"id":"[0-9a-f]\{64\}"' | head -1 | cut -d'"' -f4)
+id=$(submit "$BASE" "$SPEC")
 if [ -z "$id" ]; then
-    echo "dist-smoke: no job ID in response: $resp" >&2
+    echo "dist-smoke: no job ID for the sweep job" >&2
     exit 1
 fi
 echo "dist-smoke: submitted sweep job $id"
@@ -104,62 +144,43 @@ wait_metric dist_shards_released_total 1
 echo "dist-smoke: orphaned shard re-leased after TTL"
 
 # ...and the job must still finish.
-status=
-i=0
-while [ "$i" -lt 600 ]; do
-    view=$(curl -fsS "$BASE/v1/jobs/$id")
-    status=$(printf '%s' "$view" | grep -o '"status":"[a-z]*"' | head -1 | cut -d'"' -f4)
-    case "$status" in
-    done) break ;;
-    failed | canceled)
-        echo "dist-smoke: job ended $status: $view" >&2
-        exit 1
-        ;;
-    esac
-    i=$((i + 1))
-    sleep 0.2
-done
-if [ "$status" != done ]; then
-    echo "dist-smoke: job never finished (last status: $status)" >&2
-    exit 1
-fi
+wait_done "$BASE" "$id"
 echo "dist-smoke: distributed job done despite the worker crash"
 
-# Byte-identity: a second server with no workers runs the same spec
+# An explore fuzz job shards over its samples. Budget 3 makes most samples
+# fail, so every part carries failures to concatenate in sample order.
+FUZZ_SPEC='{"kind":"explore","explore":{"alg":"central","mode":"fuzz","samples":240,"seed":5,"budget":3}}'
+fuzz_id=$(submit "$BASE" "$FUZZ_SPEC")
+if [ -z "$fuzz_id" ]; then
+    echo "dist-smoke: no job ID for the fuzz job" >&2
+    exit 1
+fi
+echo "dist-smoke: submitted fuzz job $fuzz_id"
+wait_done "$BASE" "$fuzz_id"
+# The fleet, not a local fallback, must have run both jobs.
+wait_metric dist_jobs_distributed_total 2
+if [ "$(metric dist_jobs_fallback_total)" != 0 ]; then
+    echo "dist-smoke: a job fell back to local execution" >&2
+    exit 1
+fi
+echo "dist-smoke: distributed fuzz job done"
+
+# Byte-identity: a second server with no workers runs the same specs
 # locally; the content-addressed cache files must be identical.
 "$TMP/lbserver" -addr "$LOCAL_ADDR" -workers 2 -cache-dir "$TMP/local-cache" -dist=false &
 LOCAL_PID=$!
 wait_healthy "$LOCAL_BASE"
-resp=$(curl -fsS -X POST -H 'Content-Type: application/json' -d "$SPEC" "$LOCAL_BASE/v1/jobs")
-printf '%s' "$resp" | grep -q "\"id\":\"$id\"" || {
-    echo "dist-smoke: local server derived a different job ID: $resp" >&2
-    exit 1
-}
-i=0
-while [ "$i" -lt 600 ]; do
-    status=$(curl -fsS "$LOCAL_BASE/v1/jobs/$id" | grep -o '"status":"[a-z]*"' | head -1 | cut -d'"' -f4)
-    [ "$status" = done ] && break
-    if [ "$status" = failed ] || [ "$status" = canceled ]; then
-        echo "dist-smoke: local job ended $status" >&2
+for job in "$id:$SPEC" "$fuzz_id:$FUZZ_SPEC"; do
+    want=${job%%:*}
+    got=$(submit "$LOCAL_BASE" "${job#*:}")
+    if [ "$got" != "$want" ]; then
+        echo "dist-smoke: local server derived job ID $got, want $want" >&2
         exit 1
     fi
-    i=$((i + 1))
-    sleep 0.2
+    wait_done "$LOCAL_BASE" "$want"
 done
-if [ "$status" != done ]; then
-    echo "dist-smoke: local job never finished" >&2
-    exit 1
-fi
-
-dist_hash=$(sha256sum "$TMP/dist-cache/$id.json" | cut -d' ' -f1)
-local_hash=$(sha256sum "$TMP/local-cache/$id.json" | cut -d' ' -f1)
-if [ "$dist_hash" != "$local_hash" ]; then
-    echo "dist-smoke: distributed result differs from local run" >&2
-    echo "  distributed: $dist_hash" >&2
-    echo "  local:       $local_hash" >&2
-    exit 1
-fi
-echo "dist-smoke: distributed result byte-identical to local run ($dist_hash)"
+same_bytes "$id" sweep
+same_bytes "$fuzz_id" fuzz
 
 completed=$(metric dist_shards_completed_total)
 released=$(metric dist_shards_released_total)
