@@ -1,8 +1,8 @@
 # Developer and CI entry points. `make ci` is what .github/workflows/ci.yml
 # runs: build, vet, the full test suite, the benchmark module's vet and
-# self-tests, the race-detector suite, a parallel lbreport smoke run, the
-# mutation-detection tests, and the coverage gate. `make fuzz-short` and
-# the explore smoke run as separate CI jobs.
+# self-tests, the race-detector suite, the contention lane, a parallel
+# lbreport smoke run, the mutation-detection tests, and the coverage gate.
+# `make fuzz-short` and the explore smoke run as separate CI jobs.
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -22,7 +22,7 @@ HOTPATH_BENCH ?= E1WakeupForcedSteps|E2RandomizedWakeup|E4UPTracking|E5Indisting
 # Committed baseline artifact to diff against (first BENCH_*.json here).
 BENCH_BASELINE ?= $(firstword $(wildcard BENCH_*.json))
 
-.PHONY: build vet test race check perfbench-check smoke serve-smoke dist-smoke campaign-smoke restart-smoke bench bench-json bench-compare profile report mutation cover fuzz-short vm-equivalence tas-equivalence explore-smoke ci
+.PHONY: build vet test race stress check perfbench-check smoke serve-smoke dist-smoke campaign-smoke restart-smoke bench bench-json bench-compare profile report mutation cover fuzz-short vm-equivalence tas-equivalence explore-smoke ci
 
 build:
 	$(GO) build ./...
@@ -38,6 +38,18 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Contention lane for the service packages, whose tests race workers,
+# timers and cancellation: three runs at GOMAXPROCS 1 and 2 with a second
+# copy of the same run beside them, then one run under the race detector.
+# A failure is never retried.
+STRESS_PKGS = ./internal/jobs/ ./internal/dist/ ./internal/campaign/ ./cmd/lbserver/
+
+stress:
+	$(GO) test -count=3 -cpu 1,2 $(STRESS_PKGS) & a=$$!; \
+	$(GO) test -count=3 -cpu 1,2 $(STRESS_PKGS) & b=$$!; \
+	wait $$a; sa=$$?; wait $$b; sb=$$?; test $$sa -eq 0 && test $$sb -eq 0
+	$(GO) test -race -count=1 $(STRESS_PKGS)
 
 # The short pre-commit loop: compile, vet, full test suite, and the
 # benchmark module.
@@ -174,4 +186,4 @@ explore-smoke:
 	$(GO) run ./cmd/explore -alg tas-tv -object tas -n 2
 	$(GO) run ./cmd/explore -alg tas-tournament -object tas -n 2 -llsc bw
 
-ci: build vet test perfbench-check race smoke mutation cover
+ci: build vet test perfbench-check race stress smoke mutation cover

@@ -82,12 +82,27 @@ func ExecuteRoundSlice(ctx context.Context, rs *RoundSpec, lo, hi, parallel int)
 		return nil, fmt.Errorf("campaign: slot range [%d, %d) outside the %d-input round", lo, hi, spec.BatchSize)
 	}
 	cfg := spec.ExploreConfig()
+	// One walker per worker: a slot takes a free walker (or builds one) and
+	// hands it back when done, so the slots share runners and one checker
+	// memo per walker. Online.Key is canonical, so sharing changes no
+	// trace.
+	walkers := make(chan *explore.Walker, min(sweep.Workers(parallel), hi-lo))
 	return sweep.MapCtx(ctx, parallel, hi-lo, func(i int) (InputResult, error) {
 		slot := lo + i
 		global := rs.Round*spec.BatchSize + slot
 		seed := sweep.Derive(spec.Seed, global)
 		prefix := inputPrefix(rs, seed)
-		rec, err := explore.RunGuided(cfg, prefix, seed, spec.TossRange)
+		var w *explore.Walker
+		select {
+		case w = <-walkers:
+		default:
+			w = explore.NewWalker(cfg, spec.TossRange)
+		}
+		rec, err := w.RunGuided(prefix, seed)
+		select {
+		case walkers <- w:
+		default:
+		}
 		if err != nil {
 			return InputResult{}, fmt.Errorf("campaign: round %d slot %d (seed %d): %w", rs.Round, slot, seed, err)
 		}
@@ -110,7 +125,7 @@ func ExecuteRoundSlice(ctx context.Context, rs *RoundSpec, lo, hi, parallel int)
 // three in four inputs mutate a corpus parent and the rest stay fresh
 // random walks (an exploit/explore split); with an empty corpus every
 // input is fresh. The decision RNG derives from the slot seed at index 2 —
-// index 1 is the toss stream inside RunGuided — so prefix choice, tosses,
+// index 1 is the toss stream of the walk (explore.Walker) — so prefix choice, tosses,
 // and the walk are three independent deterministic streams.
 func inputPrefix(rs *RoundSpec, seed int64) []int {
 	if len(rs.Corpus) == 0 {

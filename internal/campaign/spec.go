@@ -3,8 +3,8 @@
 // search over the interleavings of one construction/workload pair that
 // runs in rounds, indefinitely: each round executes a batch of schedules —
 // mutations of corpus entries alongside fresh seeded random walks — and
-// keeps the schedules whose state-digest trace (explore.RunGuided) reached
-// product states no prior input did. Any linearizability or lemma
+// keeps the schedules whose state-digest trace (explore.Walker.RunGuided)
+// reached product states no prior input did. Any linearizability or lemma
 // violation is automatically shrunk (explore.ShrinkCtx), persisted as a
 // bit-for-bit replay file, and surfaced in the campaign's stats.
 //

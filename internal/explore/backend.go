@@ -35,14 +35,11 @@ func ParseBackend(s string) (BackendKind, error) {
 	}
 }
 
-// newBackend builds the configured shared-memory backend.
-func (cfg Config) newBackend() (shmem.Backend, error) {
-	kind, err := ParseBackend(cfg.LLSC)
-	if err != nil {
-		return nil, err
+// newBackend builds the configured shared-memory backend. cfg has passed
+// validate, which rejects an unknown backend name.
+func (cfg Config) newBackend() shmem.Backend {
+	if kind, _ := ParseBackend(cfg.LLSC); kind == BackendBW {
+		return bwllsc.New(cfg.N)
 	}
-	if kind == BackendBW {
-		return bwllsc.New(cfg.N), nil
-	}
-	return shmem.New(), nil
+	return shmem.New()
 }

@@ -1,9 +1,9 @@
 package explore
 
 import (
+	"math/rand"
 	"slices"
 
-	"jayanti98/internal/linz"
 	"jayanti98/internal/sweep"
 )
 
@@ -55,6 +55,51 @@ func (r *runner) stateDigest(buf *[]byte) uint64 {
 	return fnvSum64(*buf)
 }
 
+// Walker runs the seeded random walks of one configuration, one after
+// another on one goroutine. Its first walk builds the system (newRunner);
+// every later walk restarts that runner in place (runner.restart) and
+// re-seeds the walker's two sources, which (*rand.Rand).Seed does exactly,
+// so a walk costs only its steps and every walk is the one a new walker
+// would take. The runner's online checker keeps one memo across the
+// walks. A walker lives for one call — a Fuzz campaign, a campaign round —
+// so the memo's scope stays one search; callers running walks in parallel
+// keep one walker per worker. A Walker is not safe for concurrent use.
+type Walker struct {
+	cfg     Config
+	digests bool
+	r       *runner
+	// rng picks the enabled process to step; tossRng feeds cfg.Tosses.
+	rng, tossRng *rand.Rand
+
+	// Trace state of the current walk (digests only).
+	keyBuf []byte
+	seen   map[uint64]struct{}
+	trace  []uint64
+}
+
+// NewWalker returns a walker of coverage-traced runs of cfg (RunGuided)
+// whose coin tosses are drawn uniformly from [0, tossRange); tossRange <=
+// 0 means 2. cfg is checked by the first walk.
+func NewWalker(cfg Config, tossRange int64) *Walker {
+	return newWalker(cfg, tossRange, true)
+}
+
+// newWalker is NewWalker with the choice of digests: a walker without
+// them keeps no history digests and computes no trace, which is what Fuzz
+// samples need and changes nothing else a walk records.
+func newWalker(cfg Config, tossRange int64, digests bool) *Walker {
+	if tossRange <= 0 {
+		tossRange = 2
+	}
+	w := &Walker{digests: digests, rng: sweep.NewRand(0), tossRng: sweep.NewRand(0)}
+	cfg.Tosses = func(int, int) int64 { return w.tossRng.Int63n(tossRange) }
+	w.cfg = cfg
+	if digests {
+		w.seen = make(map[uint64]struct{}, 64)
+	}
+	return w
+}
+
 // RunGuided executes one coverage-traced run: the schedule prefix is
 // replayed first (entries whose process is not enabled are skipped, the
 // RunSchedule contract), then enabled processes are stepped uniformly at
@@ -62,59 +107,46 @@ func (r *runner) stateDigest(buf *[]byte) uint64 {
 // exhausted. A nil or empty prefix is a pure random walk — exactly the
 // runs Fuzz samples, since both run walk.
 //
-// Coin tosses are drawn uniformly from [0, tossRange) (tossRange <= 0
-// means 2) from an RNG derived from seed, and the schedule RNG is seeded
-// with seed itself — so the whole run, tosses included, is a pure function
-// of (cfg, prefix, seed, tossRange) and reproduces bit-for-bit from the
-// returned record's Schedule and Tosses.
-func RunGuided(cfg Config, prefix []int, seed int64, tossRange int64) (*CoverRecord, error) {
-	var keyBuf []byte
-	seen := make(map[uint64]struct{}, 64)
-	rec := &CoverRecord{}
-	mark := func(r *runner) {
-		d := r.stateDigest(&keyBuf)
-		if _, ok := seen[d]; ok {
-			return
-		}
-		seen[d] = struct{}{}
-		rec.Trace = append(rec.Trace, d)
-	}
-	r, err := walk(cfg, prefix, seed, tossRange, nil, mark)
+// Coin tosses come from an RNG seeded with sweep.Derive(seed, 1), and the
+// schedule RNG is seeded with seed itself — so the whole run, tosses
+// included, is a pure function of (cfg, prefix, seed, tossRange), whatever
+// the walker ran before, and reproduces bit-for-bit from the returned
+// record's Schedule and Tosses.
+func (w *Walker) RunGuided(prefix []int, seed int64) (*CoverRecord, error) {
+	r, err := w.walk(prefix, seed)
 	if err != nil {
 		return nil, err
 	}
-	rec.RunRecord = r.record()
-	return rec, nil
+	return &CoverRecord{RunRecord: r.record(), Trace: w.trace}, nil
 }
 
 // walk is the one seeded random walk behind RunGuided and Fuzz (see
-// RunGuided for its rules). Its runner checks on memo (nil: a private one,
-// which the returned runner's memo field then holds). mark, when not nil,
-// sees the initial state and the state after every delivered step; Fuzz
-// passes nil, so its runner keeps no history digests and no state digest
-// is computed.
-func walk(cfg Config, prefix []int, seed, tossRange int64, memo *linz.Memo, mark func(*runner)) (*runner, error) {
-	if tossRange <= 0 {
-		tossRange = 2
+// RunGuided for its rules). It returns the walker's runner, which the
+// next walk restarts: take what the run recorded before then.
+func (w *Walker) walk(prefix []int, seed int64) (*runner, error) {
+	w.rng.Seed(seed)
+	w.tossRng.Seed(sweep.Derive(seed, 1))
+	if w.r == nil {
+		r, err := newRunner(w.cfg, w.digests)
+		if err != nil {
+			return nil, err
+		}
+		w.r = r
+	} else {
+		w.r.restart()
 	}
-	digests := mark != nil
-	if !digests {
-		mark = func(*runner) {}
+	r := w.r
+	if w.digests {
+		clear(w.seen)
+		w.trace = nil
 	}
-	rng := sweep.NewRand(seed)
-	tossRng := sweep.NewRand(sweep.Derive(seed, 1))
-	cfg.Tosses = func(int, int) int64 { return tossRng.Int63n(tossRange) }
-	r, err := newRunner(cfg, memo, digests)
-	if err != nil {
-		return nil, err
-	}
-	mark(r) // the initial product state
+	w.mark() // the initial product state
 	for _, pid := range prefix {
 		if r.fail != nil || r.done() {
 			break
 		}
 		if r.step(pid) {
-			mark(r)
+			w.mark()
 		}
 	}
 	var en []int
@@ -123,8 +155,8 @@ func walk(cfg Config, prefix []int, seed, tossRange int64, memo *linz.Memo, mark
 		if len(en) == 0 {
 			break
 		}
-		if r.step(en[rng.Intn(len(en))]) {
-			mark(r)
+		if r.step(en[w.rng.Intn(len(en))]) {
+			w.mark()
 		}
 	}
 	if r.done() {
@@ -133,6 +165,21 @@ func walk(cfg Config, prefix []int, seed, tossRange int64, memo *linz.Memo, mark
 		}
 	}
 	return r, nil
+}
+
+// mark appends the runner's product-state digest to the walk's trace
+// unless the walk reached it before. A walker without digests marks
+// nothing.
+func (w *Walker) mark() {
+	if !w.digests {
+		return
+	}
+	d := w.r.stateDigest(&w.keyBuf)
+	if _, ok := w.seen[d]; ok {
+		return
+	}
+	w.seen[d] = struct{}{}
+	w.trace = append(w.trace, d)
 }
 
 // Coverage is a set of product-state digests — the novelty map a campaign

@@ -14,11 +14,11 @@ func guidedConfig() Config {
 func TestRunGuidedDeterministic(t *testing.T) {
 	cfg := guidedConfig()
 	for _, prefix := range [][]int{nil, {0, 0, 1, 1, 0}} {
-		a, err := RunGuided(cfg, prefix, 42, 2)
+		a, err := runGuided(cfg, prefix, 42, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := RunGuided(cfg, prefix, 42, 2)
+		b, err := runGuided(cfg, prefix, 42, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,13 +39,13 @@ func TestRunGuidedDeterministic(t *testing.T) {
 
 func TestRunGuidedSeedsDiverge(t *testing.T) {
 	cfg := guidedConfig()
-	a, err := RunGuided(cfg, nil, 1, 2)
+	a, err := runGuided(cfg, nil, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	diverged := false
 	for seed := int64(2); seed < 12 && !diverged; seed++ {
-		b, err := RunGuided(cfg, nil, seed, 2)
+		b, err := runGuided(cfg, nil, seed, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,11 +63,11 @@ func TestRunGuidedSeedsDiverge(t *testing.T) {
 // (the random tail never engages because the run is already done).
 func TestRunGuidedReplaysPrefix(t *testing.T) {
 	cfg := guidedConfig()
-	orig, err := RunGuided(cfg, nil, 7, 2)
+	orig, err := runGuided(cfg, nil, 7, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	replay, err := RunGuided(cfg, orig.Schedule, 7, 2)
+	replay, err := runGuided(cfg, orig.Schedule, 7, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func TestRunnerEngines(t *testing.T) {
 		cfgs = append(cfgs, Config{Alg: name, Object: spec.Object, N: 2, OpsPerProc: 1})
 	}
 	for _, cfg := range cfgs {
-		r, err := newRunner(cfg, nil, false)
+		r, err := newRunner(cfg, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,11 +53,11 @@ func TestRunnerDigestsOnlyWhereRead(t *testing.T) {
 		}
 		return on
 	}
-	fuzzed, err := walk(cfg, nil, 5, 0, nil, nil)
+	fuzzed, err := newWalker(cfg, 0, false).walk(nil, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	guided, err := walk(cfg, nil, 5, 0, nil, func(*runner) {})
+	guided, err := NewWalker(cfg, 0).walk(nil, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestRunnerDigestsOnlyWhereRead(t *testing.T) {
 		t.Errorf("the walks differ:\n%+v\n%+v", a, b)
 	}
 	for _, digested := range []bool{false, true} {
-		r, err := newRunner(cfg, nil, digested)
+		r, err := newRunner(cfg, digested)
 		if err != nil {
 			t.Fatal(err)
 		}

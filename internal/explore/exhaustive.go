@@ -66,7 +66,7 @@ func Exhaustive(cfg Config, workers int) (*Report, error) {
 // branch (the DFS checks ctx at every node) — and returns ctx.Err(). A
 // cancelled search yields no report.
 func ExhaustiveCtx(ctx context.Context, cfg Config, workers int) (*Report, error) {
-	root, err := newRunner(cfg, nil, true)
+	root, err := newRunner(cfg, true)
 	if err != nil {
 		return nil, err
 	}
@@ -96,7 +96,7 @@ func ExhaustiveCtx(ctx context.Context, cfg Config, workers int) (*Report, error
 		record                            *RunRecord
 	}
 	results, err := sweep.MapCtx(ctx, workers, len(branches), func(i int) (branchResult, error) {
-		r, err := newRunner(cfg, nil, true)
+		r, err := newRunner(cfg, true)
 		if err != nil {
 			return branchResult{}, err
 		}

@@ -16,7 +16,7 @@ import (
 // oracle: every DFS node builds a runner with a private checker memo and
 // re-executes its whole prefix from scratch.
 func referenceExhaustive(cfg Config, workers int) (*Report, error) {
-	root, err := newRunner(cfg, nil, true)
+	root, err := newRunner(cfg, true)
 	if err != nil {
 		return nil, err
 	}
@@ -70,7 +70,7 @@ type referenceWorker struct {
 }
 
 func (w *referenceWorker) dfs(prefix []int) (*Failure, *RunRecord, error) {
-	r, err := newRunner(w.cfg, nil, true)
+	r, err := newRunner(w.cfg, true)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -273,14 +273,14 @@ func TestRunnerFork(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(fmt.Sprintf("%s/%s/n=%d", tc.cfg.Alg, tc.cfg.LLSC, tc.cfg.N), func(t *testing.T) {
-			ref, err := newRunner(tc.cfg, nil, true)
+			ref, err := newRunner(tc.cfg, true)
 			if err != nil {
 				t.Fatal(err)
 			}
 			stepAll(t, ref, append(append([]int(nil), tc.prefix...), tc.suffix...))
 			want := stateOf(ref)
 
-			origin, err := newRunner(tc.cfg, nil, true)
+			origin, err := newRunner(tc.cfg, true)
 			if err != nil {
 				t.Fatal(err)
 			}

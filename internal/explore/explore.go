@@ -33,8 +33,11 @@
 //   - Fuzz samples random schedules (and coin tosses) for sizes where
 //     exhaustive search is infeasible, with per-sample seeds derived via
 //     sweep.Derive so every sample is reproducible in isolation. Each
-//     sample is the seeded random walk RunGuided runs (cover.go) with an
-//     empty prefix.
+//     sample is the seeded random walk Walker.RunGuided runs (cover.go)
+//     with an empty prefix. The samples run on walkers, one per
+//     concurrently running sample: a walker restarts its runner in place
+//     for each sample, so the samples it runs share one online-checker
+//     memo, and it lives only as long as the Fuzz call.
 //   - RunSchedule replays one explicit schedule; Replay files (replay.go)
 //     persist a failing schedule plus its toss assignment so a failure
 //     reproduces bit-for-bit later.
@@ -321,14 +324,13 @@ type runner struct {
 	fail     *Failure
 }
 
-// newRunner builds the system and advances every process to its first
-// shared-memory operation (or termination). Its online checker shares
-// memo's sets and transitions; a nil memo gives the runner a private one,
-// which r.memo then holds for the caller to reuse. digests says whether
-// the caller reads the product state (appendMemoKey): exhaustive search
-// keys its visited set on it and RunGuided hashes it into coverage
-// traces. Without digests the machines keep no history digest, which
-// changes nothing else a run reports.
+// newRunner builds the system and starts it (start): every process
+// advances to its first shared-memory operation or termination. Its
+// online checker runs on a new memo, which the runner's forks and
+// restarts keep. digests says whether the caller reads the product state
+// (appendMemoKey): exhaustive search keys its visited set on it and
+// RunGuided hashes it into coverage traces. Without digests the machines
+// keep no history digest, which changes nothing else a run reports.
 //
 // A construction runs its compiled workload body (body.go): the leading
 // toss, then per operation the invoke event, the construction's Invoke and
@@ -341,7 +343,7 @@ type runner struct {
 // algorithms to the real-time order (a completed loser before the
 // winner's first step is a genuine test&set violation, and the
 // doorway-less tournament mutant would produce exactly that).
-func newRunner(cfg Config, memo *linz.Memo, digests bool) (*runner, error) {
+func newRunner(cfg Config, digests bool) (*runner, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -389,24 +391,24 @@ func newRunner(cfg Config, memo *linz.Memo, digests bool) (*runner, error) {
 			r.budget = AutoBudget(cons, cfg.N, cfg.OpsPerProc)
 		}
 	}
-	mem, err := cfg.newBackend()
-	if err != nil {
-		return nil, err
-	}
-	if memo == nil {
-		memo = linz.NewMemo(r.typ, cfg.N)
-	}
-	r.mem, r.memo, r.online = mem, memo, memo.NewOnline()
+	r.mem, r.memo = cfg.newBackend(), linz.NewMemo(r.typ, cfg.N)
+	r.online = r.memo.NewOnline()
 	r.ms = machine.StartAll(alg, cfg.N)
 	if !digests {
 		for _, m := range r.ms {
 			m.DisableHistory() // before advance's first Peek
 		}
 	}
-	for pid := 0; pid < cfg.N && r.fail == nil; pid++ {
+	r.start()
+	return r, nil
+}
+
+// start advances every process to its first shared-memory operation (or
+// termination), stopping at the first failure.
+func (r *runner) start() {
+	for pid := 0; pid < r.cfg.N && r.fail == nil; pid++ {
 		r.advance(pid)
 	}
-	return r, nil
 }
 
 // fork returns an independent copy of the runner at its current
@@ -671,10 +673,18 @@ func (r *runner) record() *RunRecord {
 // the schedule, on the first failure, or when all processes terminate; a
 // completed run is post-hoc checked with linz.Check.
 func RunSchedule(cfg Config, schedule []int) (*RunRecord, error) {
-	r, err := newRunner(cfg, nil, false)
+	r, err := newRunner(cfg, false)
 	if err != nil {
 		return nil, err
 	}
+	if err := r.runSchedule(schedule); err != nil {
+		return nil, err
+	}
+	return r.record(), nil
+}
+
+// runSchedule runs schedule on r by RunSchedule's rules.
+func (r *runner) runSchedule(schedule []int) error {
 	for _, pid := range schedule {
 		if r.fail != nil || r.done() {
 			break
@@ -682,9 +692,36 @@ func RunSchedule(cfg Config, schedule []int) (*RunRecord, error) {
 		r.step(pid)
 	}
 	if r.done() {
-		if err := r.finalCheck(); err != nil {
-			return nil, err
+		return r.finalCheck()
+	}
+	return nil
+}
+
+// restart puts r back where newRunner left it, for the next run of the
+// same configuration: it truncates every log a run appends to (keeping
+// their capacity), clears the per-run counters and the failure, resets
+// the machines in place (machine.Machine.Reset), gives the run a fresh
+// memory and the online checker its memo's initial set, and then starts
+// the processes again. What runs only read stays: the configuration and
+// its toss assignment, the construction or zoo algorithm, the compiled
+// body's binding to r, and the memo. A restarted runner stepped along a
+// schedule records exactly what a new runner would.
+func (r *runner) restart() {
+	r.log.events = r.log.events[:0]
+	r.hist = r.hist[:0]
+	r.executed = r.executed[:0]
+	for pid := range r.tossLog {
+		r.tossLog[pid] = r.tossLog[pid][:0]
+	}
+	clear(r.pending)
+	clear(r.invoked)
+	r.consumed, r.steps, r.fail = 0, 0, nil
+	r.mem = r.cfg.newBackend()
+	r.online = r.memo.NewOnline()
+	for _, m := range r.ms {
+		if !m.Reset() {
+			panic("explore: restart of a runner with a goroutine machine")
 		}
 	}
-	return r.record(), nil
+	r.start()
 }

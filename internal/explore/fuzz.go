@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"jayanti98/internal/linz"
 	"jayanti98/internal/sweep"
 )
 
@@ -79,31 +78,36 @@ func FuzzCtx(ctx context.Context, cfg Config, opt FuzzOptions) (*FuzzReport, err
 		steps  int
 		replay *Replay
 	}
-	// Samples share online-checker memos, one per concurrently running
-	// sample: a sample takes a free memo (or starts one) and hands it back
-	// when it is done.
-	memos := make(chan *linz.Memo, min(sweep.Workers(opt.Workers), opt.Samples))
+	// Samples share walkers, one per concurrently running sample: a
+	// sample takes a free walker (or builds one) and hands it back when it
+	// has taken its record, so each walker's runner and memo serve many
+	// samples.
+	walkers := make(chan *Walker, min(sweep.Workers(opt.Workers), opt.Samples))
 	results, err := sweep.MapCtx(ctx, opt.Workers, opt.Samples, func(item int) (sampleResult, error) {
 		i := opt.Offset + item // global sample index in the Seed's stream
 		seed := sweep.Derive(opt.Seed, i)
-		var memo *linz.Memo
+		var w *Walker
 		select {
-		case memo = <-memos:
+		case w = <-walkers:
 		default:
+			w = newWalker(cfg, opt.TossRange, false)
 		}
-		r, err := walk(cfg, nil, seed, opt.TossRange, memo, nil)
+		r, err := w.walk(nil, seed)
 		if err != nil {
 			return sampleResult{}, fmt.Errorf("explore: sample %d (seed %d): %w", i, seed, err)
 		}
+		res := sampleResult{steps: r.steps}
+		var rec *RunRecord
+		if r.fail != nil {
+			rec = r.record()
+		}
 		select {
-		case memos <- r.memo:
+		case walkers <- w:
 		default:
 		}
-		res := sampleResult{steps: r.steps}
-		if r.fail == nil {
+		if rec == nil {
 			return res, nil
 		}
-		rec := r.record()
 		if res.replay, err = Minimize(ctx, cfg, rec.Schedule, rec.Tosses, rec.Failure.Kind, seed); err != nil {
 			return sampleResult{}, fmt.Errorf("explore: sample %d (seed %d): %w", i, seed, err)
 		}

@@ -69,7 +69,8 @@ func TestFuzzGolden(t *testing.T) {
 // TestFuzzIsRunGuided checks that Fuzz samples exactly the runs RunGuided
 // walks with an empty prefix: for every golden campaign, the step total is
 // the sum of RunGuided's steps over the campaign's sample seeds, and the
-// failing samples are the ones RunGuided sees fail.
+// failing samples are the ones RunGuided sees fail. Each sample runs on a
+// new walker, so Fuzz's restarted runners are held to fresh ones.
 func TestFuzzIsRunGuided(t *testing.T) {
 	for _, tc := range fuzzGoldens {
 		tc := tc
@@ -77,7 +78,7 @@ func TestFuzzIsRunGuided(t *testing.T) {
 			t.Parallel()
 			steps, failures, truncated := 0, 0, 0
 			for i := tc.opt.Offset; i < tc.opt.Offset+tc.opt.Samples; i++ {
-				rec, err := RunGuided(tc.cfg, nil, sweep.Derive(tc.opt.Seed, i), tc.opt.TossRange)
+				rec, err := runGuided(tc.cfg, nil, sweep.Derive(tc.opt.Seed, i), tc.opt.TossRange)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -201,3 +201,31 @@ func TestMutantPassesNaiveSchedules(t *testing.T) {
 		}
 	}
 }
+
+// TestMutantWalkerRestart: a failing walk leaves nothing behind on its
+// walker. The broken construction's first failing and first clean seeds
+// record the same on one walker, in both orders, as on walkers of their
+// own.
+func TestMutantWalkerRestart(t *testing.T) {
+	cfg := Config{Alg: BrokenGroupUpdate, Object: "fetch-increment", N: 2, OpsPerProc: 1}
+	failing, clean := int64(-1), int64(-1)
+	for seed := int64(1); seed <= 200 && (failing < 0 || clean < 0); seed++ {
+		rec, err := runGuided(cfg, nil, seed, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case rec.Failure != nil && failing < 0:
+			failing = seed
+		case rec.Failure == nil && clean < 0:
+			clean = seed
+		}
+	}
+	if failing < 0 || clean < 0 {
+		t.Fatalf("seeds 1–200: failing %d, clean %d; want one of each", failing, clean)
+	}
+	inputs := []walkInput{{seed: failing}, {seed: clean}}
+	for _, digests := range []bool{false, true} {
+		checkRestartLeaksNothing(t, cfg, 2, digests, inputs)
+	}
+}

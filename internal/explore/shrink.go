@@ -56,14 +56,24 @@ func ShrinkCtx(ctx context.Context, cfg Config, schedule []int, kind FailureKind
 			return false
 		}
 	}
+	cur := append([]int(nil), schedule...)
+	// The first candidate builds r; every later one restarts it in place
+	// (runner.restart).
+	var r *runner
 	fails := func(cand []int) bool {
-		rec, err := RunSchedule(cfg, cand)
-		if err != nil {
+		if r == nil {
+			var err error
+			if r, err = newRunner(cfg, false); err != nil {
+				return false
+			}
+		} else {
+			r.restart()
+		}
+		if err := r.runSchedule(cand); err != nil {
 			return false
 		}
-		return rec.Failure != nil && rec.Failure.Kind == kind
+		return r.fail != nil && r.fail.Kind == kind
 	}
-	cur := append([]int(nil), schedule...)
 	if cancelled() || !fails(cur) {
 		// Not reproducible under cfg (e.g. nondeterministic tosses);
 		// return the input untouched rather than "minimize" noise.

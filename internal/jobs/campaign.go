@@ -26,8 +26,13 @@ func NewRoundExecutor(s *Scheduler) campaign.Executor {
 // ExecuteRound implements campaign.Executor: submit, wait, decode. A ctx
 // cancellation cancels the underlying job (a round abandoned by its
 // campaign must not keep burning the worker pool) and surfaces ctx's
-// error, which the campaign manager reads as "stopped", not "failed".
+// error, which the campaign manager reads as "stopped", not "failed". A
+// ctx already done submits nothing: Wait would otherwise pick at random
+// between it and a round that finished first.
 func (re *roundExecutor) ExecuteRound(ctx context.Context, rs *campaign.RoundSpec) (*campaign.RoundResult, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	spec := &Spec{Kind: KindCampaignRound, CampaignRound: rs}
 	view, _, err := re.s.Submit(spec)
 	if err != nil {

@@ -262,8 +262,10 @@ func TestJournalTombstoneSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Cancel both: one mid-run, one while queued.
-	if !s1.Cancel(runningView.ID) || !s1.Cancel(queuedView.ID) {
+	// Cancel both: one while queued, one mid-run. The queued one goes
+	// first: cancelling the running job first frees the single worker,
+	// which could then dispatch the queued job before its Cancel.
+	if !s1.Cancel(queuedView.ID) || !s1.Cancel(runningView.ID) {
 		t.Fatal("cancel failed")
 	}
 	close(release)

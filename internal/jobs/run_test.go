@@ -63,7 +63,7 @@ func TestRunSpecSweepParallelismIndependent(t *testing.T) {
 }
 
 func TestRunSpecReportSection(t *testing.T) {
-	spec := &Spec{Kind: KindReport, Report: &ReportSpec{Experiments: []string{"E9"}, Quick: true}}
+	spec := &Spec{Kind: KindReport, Report: &ReportSpec{Experiments: []string{"E1"}, Quick: true}}
 	out := runNormalized(t, spec, 2)
 	var res ReportResult
 	if err := json.Unmarshal(out, &res); err != nil {
@@ -73,10 +73,10 @@ func TestRunSpecReportSection(t *testing.T) {
 		t.Fatalf("result = %+v", res)
 	}
 	sec := res.Experiments[0]
-	if sec.Name != "E9" {
+	if sec.Name != "E1" {
 		t.Fatalf("section name = %q", sec.Name)
 	}
-	if !strings.Contains(sec.Markdown, "E9") {
+	if !strings.Contains(sec.Markdown, "E1") {
 		t.Fatalf("markdown lacks the section heading:\n%s", sec.Markdown)
 	}
 	if len(sec.Tables) == 0 {

@@ -169,7 +169,8 @@ func (s *configSet) Key() string {
 // Memo shares config sets and transitions among the Online checkers it
 // creates. Checkers on one memo must check the same type at the same
 // process count, which NewMemo fixes. A memo only grows; scope it to one
-// search (an exhaustive branch, a fuzz call) rather than to a process.
+// search (an exhaustive branch, or the walks one explore walker runs
+// within a fuzz call or a campaign-round call) rather than to a process.
 // Not safe for concurrent use: neither it nor its checkers may be used
 // from two goroutines at once.
 type Memo struct {

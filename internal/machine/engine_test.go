@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"testing"
 
 	"jayanti98/internal/shmem"
@@ -184,5 +185,78 @@ func TestForkIndependence(t *testing.T) {
 	defer g.Close()
 	if g.Fork(nil) != nil {
 		t.Fatal("a goroutine machine forked")
+	}
+}
+
+// TestReset: a VM machine reset from any state — not yet started, at a
+// pending op or toss, returned or crashed — then driven along a script
+// reports exactly the actions, counts and history digest of a freshly
+// started machine driven along it. A goroutine machine refuses to reset.
+func TestReset(t *testing.T) {
+	// v := LL(0); c := toss; SC(0, c); return v + 1. A string in register
+	// 0 makes the addition panic, which crashes the machine.
+	chunk := vmachine.MustCompile(&vmachine.Program{
+		Name: "reset-test",
+		Body: []vmachine.Stmt{
+			vmachine.AssignS{Name: "v", E: vmachine.LLE{Reg: vmachine.ConstE{V: vmachine.Int(0)}}},
+			vmachine.AssignS{Name: "c", E: vmachine.TossE{}},
+			vmachine.SCS{Ok: "ok", Reg: vmachine.ConstE{V: vmachine.Int(0)}, Val: vmachine.VarE{Name: "c"}},
+			vmachine.ReturnS{E: vmachine.AddE{A: vmachine.VarE{Name: "v"}, B: vmachine.ConstE{V: vmachine.Int(1)}}},
+		},
+	})
+	alg := NewHosted("reset-test", nil, chunk, nil)
+	// run drives m to its end, reading ll from register 0, and renders
+	// every action and the final counts and digest.
+	run := func(m *Machine, ll shmem.Value) string {
+		var out []string
+		for {
+			a := m.Peek()
+			out = append(out, fmt.Sprintf("%v %v %v", a.Kind, a.Op, a.Ret))
+			switch a.Kind {
+			case ActOp:
+				m.DeliverOpResponse(shmem.Response{OK: true, Val: ll})
+			case ActToss:
+				m.DeliverToss(7)
+			default:
+				return fmt.Sprintf("%v steps=%d tosses=%d terminated=%t crashed=%v ret=%v %s",
+					out, m.Steps(), m.NumTosses(), m.Terminated(), m.Crashed(), m.ReturnValue(), m.HistoryKey())
+			}
+		}
+	}
+	states := []struct {
+		name string
+		to   func(m *Machine)
+	}{
+		{"not started", func(*Machine) {}},
+		{"pending op", func(m *Machine) { m.Peek() }},
+		{"pending toss", func(m *Machine) { m.DeliverOpResponse(shmem.Response{OK: true, Val: 3}) }},
+		{"returned", func(m *Machine) { run(m, 3) }},
+		{"crashed", func(m *Machine) { run(m, "x") }},
+	}
+	for _, st := range states {
+		for _, ll := range []shmem.Value{3, "x"} {
+			fresh := Start(alg, 0, 1)
+			want := run(fresh, ll)
+			m := Start(alg, 0, 1)
+			st.to(m)
+			if !m.Reset() {
+				t.Fatalf("%s: a VM machine refused to reset", st.name)
+			}
+			if got := run(m, ll); got != want {
+				t.Errorf("reset from %s, then register %v:\n got %s\nwant %s", st.name, ll, got, want)
+			}
+		}
+	}
+
+	g := Start(New("reset-test", func(e *Env) shmem.Value { return e.LL(0) }), 0, 1)
+	defer g.Close()
+	g.DeliverOpResponse(shmem.Response{OK: true, Val: 3})
+	g.Peek() // the return
+	before := g.HistoryKey()
+	if g.Reset() {
+		t.Fatal("a goroutine machine reset")
+	}
+	if g.Steps() != 1 || !g.Terminated() || g.HistoryKey() != before {
+		t.Fatalf("a refused reset changed the machine: steps=%d terminated=%t %s → %s", g.Steps(), g.Terminated(), before, g.HistoryKey())
 	}
 }

@@ -66,3 +66,35 @@ func (d *vmDriver) resp(r shmem.Response) {
 }
 
 func (d *vmDriver) close() {}
+
+// reset restores the Exec to the state NewExec gave it, keeping its host,
+// and drops the queued yield.
+func (d *vmDriver) reset() {
+	d.x.Restore(vmachine.State{})
+	d.queued, d.hasQueued = vmachine.Yield{}, false
+}
+
+// Reset puts a VM machine back in the state Start gave it: its Exec at pc
+// 0 with zero locals and still bound to its host, no pending action, not
+// terminated, no steps or tosses and an empty history digest. Whether it
+// keeps history (DisableHistory) is unchanged. Stepped along the same
+// inputs as a freshly started machine, a reset one reports the same
+// actions, counts and digests, so a caller that runs one algorithm many
+// times can keep its machines instead of starting new ones. Reset reports
+// false and changes nothing for a goroutine machine, as Fork does: a body
+// parked mid-call on its goroutine cannot be rewound.
+func (m *Machine) Reset() bool {
+	d, ok := m.drv.(*vmDriver)
+	if !ok {
+		return false
+	}
+	d.reset()
+	*m = Machine{
+		id:        m.id,
+		drv:       d,
+		engine:    m.engine,
+		dig:       digest{sum: fnvOffset64, scratch: m.dig.scratch},
+		noHistory: m.noHistory,
+	}
+	return true
+}

@@ -243,21 +243,27 @@ func (x *Exec) Snapshot() State {
 
 // Restore overwrites the Exec's state with a snapshot taken from an Exec of
 // the same chunk. The snapshot remains valid and may be restored again.
+// The zero State restores the state NewExec gives: pc 0, no pending yield
+// and zero locals, ready for Start. The host binding is kept either way.
 func (x *Exec) Restore(s State) {
-	if len(s.Locals) != len(x.locals) {
+	switch {
+	case s.Locals == nil:
+		clear(x.locals)
+	case len(s.Locals) != len(x.locals):
 		panic(fmt.Sprintf("vmachine: restore of %d-local state into %d-local exec", len(s.Locals), len(x.locals)))
+	default:
+		copy(x.locals, s.Locals)
+		for i, v := range x.locals {
+			if v.Kind == KSet {
+				x.locals[i].Set = append(shmem.PidBits(nil), v.Set...)
+			}
+		}
 	}
 	x.pc = s.PC
 	x.wait = s.Wait
 	x.waitOp = s.WaitOp
 	x.wa = s.WA
 	x.wb = s.WB
-	copy(x.locals, s.Locals)
-	for i, v := range x.locals {
-		if v.Kind == KSet {
-			x.locals[i].Set = append(shmem.PidBits(nil), v.Set...)
-		}
-	}
 }
 
 // Clone returns an independent copy of the Exec, sharing only the immutable
