@@ -18,7 +18,7 @@ BENCH_SHA ?= $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo local)
 # exploration hot paths this codebase optimizes for, kept quick enough
 # for CI. Timing diffs only gate when baseline and current ran on the
 # same CPU model; allocation and paper-level metrics always gate.
-HOTPATH_BENCH ?= E1WakeupForcedSteps|E2RandomizedWakeup|E4UPTracking|E5Indistinguishability|E7GroupUpdate|E8Herlihy|ShmemLLSC|PsetChurn|ValuesEqual|MaxSteps|LLSCFingerprint|ExhaustiveExplore|ExploreFuzz|MachineStep|VMStep|CampaignExec|TASStep|BWLLSC|SeededStream
+HOTPATH_BENCH ?= E1WakeupForcedSteps|E2RandomizedWakeup|E4UPTracking|E5Indistinguishability|E7GroupUpdate|E9MovePlans|E8Herlihy|ShmemLLSC|PsetChurn|ValuesEqual|LLSCFingerprint|ExhaustiveExplore|ExploreFuzz|MachineStep|VMStep|CampaignExec|TASStep|BWLLSC|SeededStream
 # Committed baseline artifact to diff against (first BENCH_*.json here).
 BENCH_BASELINE ?= $(firstword $(wildcard BENCH_*.json))
 
@@ -158,6 +158,7 @@ fuzz-short:
 	$(GO) test ./internal/jobs/ -run '^$$' -fuzz '^FuzzMergeParts$$' $(FUZZ)
 	$(GO) test ./internal/campaign/ -run '^$$' -fuzz '^FuzzCheckpoint$$' $(FUZZ)
 	$(GO) test ./internal/explore/ -run '^$$' -fuzz '^FuzzReplay$$' $(FUZZ)
+	$(GO) test ./internal/tenant/ -run '^$$' -fuzz '^FuzzTenantConfig$$' $(FUZZ)
 
 # Differential proof that the bytecode VM and the goroutine interpreter are
 # observably identical: exhaustive lockstep exploration at n ∈ {2,3} for

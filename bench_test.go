@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"jayanti98/internal/algos"
@@ -275,7 +276,9 @@ func benchConstruction(b *testing.B, mk func(n int) universal.Construction) {
 }
 
 // BenchmarkE9MovePlans measures secretive-schedule construction on the
-// Section 4 chain workload.
+// Section 4 chain workload (n=…), and what experiment E9 runs per size:
+// lowerbound.MoveScheduleComparison, with its Lemma 4.1 and 4.2 checks
+// (comparison/n=…).
 func BenchmarkE9MovePlans(b *testing.B) {
 	for _, n := range []int{64, 1024, 4096} {
 		plan := make(moveplan.Plan, n)
@@ -289,6 +292,17 @@ func BenchmarkE9MovePlans(b *testing.B) {
 			}
 			if got := moveplan.MaxMovers(plan, sigma); got > 2 {
 				b.Fatalf("max movers = %d", got)
+			}
+		})
+	}
+	for _, n := range []int{512, 4096} {
+		b.Run(fmt.Sprintf("comparison/n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, r := range lowerbound.MoveScheduleComparison(n, 1) {
+					if !r.SecretiveLegal || !r.Lemma42Verified {
+						b.Fatalf("%s n=%d: %+v", r.Workload, n, r)
+					}
+				}
 			}
 		})
 	}
@@ -394,8 +408,9 @@ func BenchmarkVMStep(b *testing.B) {
 	}, chunk)
 	m := machine.Start(alg, 0, 1)
 	defer m.Close()
-	if m.EngineName() != "vm" {
-		b.Fatalf("engine = %q", m.EngineName())
+	// Only a VM machine restarts in place.
+	if !m.Reset() {
+		b.Fatal("machine is not on the VM engine")
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -443,23 +458,27 @@ func BenchmarkLinearizabilityCheck(b *testing.B) {
 	typ := objtype.NewFetchIncrement(16)
 	obj := universal.NewGroupUpdate(typ, n, 0)
 	m := llsc.New(n)
-	rec := linz.NewRecorder(n)
+	h := linz.NewHistory(n)
+	var clock atomic.Int64 // logical time of invocations and responses
+	var mu sync.Mutex
 	var wg sync.WaitGroup
 	wg.Add(n)
 	for pid := 0; pid < n; pid++ {
 		go func(pid int) {
 			defer wg.Done()
-			h := m.Handle(pid)
+			port := m.Handle(pid)
 			for i := 0; i < k; i++ {
 				op := objtype.Op{Name: objtype.OpFetchIncrement}
-				inv := rec.Begin()
-				resp := obj.Invoke(h, op)
-				rec.End(pid, op, resp, inv)
+				inv := clock.Add(1)
+				resp := obj.Invoke(port, op)
+				ret := clock.Add(1)
+				mu.Lock()
+				h.Add(pid, op, resp, inv, ret)
+				mu.Unlock()
 			}
 		}(pid)
 	}
 	wg.Wait()
-	h := rec.History()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := linz.Check(typ, h)
@@ -514,19 +533,6 @@ func BenchmarkValuesEqual(b *testing.B) {
 				shmem.ValuesEqual(p.a, p.v)
 			}
 		})
-	}
-}
-
-// BenchmarkMaxSteps measures a shared step plus the worst-process query —
-// the pair the adversary executes at every decision point. MaxSteps is
-// maintained incrementally in Apply, so the query itself is O(1).
-func BenchmarkMaxSteps(b *testing.B) {
-	m := shmem.New()
-	for i := 0; i < b.N; i++ {
-		m.Apply(i%16, shmem.Op{Kind: shmem.OpLL, Reg: 0})
-		if steps, pid := m.MaxSteps(); steps == 0 || pid < 0 {
-			b.Fatal("impossible MaxSteps")
-		}
 	}
 }
 

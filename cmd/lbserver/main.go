@@ -93,8 +93,7 @@ type options struct {
 	leaseTTL     time.Duration
 	distShards   int
 
-	findingsDir     string
-	checkpointEvery int
+	findingsDir string
 
 	tenantsPath string
 }
@@ -117,7 +116,6 @@ func parseFlags(args []string) (options, error) {
 	fs.DurationVar(&opts.leaseTTL, "lease-ttl", 15*time.Second, "shard lease lifetime without a heartbeat before re-lease")
 	fs.IntVar(&opts.distShards, "dist-shards", 8, "maximum shards one job is split into")
 	fs.StringVar(&opts.findingsDir, "campaign-findings", "", "directory for campaign finding replay files (empty: findings only in stats)")
-	fs.IntVar(&opts.checkpointEvery, "campaign-checkpoint-every", 1, "checkpoint campaign state every N rounds")
 	fs.StringVar(&opts.tenantsPath, "tenants", "", "tenant config JSON: API keys, rate limits, fair-share weights (empty: open single-tenant mode)")
 	if err := fs.Parse(args); err != nil {
 		return options{}, err
@@ -290,13 +288,12 @@ func main() {
 		os.Exit(1)
 	}
 	mgr := campaign.NewManager(campaign.ManagerOptions{
-		Executor:        jobs.NewRoundExecutor(sched),
-		Checkpointer:    sched.Cache().Checkpoints,
-		FindingsDir:     opts.findingsDir,
-		CheckpointEvery: opts.checkpointEvery,
-		Obs:             reg,
-		Tracer:          tracer,
-		Logger:          logger,
+		Executor:     jobs.NewRoundExecutor(sched),
+		Checkpointer: sched.Cache().Checkpoints,
+		FindingsDir:  opts.findingsDir,
+		Obs:          reg,
+		Tracer:       tracer,
+		Logger:       logger,
 	})
 	resumeCampaigns(sched, mgr, logger)
 	srv := &http.Server{Addr: opts.addr, Handler: newMux(sched, coord, mgr, tenants, reg, tracer, logger)}

@@ -12,11 +12,10 @@
 //
 // The package is an alternative shmem.Backend: it exposes the same surface
 // as the native register file of package shmem and its lock-guarded form
-// llsc.Memory (Handle/Apply, Steps, Fingerprint, AppendFingerprint, Read,
-// Clone), and is held byte-identical to both — same responses, same
-// step counts, same fingerprint bytes, and therefore the same exploration
-// memo keys — by the differential harness in this package's tests and the
-// `make tas-equivalence` CI step. It is written independently of shmem on
+// llsc.Memory (Apply, AppendFingerprint, Clone), and is held byte-identical
+// to both — same responses, same fingerprint bytes, and therefore the same
+// exploration memo keys — by the differential harness in this package's
+// tests and the `make tas-equivalence` CI step. It is written independently of shmem on
 // purpose: it is the oracle that holds shmem to the paper's §3 semantics.
 // The native validity set (pset) is never stored: a process's LL is valid
 // exactly when its announced node still is the head, so the pset is
@@ -34,14 +33,11 @@ package bwllsc
 import (
 	"encoding/binary"
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
-	"jayanti98/internal/machine"
 	"jayanti98/internal/shmem"
 )
 
@@ -74,9 +70,9 @@ func (r *register) pset() shmem.PidBits {
 }
 
 // Memory is a Blelloch–Wei LL/SC shared memory for n processes. It
-// implements shmem.Backend. The registry (lazy register allocation, step
-// counters, fingerprint scratch) is mutex-guarded like llsc.Memory; the
-// per-register operations themselves are CAS-based.
+// implements shmem.Backend. The registry (lazy register allocation,
+// fingerprint scratch) is mutex-guarded like llsc.Memory; the per-register
+// operations themselves are CAS-based.
 type Memory struct {
 	n  int
 	mu sync.Mutex
@@ -85,40 +81,16 @@ type Memory struct {
 	// touched holds the allocated register indices in increasing order,
 	// maintained on first touch so fingerprinting never sorts.
 	touched []int
-	// steps counts shared accesses per pid.
-	steps map[int]int64
-	// initVal optionally initializes registers on first touch.
-	initVal func(reg int) shmem.Value
 	// fpScratch is the reused value-rendering buffer of AppendFingerprint.
 	fpScratch []byte
 }
 
 var _ shmem.Backend = (*Memory)(nil)
 
-// Option configures a Memory.
-type Option func(*Memory)
-
-// WithInit sets the initial value of every register as a pure function of
-// its index (default: nil).
-func WithInit(f func(reg int) shmem.Value) Option {
-	return func(m *Memory) { m.initVal = f }
-}
-
 // New creates a Blelloch–Wei LL/SC memory for n processes.
-func New(n int, opts ...Option) *Memory {
-	m := &Memory{
-		n:     n,
-		regs:  make(map[int]*register),
-		steps: make(map[int]int64),
-	}
-	for _, o := range opts {
-		o(m)
-	}
-	return m
+func New(n int) *Memory {
+	return &Memory{n: n, regs: make(map[int]*register)}
 }
-
-// N returns the number of processes the memory was created for.
-func (m *Memory) N() int { return m.n }
 
 // reg returns register i, allocating it — with its initial version node —
 // on first touch. Callers hold mu.
@@ -126,11 +98,7 @@ func (m *Memory) reg(i int) *register {
 	r, ok := m.regs[i]
 	if !ok {
 		r = &register{ann: make([]atomic.Pointer[node], m.n)}
-		var init shmem.Value
-		if m.initVal != nil {
-			init = m.initVal(i)
-		}
-		r.head.Store(&node{val: init})
+		r.head.Store(&node{})
 		m.regs[i] = r
 		at := sort.SearchInts(m.touched, i)
 		m.touched = append(m.touched, 0)
@@ -140,80 +108,37 @@ func (m *Memory) reg(i int) *register {
 	return r
 }
 
-// enter charges pid one shared access and returns register i, allocating it
-// if needed. It is the bookkeeping prologue every operation runs under the
-// registry lock before touching the register's atomics.
-func (m *Memory) enter(pid, i int) *register {
+// enter returns register i, allocating it if needed. It is the bookkeeping
+// prologue every operation runs under the registry lock before touching
+// the register's atomics.
+func (m *Memory) enter(i int) *register {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.steps[pid]++
 	return m.reg(i)
-}
-
-// Handle returns the port of process pid. A handle must only be used by one
-// goroutine at a time (per the model, a process is sequential), but
-// distinct handles may be used concurrently.
-func (m *Memory) Handle(pid int) *Handle {
-	if pid < 0 || pid >= m.n {
-		panic(fmt.Sprintf("bwllsc: pid %d out of range [0,%d)", pid, m.n))
-	}
-	return &Handle{mem: m, pid: pid}
-}
-
-// Steps returns pid's shared-access step count.
-func (m *Memory) Steps(pid int) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.steps[pid]
-}
-
-// TotalSteps returns the total shared-access step count.
-func (m *Memory) TotalSteps() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var total int64
-	for _, s := range m.steps {
-		total += s
-	}
-	return total
 }
 
 // Apply performs op on behalf of pid and returns the response, with the
 // exact semantics of shmem.Memory.Apply (including the self-move no-op).
-// It makes *Memory implement sched.Memory and shmem.Backend.
+// It makes *Memory implement sched.Memory and shmem.Backend. Operations of
+// distinct pids may run concurrently; one pid's operations must not.
 func (m *Memory) Apply(pid int, op shmem.Op) shmem.Response {
-	h := Handle{mem: m, pid: pid}
 	switch op.Kind {
 	case shmem.OpLL:
-		return shmem.Response{OK: true, Val: h.LL(op.Reg)}
+		return shmem.Response{OK: true, Val: m.ll(pid, op.Reg)}
 	case shmem.OpSC:
-		ok, prev := h.SC(op.Reg, op.Arg)
+		ok, prev := m.sc(pid, op.Reg, op.Arg)
 		return shmem.Response{OK: ok, Val: prev}
 	case shmem.OpValidate:
-		ok, v := h.Validate(op.Reg)
+		ok, v := m.validate(pid, op.Reg)
 		return shmem.Response{OK: ok, Val: v}
 	case shmem.OpSwap:
-		return shmem.Response{OK: true, Val: h.Swap(op.Reg, op.Arg)}
+		return shmem.Response{OK: true, Val: m.swap(op.Reg, op.Arg)}
 	case shmem.OpMove:
-		h.Move(op.Src, op.Reg)
+		m.move(op.Src, op.Reg)
 		return shmem.Response{OK: true}
 	default:
 		panic(fmt.Sprintf("bwllsc: unknown op kind %v", op.Kind))
 	}
-}
-
-// Fingerprint renders the full memory state — every touched register's
-// value and derived pset, in register order — exactly as the native
-// backend's Fingerprint does.
-func (m *Memory) Fingerprint() string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var b strings.Builder
-	for _, i := range m.touched {
-		r := m.regs[i]
-		fmt.Fprintf(&b, "R%d=%v pset=%v;", i, r.head.Load().val, r.pset().Sorted())
-	}
-	return b.String()
 }
 
 // AppendFingerprint appends the compact binary state rendering in the exact
@@ -237,21 +162,6 @@ func (m *Memory) AppendFingerprint(dst []byte) []byte {
 	return dst
 }
 
-// Read returns the value of register i without charging a step. Reading
-// an untouched register returns its initial value without allocating it,
-// so the fingerprint is unchanged.
-func (m *Memory) Read(i int) shmem.Value {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if r, ok := m.regs[i]; ok {
-		return r.head.Load().val
-	}
-	if m.initVal != nil {
-		return m.initVal(i)
-	}
-	return nil
-}
-
 // staleNode is what a clone's stale announcements point to. No register
 // ever installs it (every install allocates a fresh node), so it is never
 // a head, which is all a stale announcement must guarantee.
@@ -273,8 +183,6 @@ func (m *Memory) Clone() shmem.Backend {
 		n:       m.n,
 		regs:    make(map[int]*register, len(m.regs)),
 		touched: slices.Clone(m.touched),
-		steps:   maps.Clone(m.steps),
-		initVal: m.initVal,
 	}
 	for i, r := range m.regs {
 		head := r.head.Load()
@@ -294,62 +202,41 @@ func (m *Memory) Clone() shmem.Backend {
 	return c
 }
 
-// Handle is one process's port to the memory. It implements machine.Port.
-type Handle struct {
-	mem *Memory
-	pid int
-}
-
-var _ machine.Port = (*Handle)(nil)
-
-// ID implements machine.Port.
-func (h *Handle) ID() int { return h.pid }
-
-// N implements machine.Port.
-func (h *Handle) N() int { return h.mem.n }
-
-// LL implements machine.Port: read the head and announce it.
-func (h *Handle) LL(reg int) shmem.Value {
-	r := h.mem.enter(h.pid, reg)
+// ll reads the head of reg and announces it for pid.
+func (m *Memory) ll(pid, reg int) shmem.Value {
+	r := m.enter(reg)
 	n := r.head.Load()
-	r.ann[h.pid].Store(n)
+	r.ann[pid].Store(n)
 	return n.val
 }
 
-// SC implements machine.Port: one CAS from the announced node to a fresh
-// node. It succeeds exactly when no write intervened since the announcing
-// LL — fresh allocation guarantees the announced node cannot have been
-// reinstalled. A failed SC reports the current value, like the native
-// backend.
-func (h *Handle) SC(reg int, v shmem.Value) (bool, shmem.Value) {
-	r := h.mem.enter(h.pid, reg)
-	exp := r.ann[h.pid].Load()
+// sc is one CAS from pid's announced node to a fresh node. It succeeds
+// exactly when no write intervened since the announcing LL — fresh
+// allocation guarantees the announced node cannot have been reinstalled. A
+// failed SC reports the current value, like the native backend.
+func (m *Memory) sc(pid, reg int, v shmem.Value) (bool, shmem.Value) {
+	r := m.enter(reg)
+	exp := r.ann[pid].Load()
 	if exp != nil && r.head.CompareAndSwap(exp, &node{val: v}) {
 		return true, exp.val
 	}
 	return false, r.head.Load().val
 }
 
-// Validate implements machine.Port: the link is valid exactly when the
-// announced node still is the head.
-func (h *Handle) Validate(reg int) (bool, shmem.Value) {
-	r := h.mem.enter(h.pid, reg)
+// validate reports pid's link to reg as valid exactly when the announced
+// node still is the head.
+func (m *Memory) validate(pid, reg int) (bool, shmem.Value) {
+	r := m.enter(reg)
 	n := r.head.Load()
-	exp := r.ann[h.pid].Load()
+	exp := r.ann[pid].Load()
 	return exp == n, n.val
 }
 
-// Read implements machine.Port (a validate with the boolean dropped).
-func (h *Handle) Read(reg int) shmem.Value {
-	_, v := h.Validate(reg)
-	return v
-}
-
-// Swap implements machine.Port: unconditionally install a fresh node,
-// retrying the CAS until it lands. Installing a fresh node is what
-// invalidates every outstanding LL, mirroring the native pset clear.
-func (h *Handle) Swap(reg int, v shmem.Value) shmem.Value {
-	r := h.mem.enter(h.pid, reg)
+// swap unconditionally installs a fresh node, retrying the CAS until it
+// lands. Installing a fresh node is what invalidates every outstanding LL,
+// mirroring the native pset clear.
+func (m *Memory) swap(reg int, v shmem.Value) shmem.Value {
+	r := m.enter(reg)
 	fresh := &node{val: v}
 	for {
 		old := r.head.Load()
@@ -359,17 +246,14 @@ func (h *Handle) Swap(reg int, v shmem.Value) shmem.Value {
 	}
 }
 
-// Move implements machine.Port. A self-move is a complete no-op (it charges
-// a step but allocates no register, like the native backend). See the
-// package comment for move's atomicity caveat.
-func (h *Handle) Move(src, dst int) {
-	m := h.mem
-	m.mu.Lock()
-	m.steps[h.pid]++
+// move copies the head value of src into a fresh node at dst. A self-move
+// is a complete no-op that allocates no register, like the native backend.
+// See the package comment for move's atomicity caveat.
+func (m *Memory) move(src, dst int) {
 	if src == dst {
-		m.mu.Unlock()
 		return
 	}
+	m.mu.Lock()
 	s := m.reg(src)
 	d := m.reg(dst)
 	m.mu.Unlock()

@@ -14,72 +14,69 @@ import (
 // TestSemantics walks the LL/SC contract by hand on the pointer-based
 // implementation: a successful SC requires a link, succeeds exactly once
 // per installed version, and breaks every other process's link to that
-// version; Swap and Move break all links; a self-move is a charged no-op.
+// version; Swap and Move break all links; a self-move is a no-op.
 func TestSemantics(t *testing.T) {
 	m := bwllsc.New(3)
-	h0, h1 := m.Handle(0), m.Handle(1)
+	ll := func(pid, reg int) shmem.Value { return m.Apply(pid, shmem.Op{Kind: shmem.OpLL, Reg: reg}).Val }
+	sc := func(pid, reg int, v shmem.Value) (bool, shmem.Value) {
+		r := m.Apply(pid, shmem.Op{Kind: shmem.OpSC, Reg: reg, Arg: v})
+		return r.OK, r.Val
+	}
+	validate := func(pid, reg int) (bool, shmem.Value) {
+		r := m.Apply(pid, shmem.Op{Kind: shmem.OpValidate, Reg: reg})
+		return r.OK, r.Val
+	}
+	swap := func(pid, reg int, v shmem.Value) shmem.Value {
+		return m.Apply(pid, shmem.Op{Kind: shmem.OpSwap, Reg: reg, Arg: v}).Val
+	}
+	move := func(pid, src, dst int) { m.Apply(pid, shmem.Op{Kind: shmem.OpMove, Src: src, Reg: dst}) }
 
-	if ok, _ := h0.SC(0, 9); ok {
+	if ok, _ := sc(0, 0, 9); ok {
 		t.Fatal("SC without LL succeeded")
 	}
-	if v := h0.LL(0); v != nil {
+	if v := ll(0, 0); v != nil {
 		t.Fatalf("initial LL = %v, want nil", v)
 	}
-	if v := h1.LL(0); v != nil {
+	if v := ll(1, 0); v != nil {
 		t.Fatalf("initial LL = %v, want nil", v)
 	}
-	if ok, prev := h0.SC(0, 10); !ok || prev != nil {
+	if ok, prev := sc(0, 0, 10); !ok || prev != nil {
 		t.Fatalf("linked SC = (%v, %v), want (true, nil)", ok, prev)
 	}
-	// h0's own SC consumed the version: a second SC from h0 must fail, and
-	// h1's link to the old version is broken.
-	if ok, prev := h0.SC(0, 11); ok || prev != 10 {
+	// p0's own SC consumed the version: a second SC from p0 must fail, and
+	// p1's link to the old version is broken.
+	if ok, prev := sc(0, 0, 11); ok || prev != 10 {
 		t.Fatalf("repeat SC = (%v, %v), want (false, 10)", ok, prev)
 	}
-	if ok, cur := h1.Validate(0); ok || cur != 10 {
+	if ok, cur := validate(1, 0); ok || cur != 10 {
 		t.Fatalf("stale Validate = (%v, %v), want (false, 10)", ok, cur)
 	}
-	if ok, _ := h1.SC(0, 12); ok {
+	if ok, _ := sc(1, 0, 12); ok {
 		t.Fatal("stale SC succeeded")
 	}
 
 	// Swap breaks links.
-	h0.LL(0)
-	if prev := h1.Swap(0, 20); prev != 10 {
+	ll(0, 0)
+	if prev := swap(1, 0, 20); prev != 10 {
 		t.Fatalf("Swap prev = %v, want 10", prev)
 	}
-	if ok, _ := h0.SC(0, 13); ok {
+	if ok, _ := sc(0, 0, 13); ok {
 		t.Fatal("SC after Swap succeeded")
 	}
 
 	// Move copies the source value and breaks destination links.
-	h0.LL(1)
-	h1.Move(0, 1)
-	if ok, cur := h0.Validate(1); ok || cur != 20 {
+	ll(0, 1)
+	move(1, 0, 1)
+	if ok, cur := validate(0, 1); ok || cur != 20 {
 		t.Fatalf("Validate after Move = (%v, %v), want (false, 20)", ok, cur)
 	}
-	if v := h0.Read(1); v != 20 {
-		t.Fatalf("Read = %v, want 20", v)
-	}
 
-	// Self-move: charged, value and links untouched.
-	h0.LL(1)
-	before := m.Steps(0)
-	h0.Move(1, 1)
-	if m.Steps(0) != before+1 {
-		t.Fatal("self-move was not charged a step")
-	}
-	if ok, cur := h0.Validate(1); !ok || cur != 20 {
+	// Self-move: value and links untouched.
+	ll(0, 1)
+	move(0, 1, 1)
+	if ok, cur := validate(0, 1); !ok || cur != 20 {
 		t.Fatalf("Validate after self-move = (%v, %v), want (true, 20)", ok, cur)
 	}
-}
-
-// reference is a pset-based register file this package is held to.
-type reference interface {
-	shmem.Backend
-	Steps(pid int) int64
-	TotalSteps() int64
-	Read(reg int) shmem.Value
 }
 
 // references are the native register files every differential test runs
@@ -89,17 +86,16 @@ type reference interface {
 // both.
 var references = []struct {
 	name string
-	new  func(n int) reference
+	new  func(n int) shmem.Backend
 }{
-	{"shmem", func(int) reference { return shmem.New() }},
-	{"llsc", func(n int) reference { return llsc.New(n) }},
+	{"shmem", func(int) shmem.Backend { return shmem.New() }},
+	{"llsc", func(n int) shmem.Backend { return llsc.New(n) }},
 }
 
 // TestDifferentialAgainstNative is the core backend claim, op by op: an
 // identical operation sequence applied to a pset-based reference and to
-// this package's pointer-based Memory yields identical responses, identical
-// per-process step counts, and — after every single operation — a byte-
-// identical fingerprint. The fingerprint comparison is what makes the two
+// this package's pointer-based Memory yields identical responses and —
+// after every single operation — a byte-identical fingerprint. The fingerprint comparison is what makes the two
 // backends interchangeable inside the exploration harness's memoization.
 func TestDifferentialAgainstNative(t *testing.T) {
 	for _, ref := range references {
@@ -107,7 +103,7 @@ func TestDifferentialAgainstNative(t *testing.T) {
 	}
 }
 
-func testDifferentialAgainstNative(t *testing.T, newRef func(int) reference) {
+func testDifferentialAgainstNative(t *testing.T, newRef func(int) shmem.Backend) {
 	const npids, nregs = 4, 5
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -135,21 +131,8 @@ func testDifferentialAgainstNative(t *testing.T, newRef func(int) reference) {
 				return false
 			}
 			if !bytes.Equal(a.AppendFingerprint(nil), b.AppendFingerprint(nil)) {
-				t.Logf("seed %d step %d %v: fingerprints diverge:\n  native %q\n  bw     %q",
-					seed, step, op, a.Fingerprint(), b.Fingerprint())
-				return false
-			}
-		}
-		if a.TotalSteps() != b.TotalSteps() {
-			return false
-		}
-		for pid := 0; pid < npids; pid++ {
-			if a.Steps(pid) != b.Steps(pid) {
-				return false
-			}
-		}
-		for reg := 0; reg < nregs; reg++ {
-			if !shmem.ValuesEqual(a.Read(reg), b.Read(reg)) {
+				t.Logf("seed %d step %d %v: fingerprints diverge:\n  native %x\n  bw     %x",
+					seed, step, op, a.AppendFingerprint(nil), b.AppendFingerprint(nil))
 				return false
 			}
 		}
@@ -163,52 +146,28 @@ func testDifferentialAgainstNative(t *testing.T, newRef func(int) reference) {
 // TestFingerprintAllocationParity pins the subtle half of byte-identity:
 // the fingerprint only covers *touched* registers, so the two backends must
 // allocate on exactly the same operations. Validate on a fresh register
-// allocates it; Read does not; a self-move charges a step but does not
-// allocate.
+// allocates it; a self-move does not.
 func TestFingerprintAllocationParity(t *testing.T) {
 	for _, ref := range references {
 		t.Run(ref.name, func(t *testing.T) { testFingerprintAllocationParity(t, ref.new(2)) })
 	}
 }
 
-func testFingerprintAllocationParity(t *testing.T, a reference) {
+func testFingerprintAllocationParity(t *testing.T, a shmem.Backend) {
 	b := bwllsc.New(2)
 	check := func(label string) {
 		t.Helper()
 		if !bytes.Equal(a.AppendFingerprint(nil), b.AppendFingerprint(nil)) {
-			t.Fatalf("%s: fingerprints diverge:\n  native %q\n  bw     %q", label, a.Fingerprint(), b.Fingerprint())
+			t.Fatalf("%s: fingerprints diverge:\n  native %x\n  bw     %x", label, a.AppendFingerprint(nil), b.AppendFingerprint(nil))
 		}
 	}
 	check("empty")
-	if a.Read(3) != b.Read(3) {
-		t.Fatal("Read diverges")
-	}
-	check("after Read")
 	a.Apply(0, shmem.Op{Kind: shmem.OpValidate, Reg: 7})
 	b.Apply(0, shmem.Op{Kind: shmem.OpValidate, Reg: 7})
 	check("after Validate on fresh register")
 	a.Apply(1, shmem.Op{Kind: shmem.OpMove, Src: 2, Reg: 2})
 	b.Apply(1, shmem.Op{Kind: shmem.OpMove, Src: 2, Reg: 2})
 	check("after self-move on fresh register")
-	if a.Steps(1) != 1 || b.Steps(1) != 1 {
-		t.Fatalf("self-move step accounting: native %d, bw %d, want 1", a.Steps(1), b.Steps(1))
-	}
-}
-
-// TestWithInit mirrors shmem.WithInit: initial register values come from
-// the option and show up in fingerprints identically on both backends.
-// llsc.Memory takes no options, so it has no row here.
-func TestWithInit(t *testing.T) {
-	init := func(reg int) shmem.Value { return reg * 10 }
-	a := shmem.New(shmem.WithInit(init))
-	b := bwllsc.New(2, bwllsc.WithInit(init))
-	op := shmem.Op{Kind: shmem.OpValidate, Reg: 3}
-	if ra, rb := a.Apply(0, op), b.Apply(0, op); ra.Val != 30 || rb.Val != 30 {
-		t.Fatalf("initial values = %v / %v, want 30", ra.Val, rb.Val)
-	}
-	if !bytes.Equal(a.AppendFingerprint(nil), b.AppendFingerprint(nil)) {
-		t.Fatalf("fingerprints diverge:\n  native %q\n  bw     %q", a.Fingerprint(), b.Fingerprint())
-	}
 }
 
 // TestBackendInterface pins the memories to the shared Backend surface the
@@ -231,7 +190,7 @@ func TestCloneKeepsLinks(t *testing.T) {
 	}
 }
 
-func testCloneKeepsLinks(t *testing.T, native reference) {
+func testCloneKeepsLinks(t *testing.T, native shmem.Backend) {
 	build := func(m shmem.Backend) {
 		m.Apply(0, shmem.Op{Kind: shmem.OpLL, Reg: 0})
 		m.Apply(1, shmem.Op{Kind: shmem.OpLL, Reg: 0})
@@ -244,7 +203,7 @@ func testCloneKeepsLinks(t *testing.T, native reference) {
 	build(bw)
 	nc, bc := native.Clone(), bw.Clone()
 	if !bytes.Equal(bc.AppendFingerprint(nil), native.AppendFingerprint(nil)) {
-		t.Fatalf("bw clone %q, native %q", bc.Fingerprint(), native.Fingerprint())
+		t.Fatalf("bw clone %x, native %x", bc.AppendFingerprint(nil), native.AppendFingerprint(nil))
 	}
 	originFP := bw.AppendFingerprint(nil)
 	scs := []struct{ pid, reg int }{{1, 0}, {3, 0}, {2, 0}, {2, 0}, {1, 1}, {0, 1}}
@@ -255,7 +214,7 @@ func testCloneKeepsLinks(t *testing.T, native reference) {
 			t.Fatalf("SC by p%d on R%d: native clone %v, bw clone %v", sc.pid, sc.reg, rn, rb)
 		}
 		if !bytes.Equal(nc.AppendFingerprint(nil), bc.AppendFingerprint(nil)) {
-			t.Fatalf("after SC by p%d on R%d: native clone %q, bw clone %q", sc.pid, sc.reg, nc.Fingerprint(), bc.Fingerprint())
+			t.Fatalf("after SC by p%d on R%d: native clone %x, bw clone %x", sc.pid, sc.reg, nc.AppendFingerprint(nil), bc.AppendFingerprint(nil))
 		}
 	}
 	if !bytes.Equal(originFP, bw.AppendFingerprint(nil)) {
@@ -275,7 +234,7 @@ func TestCloneDifferential(t *testing.T) {
 	}
 }
 
-func testCloneDifferential(t *testing.T, newRef func(int) reference) {
+func testCloneDifferential(t *testing.T, newRef func(int) shmem.Backend) {
 	const npids, nregs = 4, 4
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -311,7 +270,7 @@ func testCloneDifferential(t *testing.T, newRef func(int) reference) {
 				t.Fatalf("seed %d step %d %v: native clone %v, bw clone %v", seed, i, o, ra, rb)
 			}
 			if !bytes.Equal(ac.AppendFingerprint(nil), bc.AppendFingerprint(nil)) {
-				t.Fatalf("seed %d step %d: fingerprints diverge:\n  native %q\n  bw     %q", seed, i, ac.Fingerprint(), bc.Fingerprint())
+				t.Fatalf("seed %d step %d: fingerprints diverge:\n  native %x\n  bw     %x", seed, i, ac.AppendFingerprint(nil), bc.AppendFingerprint(nil))
 			}
 		}
 		if !bytes.Equal(origin, b.AppendFingerprint(nil)) || !bytes.Equal(origin, a.AppendFingerprint(nil)) {

@@ -178,7 +178,7 @@ func TestCampaignDeterministic(t *testing.T) {
 	if a.Corpus.Digest() != b.Corpus.Digest() {
 		t.Fatal("corpus digests diverged across parallelism")
 	}
-	if a.CoverageDigest() != b.CoverageDigest() {
+	if a.coverage().Digest() != b.coverage().Digest() {
 		t.Fatal("coverage digests diverged across parallelism")
 	}
 	if a.Execs != b.Execs || a.TotalSteps != b.TotalSteps {

@@ -37,7 +37,7 @@ func TestCampaignGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := fmt.Sprintf("coverage=%016x corpus=%s digests=%d steps=%d checkpoint=%x",
-				st.CoverageDigest(), st.Corpus.Digest(), len(st.Coverage), st.TotalSteps, sha256.Sum256(checkpoint))
+				st.coverage().Digest(), st.Corpus.Digest(), len(st.Coverage), st.TotalSteps, sha256.Sum256(checkpoint))
 			if got != tc.want {
 				t.Errorf("got  %s\nwant %s", got, tc.want)
 			}

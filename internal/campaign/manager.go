@@ -57,9 +57,6 @@ const (
 	CampaignFailed  CampaignStatus = "failed"
 )
 
-// Terminal reports whether the status is final (restartable via Start).
-func (s CampaignStatus) Terminal() bool { return s != CampaignRunning }
-
 // View is an immutable snapshot of a campaign — the unit the HTTP layer
 // serves.
 type View struct {
@@ -104,9 +101,6 @@ type ManagerOptions struct {
 	Executor Executor
 	// Checkpointer persists state across restarts (nil: no persistence).
 	Checkpointer Checkpointer
-	// CheckpointEvery checkpoints after every k-th round (≤ 0: 1, every
-	// round — rounds are seconds, checkpoints are kilobytes).
-	CheckpointEvery int
 	// FindingsDir receives one replay file per kept finding (empty: no
 	// files; findings still appear in stats).
 	FindingsDir string
@@ -159,9 +153,6 @@ var ErrShuttingDown = errors.New("campaign: manager shutting down")
 func NewManager(opts ManagerOptions) *Manager {
 	if opts.Executor == nil {
 		opts.Executor = &LocalExecutor{}
-	}
-	if opts.CheckpointEvery <= 0 {
-		opts.CheckpointEvery = 1
 	}
 	m := &Manager{opts: opts, campaigns: make(map[string]*instance)}
 	m.reg = opts.Obs
@@ -471,9 +462,9 @@ func (m *Manager) run(ctx context.Context, c *instance) {
 		logger.Debug("campaign round done", "round", round,
 			"new_digests", delta.NewDigests, "failures", len(delta.Failures), "kept_findings", kept)
 
-		if (round+1)%m.opts.CheckpointEvery == 0 {
-			m.checkpoint(c, logger)
-		}
+		// Checkpoint every round: rounds are seconds, checkpoints are
+		// kilobytes.
+		m.checkpoint(c, logger)
 	}
 
 	m.checkpoint(c, logger)

@@ -50,7 +50,7 @@ func waitTerminal(t *testing.T, m *Manager, id string) View {
 		if !ok {
 			t.Fatalf("campaign %s vanished", id)
 		}
-		if v.Status.Terminal() {
+		if v.Status != CampaignRunning {
 			return v
 		}
 		time.Sleep(10 * time.Millisecond)

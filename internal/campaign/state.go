@@ -182,12 +182,6 @@ func (st *State) RecordFinding(f Finding) bool {
 	return true
 }
 
-// CoverageDigest folds the coverage set to one 64-bit value (see
-// explore.Coverage.Digest).
-func (st *State) CoverageDigest() uint64 {
-	return st.coverage().Digest()
-}
-
 // Encode serializes the state as its checkpoint record. The bytes are
 // deterministic — struct fields marshal in declared order and every slice
 // is in a canonical order — so "resumes byte-identically" is checkable by

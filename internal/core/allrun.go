@@ -147,8 +147,6 @@ type AllRun struct {
 	N int
 	// TA is the toss assignment A.
 	TA machine.TossAssignment
-	// MemInit is the register initialization (nil for all-nil registers).
-	MemInit func(reg int) shmem.Value
 	// Rounds holds one record per executed round.
 	Rounds []*Round
 	// Returns maps each terminated pid to its return value.
@@ -217,10 +215,6 @@ func (a *AllRun) FinalUPProc(pid int) PidSet {
 
 // Config tunes a run.
 type Config struct {
-	// MaxRounds bounds the number of rounds (default 8n + 64).
-	MaxRounds int
-	// MemInit initializes register values (default: all nil).
-	MemInit func(reg int) shmem.Value
 	// NoHistory disables per-process history digests and end-of-round
 	// register snapshots. Measurement sweeps over large n use it: digesting
 	// every delivered value costs as much as the run itself. Runs intended
@@ -228,23 +222,15 @@ type Config struct {
 	NoHistory bool
 }
 
-func (c Config) maxRounds(n int) int {
-	if c.MaxRounds > 0 {
-		return c.MaxRounds
-	}
-	return 8*n + 64
-}
+// maxRounds bounds the number of rounds of an n-process run.
+func maxRounds(n int) int { return 8*n + 64 }
 
 // RunAll executes the (All,A)-run of alg for n processes under toss
 // assignment ta, recording per-round history and UP sets. It returns an
 // error if a process crashes or the round budget is exhausted (wait-free
-// algorithms must terminate; see Config.MaxRounds).
+// algorithms must terminate within 8n + 64 rounds).
 func RunAll(alg machine.Algorithm, n int, ta machine.TossAssignment, cfg Config) (*AllRun, error) {
-	var opts []shmem.Option
-	if cfg.MemInit != nil {
-		opts = append(opts, shmem.WithInit(cfg.MemInit))
-	}
-	mem := shmem.New(opts...)
+	mem := shmem.New()
 	ms := machine.StartAll(alg, n)
 	defer machine.CloseAll(ms)
 
@@ -252,7 +238,6 @@ func RunAll(alg machine.Algorithm, n int, ta machine.TossAssignment, cfg Config)
 		Alg:            alg,
 		N:              n,
 		TA:             ta,
-		MemInit:        cfg.MemInit,
 		Returns:        make(map[int]shmem.Value, n),
 		Steps:          make([]int, n),
 		FirstStepRound: make([]int, n),
@@ -273,7 +258,7 @@ func RunAll(alg machine.Algorithm, n int, ta machine.TossAssignment, cfg Config)
 	var live []int
 	var reuse Round
 	for r := 1; ; r++ {
-		if r > cfg.maxRounds(n) {
+		if r > maxRounds(n) {
 			return run, fmt.Errorf("%w: %s with n=%d after %d rounds", ErrTooManyRounds, alg.Name(), n, r-1)
 		}
 		round := &Round{R: r}

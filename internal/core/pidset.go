@@ -30,23 +30,6 @@ func NewPidSet(pids ...int) PidSet {
 	return s
 }
 
-// FullPidSet returns the set {0, ..., n-1} — the All of the (All,A)-run —
-// built a word at a time via shmem.MaskUpTo.
-func FullPidSet(n int) PidSet {
-	if n <= 0 {
-		return PidSet{}
-	}
-	words := make([]uint64, shmem.WordOf(n-1)+1)
-	for i := range words {
-		k := n - i*64
-		if k > 64 {
-			k = 64
-		}
-		words[i] = shmem.MaskUpTo(k)
-	}
-	return PidSet{words: words, count: n}
-}
-
 // Add inserts pid (non-negative).
 func (s *PidSet) Add(pid int) {
 	w := shmem.WordOf(pid)
@@ -117,15 +100,6 @@ func (s *PidSet) reset() {
 	s.count = 0
 }
 
-// Union returns a fresh set containing the elements of all the given sets.
-func Union(sets ...PidSet) PidSet {
-	var out PidSet
-	for _, s := range sets {
-		out.UnionWith(s)
-	}
-	return out
-}
-
 // SubsetOf reports whether every element of s is in o.
 func (s PidSet) SubsetOf(o PidSet) bool {
 	for i, w := range s.words {
@@ -137,11 +111,6 @@ func (s PidSet) SubsetOf(o PidSet) bool {
 		}
 	}
 	return true
-}
-
-// Equal reports whether the two sets have the same elements.
-func (s PidSet) Equal(o PidSet) bool {
-	return s.count == o.count && s.SubsetOf(o)
 }
 
 // Each calls f for every element in increasing order.

@@ -27,15 +27,8 @@ type SubRun struct {
 	Steps []int
 }
 
-// Participants returns S_r for 1 ≤ r ≤ len(All.Rounds): the processes
-// scheduled in round r of the sub-run.
-func (s *SubRun) Participants(r int) PidSet {
-	var out PidSet
-	s.participants(r, &out)
-	return out
-}
-
-// participants computes S_r into dst, reusing its storage.
+// participants computes S_r for 1 ≤ r ≤ len(All.Rounds) into dst, reusing
+// its storage: the processes scheduled in round r of the sub-run.
 func (s *SubRun) participants(r int, dst *PidSet) {
 	dst.reset()
 	for pid := 0; pid < s.All.N; pid++ {
@@ -52,11 +45,7 @@ func RunSub(all *AllRun, s PidSet) (*SubRun, error) {
 	if all.NoHistory {
 		return nil, fmt.Errorf("core: (S,A)-run requires an (All,A)-run executed with history (Config.NoHistory unset)")
 	}
-	var opts []shmem.Option
-	if all.MemInit != nil {
-		opts = append(opts, shmem.WithInit(all.MemInit))
-	}
-	mem := shmem.New(opts...)
+	mem := shmem.New()
 	ms := machine.StartAll(all.Alg, all.N)
 	defer machine.CloseAll(ms)
 
@@ -180,14 +169,10 @@ func checkRegister(all *AllRun, sub *SubRun, r, reg int, inS PidSet) error {
 	if !all.UPRegAt(reg, r).SubsetOf(sub.S) {
 		return nil
 	}
-	av, aok := all.Rounds[r-1].MemSnap[reg]
-	sv, sok := sub.Rounds[r-1].MemSnap[reg]
-	if !aok {
-		av = shmem.RegState{Val: initVal(all, reg)}
-	}
-	if !sok {
-		sv = shmem.RegState{Val: initVal(all, reg)}
-	}
+	// An untouched register is missing from its snapshot: it holds nil
+	// and has an empty Pset, which the zero RegState is.
+	av := all.Rounds[r-1].MemSnap[reg]
+	sv := sub.Rounds[r-1].MemSnap[reg]
 	if !shmem.ValuesEqual(av.Val, sv.Val) {
 		return &IndistError{Round: r, What: "register", Index: reg,
 			Detail: fmt.Sprintf("value %v vs %v", av.Val, sv.Val)}
@@ -213,11 +198,4 @@ func checkRegister(all *AllRun, sub *SubRun, r, reg int, inS PidSet) error {
 		}
 	}
 	return nil
-}
-
-func initVal(all *AllRun, reg int) shmem.Value {
-	if all.MemInit == nil {
-		return nil
-	}
-	return all.MemInit(reg)
 }

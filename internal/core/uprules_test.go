@@ -37,11 +37,11 @@ func TestUPRule4FirstSwapperSeesMoversAndSource(t *testing.T) {
 		},
 	)
 	run := mustRunAll(t, alg, 2)
-	if up := run.UPProcAt(1, 2); !up.Equal(NewPidSet(0, 1)) {
+	if up := run.UPProcAt(1, 2); !sameSet(up, NewPidSet(0, 1)) {
 		t.Fatalf("UP(p1,2) = %v, want {p0, p1}", up)
 	}
 	// Register rule 2: the swap overwrites the move; UP(R0,2) = UP(p1,1).
-	if up := run.UPRegAt(0, 2); !up.Equal(NewPidSet(1)) {
+	if up := run.UPRegAt(0, 2); !sameSet(up, NewPidSet(1)) {
 		t.Fatalf("UP(R0,2) = %v, want {p1}", up)
 	}
 }
@@ -69,7 +69,7 @@ func TestUPRule7FailedSCLearnsFromRoundRSwap(t *testing.T) {
 	if run.Returns[1] != 0 {
 		t.Fatalf("p1 returned %v; its SC must fail after p0's swap", run.Returns[1])
 	}
-	if up := run.UPProcAt(1, 2); !up.Equal(NewPidSet(0, 1)) {
+	if up := run.UPProcAt(1, 2); !sameSet(up, NewPidSet(0, 1)) {
 		t.Fatalf("UP(p1,2) = %v, want {p0, p1}", up)
 	}
 }
@@ -97,10 +97,10 @@ func TestUPRule7FailedSCLearnsFromRoundRMove(t *testing.T) {
 	if run.Returns[1] != 0 {
 		t.Fatalf("p1 returned %v; its SC must fail after the move into R0", run.Returns[1])
 	}
-	if up := run.UPProcAt(1, 2); !up.Equal(NewPidSet(0, 1)) {
+	if up := run.UPProcAt(1, 2); !sameSet(up, NewPidSet(0, 1)) {
 		t.Fatalf("UP(p1,2) = %v, want {p0, p1}", up)
 	}
-	if up := run.UPRegAt(0, 2); !up.Equal(NewPidSet(0)) {
+	if up := run.UPRegAt(0, 2); !sameSet(up, NewPidSet(0)) {
 		t.Fatalf("UP(R0,2) = %v, want {p0} (source was p0's register)", up)
 	}
 }
@@ -121,7 +121,7 @@ func TestUPRuleValidateReadsRegisterKnowledge(t *testing.T) {
 		},
 	)
 	run := mustRunAll(t, alg, 2)
-	if up := run.UPProcAt(1, 2); !up.Equal(NewPidSet(0, 1)) {
+	if up := run.UPProcAt(1, 2); !sameSet(up, NewPidSet(0, 1)) {
 		t.Fatalf("UP(p1,2) = %v, want {p0, p1}", up)
 	}
 }
@@ -168,7 +168,7 @@ func TestUPTwoHopMoveChainRevealsTwoMovers(t *testing.T) {
 func TestFinalUPProcMatchesLastRound(t *testing.T) {
 	run := mustRunAll(t, setRegisterWakeup, 5)
 	for pid := 0; pid < 5; pid++ {
-		if !run.FinalUPProc(pid).Equal(run.UPProcAt(pid, len(run.Rounds))) {
+		if !sameSet(run.FinalUPProc(pid), run.UPProcAt(pid, len(run.Rounds))) {
 			t.Fatalf("FinalUPProc(p%d) disagrees with last round", pid)
 		}
 	}

@@ -79,9 +79,6 @@ func Depth(width int) int {
 // Width returns the (power-of-two) network width.
 func (nw *Network) Width() int { return nw.width }
 
-// Registers returns the number of registers the network occupies.
-func (nw *Network) Registers() int { return nw.nBalancers + nw.width }
-
 // Depth returns the number of balancers on every input-to-output path:
 // d(w) = log₂w·(log₂w+1)/2.
 func (nw *Network) Depth() int { return Depth(nw.width) }

@@ -40,8 +40,6 @@ type WorkerOptions struct {
 	BackoffBase time.Duration
 	// BackoffMax caps the exponential backoff (≤ 0: 5s).
 	BackoffMax time.Duration
-	// Client is the HTTP client (nil: a client with a 30s timeout).
-	Client *http.Client
 	// Logger receives the worker's lifecycle lines (nil: discard).
 	Logger *slog.Logger
 	// Obs is the metrics registry (nil: the process obs.Default).
@@ -87,15 +85,12 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 	}
 	w := &Worker{
 		opts:   opts,
-		client: opts.Client,
+		client: &http.Client{Timeout: 30 * time.Second},
 		logger: opts.Logger,
 		// Jitter only decorrelates poll times across the fleet; seeding
 		// it from the worker ID keeps the process free of wall-clock
 		// seeded RNGs without correlating two workers' backoff.
 		rng: sweep.NewRand(sweep.Seed("dist/worker", opts.ID, 0, 0)),
-	}
-	if w.client == nil {
-		w.client = &http.Client{Timeout: 30 * time.Second}
 	}
 	if w.logger == nil {
 		w.logger = obs.NopLogger()

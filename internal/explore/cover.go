@@ -208,12 +208,6 @@ func NewCoverageFrom(digests []uint64) *Coverage {
 // Len returns the number of distinct digests covered.
 func (c *Coverage) Len() int { return len(c.set) }
 
-// Has reports whether d is already covered.
-func (c *Coverage) Has(d uint64) bool {
-	_, ok := c.set[d]
-	return ok
-}
-
 // AddTrace inserts a run's trace and returns the digests that were new, in
 // trace order. An empty return means the run reached nothing novel.
 func (c *Coverage) AddTrace(trace []uint64) []uint64 {
@@ -226,18 +220,6 @@ func (c *Coverage) AddTrace(trace []uint64) []uint64 {
 		fresh = append(fresh, d)
 	}
 	return fresh
-}
-
-// Merge inserts every digest of other, returning how many were new.
-func (c *Coverage) Merge(other *Coverage) int {
-	added := 0
-	for d := range other.set {
-		if _, ok := c.set[d]; !ok {
-			c.set[d] = struct{}{}
-			added++
-		}
-	}
-	return added
 }
 
 // Snapshot returns the covered digests in ascending order — the canonical

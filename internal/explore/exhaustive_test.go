@@ -253,7 +253,7 @@ type runnerState struct {
 }
 
 func stateOf(r *runner) runnerState {
-	return runnerState{rec: r.record(), key: string(r.appendMemoKey(nil)), memory: r.mem.Fingerprint()}
+	return runnerState{rec: r.record(), key: string(r.appendMemoKey(nil)), memory: string(r.mem.AppendFingerprint(nil))}
 }
 
 // TestRunnerFork: a forked runner and its origin, stepped along the same

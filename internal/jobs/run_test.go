@@ -54,8 +54,11 @@ func TestRunSpecSweepParallelismIndependent(t *testing.T) {
 		t.Fatalf("constructions = %+v", res.Constructions)
 	}
 	cs := res.Constructions[0]
-	if cs.Table == nil || len(cs.Table.Rows()) != 3 {
-		t.Fatalf("table rows = %+v, want 3", cs.Table)
+	var tbl struct {
+		Rows [][]string `json:"rows"`
+	}
+	if data, err := json.Marshal(cs.Table); err != nil || json.Unmarshal(data, &tbl) != nil || len(tbl.Rows) != 3 {
+		t.Fatalf("table = %+v (%v), want 3 rows", cs.Table, err)
 	}
 	if len(cs.Results) != 3 {
 		t.Fatalf("results = %+v, want 3 entries", cs.Results)

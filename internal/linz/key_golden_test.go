@@ -134,7 +134,7 @@ func TestOnlineKeyGolden(t *testing.T) {
 					} else {
 						err = o.Invoke(ev.proc, ev.op)
 					}
-					got := fmt.Sprintf("err=%v ok=%t events=%d violation=%q key=%q", err, o.Ok(), o.Events(), o.Violation(), o.Key())
+					got := fmt.Sprintf("err=%v ok=%t events=%d violation=%q key=%q", err, o.Ok(), o.events, o.Violation(), o.Key())
 					if got != g.want[i] {
 						t.Fatalf("pass %d, after event %d:\n got %s\nwant %s", pass, i, got, g.want[i])
 					}

@@ -22,8 +22,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"jayanti98/internal/objtype"
 	"jayanti98/internal/shmem"
@@ -80,9 +78,6 @@ func (h *History) AddPending(proc int, op objtype.Op, invoke int64) int {
 	h.ops = append(h.ops, Op{ID: id, Proc: proc, Op: op, Invoke: invoke, Return: math.MaxInt64, Pending: true})
 	return id
 }
-
-// Len returns the number of operations.
-func (h *History) Len() int { return len(h.ops) }
 
 // Validate checks structural sanity: intervals well-formed and per-process
 // operations non-overlapping.
@@ -223,38 +218,4 @@ func (c *checker) memoKey(done []bool, state objtype.Value) string {
 	}
 	fmt.Fprintf(&b, "|%v", state)
 	return b.String()
-}
-
-// Recorder builds a history from concurrent invocations using a logical
-// clock. It is safe for concurrent use: call Begin before the operation's
-// invocation and End after its response.
-type Recorder struct {
-	n     int
-	clock atomic.Int64
-	mu    sync.Mutex
-	h     *History
-}
-
-// NewRecorder creates a recorder for an n-process history.
-func NewRecorder(n int) *Recorder {
-	return &Recorder{n: n, h: NewHistory(n)}
-}
-
-// Begin stamps an invocation and returns the timestamp.
-func (r *Recorder) Begin() int64 { return r.clock.Add(1) }
-
-// End records a completed operation.
-func (r *Recorder) End(proc int, op objtype.Op, response objtype.Value, invoke int64) {
-	ret := r.clock.Add(1)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.h.Add(proc, op, response, invoke, ret)
-}
-
-// History returns the recorded history; call only after all operations
-// have completed.
-func (r *Recorder) History() *History {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.h
 }

@@ -2,6 +2,7 @@ package linz
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"jayanti98/internal/llsc"
@@ -111,7 +112,7 @@ func TestValidateRejectsBadHistories(t *testing.T) {
 	if err := h2.Validate(); err == nil {
 		t.Fatal("overlapping same-process ops must be rejected")
 	}
-	if _, err := Check(objtype.NewCAS(nil), h2); err == nil {
+	if _, err := Check(objtype.NewEmptyQueue(), h2); err == nil {
 		t.Fatal("Check must propagate validation errors")
 	}
 }
@@ -131,7 +132,9 @@ func TestEmptyHistory(t *testing.T) {
 func runConcurrent(t *testing.T, obj universal.Construction, n, k int, op func(pid, i int) objtype.Op) *History {
 	t.Helper()
 	mem := llsc.New(n)
-	rec := NewRecorder(n)
+	hist := NewHistory(n)
+	var clock atomic.Int64 // logical time of invocations and responses
+	var mu sync.Mutex
 	var wg sync.WaitGroup
 	wg.Add(n)
 	for pid := 0; pid < n; pid++ {
@@ -140,14 +143,17 @@ func runConcurrent(t *testing.T, obj universal.Construction, n, k int, op func(p
 			h := mem.Handle(pid)
 			for i := 0; i < k; i++ {
 				o := op(pid, i)
-				inv := rec.Begin()
+				inv := clock.Add(1)
 				resp := obj.Invoke(h, o)
-				rec.End(pid, o, resp, inv)
+				ret := clock.Add(1)
+				mu.Lock()
+				hist.Add(pid, o, resp, inv, ret)
+				mu.Unlock()
 			}
 		}(pid)
 	}
 	wg.Wait()
-	return rec.History()
+	return hist
 }
 
 // TestConstructionsLinearizableOnLLSC is the end-to-end payoff: concurrent
@@ -171,7 +177,7 @@ func TestConstructionsLinearizableOnLLSC(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !res.Linearizable {
-			t.Fatalf("%s counter history not linearizable (%d ops)", obj.Name(), h.Len())
+			t.Fatalf("%s counter history not linearizable (%d ops)", obj.Name(), len(h.ops))
 		}
 
 		qobj := mk(queue)
@@ -186,21 +192,7 @@ func TestConstructionsLinearizableOnLLSC(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !res.Linearizable {
-			t.Fatalf("%s queue history not linearizable (%d ops)", qobj.Name(), h.Len())
+			t.Fatalf("%s queue history not linearizable (%d ops)", qobj.Name(), len(h.ops))
 		}
-	}
-}
-
-func TestRecorderTimestampsStrictlyIncrease(t *testing.T) {
-	rec := NewRecorder(2)
-	a := rec.Begin()
-	b := rec.Begin()
-	if b <= a {
-		t.Fatal("clock must strictly increase")
-	}
-	rec.End(0, objtype.Op{Name: objtype.OpRead}, nil, a)
-	rec.End(1, objtype.Op{Name: objtype.OpRead}, nil, b)
-	if rec.History().Len() != 2 {
-		t.Fatal("history lost operations")
 	}
 }

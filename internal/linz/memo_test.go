@@ -102,10 +102,10 @@ func FuzzOnlineMemo(f *testing.F) {
 				pending[proc] = invoke
 			}
 			if warm.Ok() != private.Ok() || warm.Violation() != private.Violation() ||
-				warm.Key() != private.Key() || warm.Events() != private.Events() {
+				warm.Key() != private.Key() || warm.events != private.events {
 				t.Fatalf("event %d: warm (ok %t, %q, %d events, key %q) != private (ok %t, %q, %d events, key %q)", i,
-					warm.Ok(), warm.Violation(), warm.Events(), warm.Key(),
-					private.Ok(), private.Violation(), private.Events(), private.Key())
+					warm.Ok(), warm.Violation(), warm.events, warm.Key(),
+					private.Ok(), private.Violation(), private.events, private.Key())
 			}
 		}
 	})
@@ -121,11 +121,11 @@ func TestOnlineMemoCapErrorLeavesCheckerUnchanged(t *testing.T) {
 		if err := o.Invoke(0, fi()); err != nil {
 			t.Fatal(err)
 		}
-		key, events := o.Key(), o.Events()
+		key, events := o.Key(), o.events
 		if err := o.Invoke(1, fi()); err == nil {
 			t.Fatalf("round %d: two pending increments fit a cap of 4 configs", round)
 		}
-		if o.Key() != key || o.Events() != events || !o.Ok() {
+		if o.Key() != key || o.events != events || !o.Ok() {
 			t.Fatalf("round %d: a rejected event changed the checker", round)
 		}
 		// The outstanding op is still p0's alone.
@@ -249,7 +249,7 @@ func (latentType) Apply(state objtype.Value, op objtype.Op) (objtype.Value, objt
 func TestOnlineMemoKeysOutstandingOps(t *testing.T) {
 	m := NewMemo(latentType{}, 2)
 	for _, name := range []string{"read", "bump-odd"} {
-		shared, private := m.NewOnline(), NewOnline(latentType{}, 2)
+		shared, private := m.NewOnline(), NewMemo(latentType{}, 2).NewOnline()
 		for _, o := range []*Online{shared, private} {
 			if err := o.Invoke(0, objtype.Op{Name: name}); err != nil {
 				t.Fatal(err)

@@ -277,12 +277,6 @@ func newMemo(typ objtype.Type, n, limit int) *Memo {
 	return m
 }
 
-// NewOnline creates a checker for an n-process object of the given type,
-// on a private memo.
-func NewOnline(typ objtype.Type, n int) *Online {
-	return NewMemo(typ, n).NewOnline()
-}
-
 // NewOnline creates a checker, at the empty history, that shares the
 // memo's sets and transitions.
 func (m *Memo) NewOnline() *Online {
@@ -617,9 +611,6 @@ func (o *Online) Ok() bool { return len(o.set.configs) > 0 }
 
 // Violation describes the first inconsistent event, or "" while Ok.
 func (o *Online) Violation() string { return o.violation }
-
-// Events returns the number of events consumed.
-func (o *Online) Events() int { return o.events }
 
 // Key returns a canonical rendering of the config set. Histories with
 // equal Keys (and equal pending-operation sets, which the caller's state

@@ -102,7 +102,7 @@ func TestValueInconsistentRealTimeOrdered(t *testing.T) {
 
 func TestOnlineAcceptsEitherOrderOfOverlappingOps(t *testing.T) {
 	typ := objtype.NewFetchIncrement(8)
-	o := NewOnline(typ, 2)
+	o := NewMemo(typ, 2).NewOnline()
 	must := func(err error) {
 		t.Helper()
 		if err != nil {
@@ -120,7 +120,7 @@ func TestOnlineAcceptsEitherOrderOfOverlappingOps(t *testing.T) {
 
 func TestOnlineFlagsViolationAtReturn(t *testing.T) {
 	typ := objtype.NewFetchIncrement(8)
-	o := NewOnline(typ, 2)
+	o := NewMemo(typ, 2).NewOnline()
 	if err := o.Invoke(0, fi()); err != nil {
 		t.Fatal(err)
 	}
@@ -137,13 +137,13 @@ func TestOnlineFlagsViolationAtReturn(t *testing.T) {
 	if o.Ok() {
 		t.Fatal("duplicate ticket after real-time ordering must be rejected")
 	}
-	if o.Violation() == "" || o.Events() != 4 {
-		t.Fatalf("violation %q events %d", o.Violation(), o.Events())
+	if o.Violation() == "" || o.events != 4 {
+		t.Fatalf("violation %q events %d", o.Violation(), o.events)
 	}
 }
 
 func TestOnlineProtocolErrors(t *testing.T) {
-	o := NewOnline(objtype.NewFetchIncrement(8), 2)
+	o := NewMemo(objtype.NewFetchIncrement(8), 2).NewOnline()
 	if err := o.Invoke(0, fi()); err != nil {
 		t.Fatal(err)
 	}
@@ -158,19 +158,19 @@ func TestOnlineProtocolErrors(t *testing.T) {
 func TestOnlineKeyDistinguishesRealTimeResidue(t *testing.T) {
 	typ := objtype.NewFetchIncrement(8)
 	// Run A: p0's op completed before p1 invoked (ticket 0 consumed).
-	a := NewOnline(typ, 2)
+	a := NewMemo(typ, 2).NewOnline()
 	_ = a.Invoke(0, fi())
 	_ = a.Return(0, "0")
 	_ = a.Invoke(1, fi())
 	// Run B: p1's op overlaps a still-pending p0 op... different futures.
-	b := NewOnline(typ, 2)
+	b := NewMemo(typ, 2).NewOnline()
 	_ = b.Invoke(0, fi())
 	_ = b.Invoke(1, fi())
 	if a.Key() == b.Key() {
 		t.Fatal("config keys must distinguish committed from uncommitted tickets")
 	}
 	// Two identical event sequences must agree exactly.
-	c := NewOnline(typ, 2)
+	c := NewMemo(typ, 2).NewOnline()
 	_ = c.Invoke(0, fi())
 	_ = c.Return(0, "0")
 	_ = c.Invoke(1, fi())
@@ -223,7 +223,7 @@ func TestOnlineMatchesCheckOnRandomHistories(t *testing.T) {
 				left[p]--
 			}
 		}
-		o := NewOnline(typ, n)
+		o := NewMemo(typ, n).NewOnline()
 		h := NewHistory(n)
 		invokeAt := make([]int64, n)
 		for i, e := range events {
@@ -255,7 +255,7 @@ func TestOnlineMatchesCheckOnRandomHistories(t *testing.T) {
 // change the origin — including its outstanding operations.
 func TestOnlineClone(t *testing.T) {
 	typ := objtype.NewFetchIncrement(8)
-	o := NewOnline(typ, 3)
+	o := NewMemo(typ, 3).NewOnline()
 	for _, p := range []int{0, 1} {
 		if err := o.Invoke(p, fi()); err != nil {
 			t.Fatal(err)
@@ -265,7 +265,7 @@ func TestOnlineClone(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := o.Clone()
-	key, events := o.Key(), o.Events()
+	key, events := o.Key(), o.events
 
 	// The clone alone: p0 returns a ticket that makes it inconsistent.
 	if err := c.Invoke(2, fi()); err != nil {
@@ -277,7 +277,7 @@ func TestOnlineClone(t *testing.T) {
 	if c.Ok() {
 		t.Fatal("clone accepted an impossible ticket")
 	}
-	if !o.Ok() || o.Key() != key || o.Events() != events || o.Violation() != "" {
+	if !o.Ok() || o.Key() != key || o.events != events || o.Violation() != "" {
 		t.Fatalf("feeding the clone changed the origin: ok=%v key %q → %q", o.Ok(), key, o.Key())
 	}
 	// The origin still has p0 outstanding and p2 idle.
@@ -295,7 +295,7 @@ func TestOnlineClone(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if o.Ok() != d.Ok() || o.Key() != d.Key() || o.Events() != d.Events() {
+	if o.Ok() != d.Ok() || o.Key() != d.Key() || o.events != d.events {
 		t.Fatalf("origin (%v, %q) and clone (%v, %q) diverged on equal events", o.Ok(), o.Key(), d.Ok(), d.Key())
 	}
 }

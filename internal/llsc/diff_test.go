@@ -57,12 +57,12 @@ func TestDifferentialAgainstSimulator(t *testing.T) {
 			case 4:
 				src := rng.Intn(nregs)
 				sim.Apply(pid, shmem.Op{Kind: shmem.OpMove, Src: src, Reg: reg})
-				handles[pid].Move(src, reg)
+				con.Apply(pid, shmem.Op{Kind: shmem.OpMove, Src: src, Reg: reg})
 			}
 		}
 		// Final sweep: all registers and all links must agree.
 		for reg := 0; reg < nregs; reg++ {
-			if !shmem.ValuesEqual(sim.Read(reg), con.Read(reg)) {
+			if !shmem.ValuesEqual(sim.Read(reg), con.mem.Read(reg)) {
 				return false
 			}
 			for pid := 0; pid < npids; pid++ {

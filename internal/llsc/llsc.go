@@ -72,28 +72,12 @@ func (m *Memory) Apply(pid int, op shmem.Op) shmem.Response {
 	return m.mem.Apply(pid, op)
 }
 
-// Fingerprint renders the memory state (shmem.Memory.Fingerprint).
-func (m *Memory) Fingerprint() string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.mem.Fingerprint()
-}
-
 // AppendFingerprint appends the binary rendering of the memory state
 // (shmem.Memory.AppendFingerprint).
 func (m *Memory) AppendFingerprint(dst []byte) []byte {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.mem.AppendFingerprint(dst)
-}
-
-// Read returns the value of register i without charging a step or
-// allocating the register (shmem.Memory.Read). It is meant for inspection
-// once the concurrent workload has quiesced, but it is safe at any time.
-func (m *Memory) Read(i int) shmem.Value {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.mem.Read(i)
 }
 
 // Clone implements shmem.Backend: an independent concurrent memory over a
@@ -115,9 +99,6 @@ var _ machine.Port = (*Handle)(nil)
 // ID implements machine.Port.
 func (h *Handle) ID() int { return h.pid }
 
-// N implements machine.Port.
-func (h *Handle) N() int { return h.mem.n }
-
 // LL implements machine.Port.
 func (h *Handle) LL(reg int) shmem.Value {
 	return h.mem.Apply(h.pid, shmem.Op{Kind: shmem.OpLL, Reg: reg}).Val
@@ -129,7 +110,7 @@ func (h *Handle) SC(reg int, v shmem.Value) (bool, shmem.Value) {
 	return r.OK, r.Val
 }
 
-// Validate implements machine.Port.
+// Validate performs validate(reg), returning link validity and value.
 func (h *Handle) Validate(reg int) (bool, shmem.Value) {
 	r := h.mem.Apply(h.pid, shmem.Op{Kind: shmem.OpValidate, Reg: reg})
 	return r.OK, r.Val
@@ -144,10 +125,4 @@ func (h *Handle) Read(reg int) shmem.Value {
 // Swap implements machine.Port.
 func (h *Handle) Swap(reg int, v shmem.Value) shmem.Value {
 	return h.mem.Apply(h.pid, shmem.Op{Kind: shmem.OpSwap, Reg: reg, Arg: v}).Val
-}
-
-// Move implements machine.Port. A self-move is a charged no-op (see
-// shmem.Memory.Apply).
-func (h *Handle) Move(src, dst int) {
-	h.mem.Apply(h.pid, shmem.Op{Kind: shmem.OpMove, Src: src, Reg: dst})
 }

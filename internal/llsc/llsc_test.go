@@ -2,6 +2,7 @@ package llsc
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -32,26 +33,12 @@ func TestBasicSemanticsMatchSimulator(t *testing.T) {
 		t.Fatalf("validate = (%t, %v)", ok, v)
 	}
 	h0.Swap(5, "src")
-	h1.Move(5, 6)
+	m.Apply(1, shmem.Op{Kind: shmem.OpMove, Src: 5, Reg: 6})
 	if v := h0.Read(6); v != "src" {
 		t.Fatalf("move: R6 = %v", v)
 	}
 	if v := h0.Read(5); v != "src" {
 		t.Fatalf("move must leave source: R5 = %v", v)
-	}
-}
-
-// withInit builds a Memory over a register file with initial values f.
-// New takes no options, since no caller needs one, so tests that want
-// initial values build the struct directly.
-func withInit(n int, f func(reg int) shmem.Value) *Memory {
-	return &Memory{n: n, mem: shmem.New(shmem.WithInit(f))}
-}
-
-func TestWithInit(t *testing.T) {
-	m := withInit(1, func(reg int) shmem.Value { return reg })
-	if v := m.Handle(0).Read(42); v != 42 {
-		t.Fatalf("init value = %v", v)
 	}
 }
 
@@ -67,11 +54,8 @@ func TestStepsCounted(t *testing.T) {
 	if got := m.TotalSteps(); got != 3 {
 		t.Fatalf("TotalSteps = %d, want 3", got)
 	}
-	if m.Read(0) != 1 {
-		t.Fatal("Read wrong")
-	}
-	if got := m.TotalSteps(); got != 3 {
-		t.Fatal("Read must not charge steps")
+	if v := h.Read(0); v != 1 {
+		t.Fatalf("Read = %v, want 1", v)
 	}
 }
 
@@ -213,32 +197,6 @@ func TestConcurrentStepBoundHolds(t *testing.T) {
 	}
 }
 
-// TestReadQuiescedDoesNotPerturb is the llsc half of the PR 6 headline
-// regression test: a quiesced read of an untouched register must return
-// its initial value without allocating it, leaving the fingerprint — and
-// therefore the explorer's memo keys — unchanged.
-func TestReadQuiescedDoesNotPerturb(t *testing.T) {
-	m := withInit(2, func(reg int) shmem.Value { return reg + 100 })
-	if got := m.Read(9); got != 109 {
-		t.Fatalf("Read(9) = %v, want 109 (the initial value)", got)
-	}
-	if fp := m.Fingerprint(); fp != "" {
-		t.Fatalf("Read perturbed the fingerprint: %q", fp)
-	}
-	bare := New(2)
-	if got := bare.Read(9); got != nil {
-		t.Fatalf("Read(9) with no init = %v, want nil", got)
-	}
-	if key := string(bare.AppendFingerprint(nil)); key != string(New(2).AppendFingerprint(nil)) {
-		t.Fatal("Read perturbed the binary fingerprint")
-	}
-	// A real operation still shows up afterwards.
-	m.Handle(0).LL(9)
-	if fp := m.Fingerprint(); fp == "" {
-		t.Fatal("LL must perturb the fingerprint")
-	}
-}
-
 // TestAppendFingerprintDiscriminates pins the binary fingerprint's
 // properties: deterministic, value-sensitive, Pset-sensitive,
 // register-index-sensitive, and self-delimiting under concatenation.
@@ -279,9 +237,10 @@ func TestAppendFingerprintDiscriminates(t *testing.T) {
 	}
 }
 
-// TestFingerprintAgreesWithString checks the two fingerprint forms induce
-// the same equivalence on a family of small states: binary keys are equal
-// exactly when the string fingerprints are.
+// TestFingerprintAgreesWithString checks that the binary fingerprint and
+// the string rendering of the register snapshot induce the same
+// equivalence on a family of small states: binary keys are equal exactly
+// when the rendered snapshots are.
 func TestFingerprintAgreesWithString(t *testing.T) {
 	states := []func(m *Memory){
 		func(m *Memory) {},
@@ -292,14 +251,14 @@ func TestFingerprintAgreesWithString(t *testing.T) {
 		func(m *Memory) { m.Handle(0).Swap(0, "7") },
 		func(m *Memory) { h := m.Handle(0); h.LL(0); h.SC(0, 7) },
 		func(m *Memory) { h := m.Handle(0); h.LL(2); m.Handle(1).LL(2) },
-		func(m *Memory) { m.Handle(0).Move(0, 1) },
+		func(m *Memory) { m.Apply(0, shmem.Op{Kind: shmem.OpMove, Src: 0, Reg: 1}) },
 	}
 	type pair struct{ str, bin string }
 	pairs := make([]pair, len(states))
 	for i, f := range states {
 		m := New(2)
 		f(m)
-		pairs[i] = pair{m.Fingerprint(), string(m.AppendFingerprint(nil))}
+		pairs[i] = pair{fmt.Sprint(m.mem.Snapshot()), string(m.AppendFingerprint(nil))}
 	}
 	for i := range pairs {
 		for j := range pairs {
@@ -313,7 +272,7 @@ func TestFingerprintAgreesWithString(t *testing.T) {
 
 // TestConcurrentHandlesAndReaders drives one Memory from n goroutines
 // through their handles while another goroutine reads the whole memory
-// through AppendFingerprint, Fingerprint, Clone, Steps and TotalSteps.
+// through AppendFingerprint, Clone, Steps and TotalSteps.
 // The writers keep touching fresh registers, so the reader iterates the
 // register map and touched index while they grow. Under -race this shows
 // that shmem's maps, its step counters and its shared fingerprint scratch
@@ -344,7 +303,7 @@ func TestConcurrentHandlesAndReaders(t *testing.T) {
 				case 2:
 					h.Swap(1+h.ID()*ops+i, i)
 				default:
-					h.Move(0, 1+h.ID()*ops+i)
+					m.Apply(h.ID(), shmem.Op{Kind: shmem.OpMove, Src: 0, Reg: 1 + h.ID()*ops + i})
 				}
 			}
 		}(m.Handle(pid))
@@ -355,7 +314,6 @@ func TestConcurrentHandlesAndReaders(t *testing.T) {
 		var buf []byte
 		read := func(round int) {
 			buf = m.AppendFingerprint(buf[:0])
-			_ = m.Fingerprint()
 			c := m.Clone()
 			_ = c.AppendFingerprint(nil)
 			_ = m.Steps(round%n) + m.TotalSteps()

@@ -67,7 +67,7 @@ func verifyLemma42(plan moveplan.Plan, sigma moveplan.Schedule) bool {
 		for _, pid := range tr.Movers(mv.Dst) {
 			sub[pid] = true
 		}
-		if err := moveplan.CheckLemma42(plan, sigma, mv.Dst, sub); err != nil {
+		if err := moveplan.CheckLemma42(plan, sigma, tr, mv.Dst, sub); err != nil {
 			return false
 		}
 	}

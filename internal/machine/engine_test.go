@@ -22,6 +22,14 @@ func testChunk(t *testing.T) *vmachine.Chunk {
 
 func testBody(e *Env) shmem.Value { return e.LL(0) }
 
+// engineName reports which engine drives m: "vm" or "goroutine".
+func engineName(m *Machine) string {
+	if _, ok := m.drv.(*vmDriver); ok {
+		return "vm"
+	}
+	return "goroutine"
+}
+
 // TestEngineSelection pins the rule that the algorithm picks its engine:
 // a compiled chunk runs on the VM, a plain body on a goroutine, and a
 // hosted chunk with no body at all on the VM.
@@ -36,7 +44,7 @@ func TestEngineSelection(t *testing.T) {
 	}
 	for _, c := range cases {
 		m := Start(c.alg, 0, 1)
-		got := m.EngineName()
+		got := engineName(m)
 		if got == "vm" {
 			// The VM runs the chunk: LL(0), then return its value.
 			m.DeliverOpResponse(shmem.Response{OK: true, Val: 5})
@@ -84,7 +92,7 @@ func TestEnginesSameObservables(t *testing.T) {
 			case ActOp:
 				m.DeliverOpResponse(mem.Apply(0, a.Op))
 			case ActReturn:
-				return m.HistoryKey(), m.Steps(), m.ReturnValue(), m.EngineName()
+				return m.HistoryKey(), m.Steps(), m.ReturnValue(), engineName(m)
 			case ActCrash:
 				t.Fatalf("crash: %v", m.Crashed())
 			}

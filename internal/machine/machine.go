@@ -140,28 +140,22 @@ func (e *Env) Move(src, dst int) {
 }
 
 // Port is the capability surface that reusable building blocks (universal
-// constructions, shared-object clients) program against: the five
-// shared-memory operations plus process identity. *Env implements Port on
+// constructions, shared-object clients) program against: the shared-memory
+// operations they call plus process identity. *Env implements Port on
 // the simulated memory; llsc.Handle implements it on the concurrent memory,
 // so the same construction code runs under the adversary and under real
 // goroutines.
 type Port interface {
 	// ID returns the calling process's identifier in [0, N).
 	ID() int
-	// N returns the number of processes sharing the memory.
-	N() int
 	// LL performs LL(reg) and returns the register's value.
 	LL(reg int) shmem.Value
 	// SC performs SC(reg, v), returning success and the previous value.
 	SC(reg int, v shmem.Value) (bool, shmem.Value)
-	// Validate performs validate(reg), returning link validity and value.
-	Validate(reg int) (bool, shmem.Value)
 	// Read returns the current value of reg (a validate, boolean dropped).
 	Read(reg int) shmem.Value
 	// Swap performs swap(reg, v) and returns the previous value.
 	Swap(reg int, v shmem.Value) shmem.Value
-	// Move performs move(src, dst).
-	Move(src, dst int)
 }
 
 var _ Port = (*Env)(nil)
@@ -216,9 +210,8 @@ type driver interface {
 //
 // Machine is not safe for concurrent use by multiple scheduler goroutines.
 type Machine struct {
-	id     int
-	drv    driver
-	engine string
+	id  int
+	drv driver
 
 	pending    Action
 	hasPending bool
@@ -243,20 +236,14 @@ func Start(alg Algorithm, id, n int) *Machine {
 			host = ca.host
 		}
 		m.drv = startVMDriver(c.Chunk(), id, n, host)
-		m.engine = "vm"
 	} else {
 		m.drv = startGoDriver(alg, id, n)
-		m.engine = "goroutine"
 	}
 	return m
 }
 
 // ID returns the process identifier.
 func (m *Machine) ID() int { return m.id }
-
-// EngineName reports which engine is driving this machine: "goroutine" or
-// "vm".
-func (m *Machine) EngineName() string { return m.engine }
 
 // DisableHistory turns off history-key maintenance for this machine. Pure
 // measurement runs (step-count sweeps over large n) use it to avoid paying

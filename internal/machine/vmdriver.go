@@ -70,7 +70,7 @@ func (d *vmDriver) close() {}
 // reset restores the Exec to the state NewExec gave it, keeping its host,
 // and drops the queued yield.
 func (d *vmDriver) reset() {
-	d.x.Restore(vmachine.State{})
+	d.x.Reset()
 	d.queued, d.hasQueued = vmachine.Yield{}, false
 }
 
@@ -92,7 +92,6 @@ func (m *Machine) Reset() bool {
 	*m = Machine{
 		id:        m.id,
 		drv:       d,
-		engine:    m.engine,
 		dig:       digest{sum: fnvOffset64, scratch: m.dig.scratch},
 		noHistory: m.noHistory,
 	}

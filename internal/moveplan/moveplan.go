@@ -125,13 +125,6 @@ func Eval(plan Plan, sigma Schedule) *Tracker {
 	return t
 }
 
-// SourceAndMovers is a convenience wrapper: it evaluates σ on the plan and
-// returns source(reg, σ) and movers(reg, σ).
-func SourceAndMovers(plan Plan, sigma Schedule, reg int) (src int, movers []int) {
-	t := Eval(plan, sigma)
-	return t.Source(reg), t.Movers(reg)
-}
-
 // IsComplete reports whether σ is a complete schedule with respect to the
 // plan: every process of the plan appears exactly once.
 func IsComplete(plan Plan, sigma Schedule) bool {
@@ -248,10 +241,10 @@ func MaxMovers(plan Plan, sigma Schedule) int {
 // CheckLemma42 verifies Lemma 4.2 for one register: given a secretive
 // complete schedule σ and any S' ⊆ S containing every process in
 // movers(reg, σ), executing only σ|S' moves the same original value into
-// reg, i.e. source(reg, σ|S') = source(reg, σ). It returns an error
+// reg, i.e. source(reg, σ|S') = source(reg, σ). t is Eval(plan, σ), which
+// a caller checking many registers evaluates once. It returns an error
 // describing the violation, or nil.
-func CheckLemma42(plan Plan, sigma Schedule, reg int, sub map[int]bool) error {
-	t := Eval(plan, sigma)
+func CheckLemma42(plan Plan, sigma Schedule, t *Tracker, reg int, sub map[int]bool) error {
 	for _, pid := range t.Movers(reg) {
 		if !sub[pid] {
 			return fmt.Errorf("moveplan: subset does not contain mover %d of R%d", pid, reg)

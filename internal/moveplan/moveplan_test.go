@@ -20,7 +20,8 @@ func TestNaiveChainRevealsEverything(t *testing.T) {
 	const n = 8
 	plan := chainPlan(n)
 	sigma := NaiveChain(plan)
-	src, movers := SourceAndMovers(plan, sigma, n)
+	tr := Eval(plan, sigma)
+	src, movers := tr.Source(n), tr.Movers(n)
 	if src != 0 {
 		t.Fatalf("chain scheduled in order must carry R0 into R%d, got R%d", n, src)
 	}
@@ -49,7 +50,7 @@ func TestEvenOddScheduleOfSection4(t *testing.T) {
 	}
 	// R_i receives the original value of R_{i-1} (odd i) or R_{i-2} (even i).
 	for i := 1; i <= n; i++ {
-		src, _ := SourceAndMovers(plan, sigma, i)
+		src := Eval(plan, sigma).Source(i)
 		want := i - 1
 		if i%2 == 0 {
 			want = i - 2
@@ -89,7 +90,8 @@ func TestSecretiveSelfMove(t *testing.T) {
 	}
 	// A self-move carries no value: the register remains its own source and
 	// the movers chain stays empty (see Tracker.Apply).
-	src, movers := SourceAndMovers(plan, sigma, 5)
+	tr := Eval(plan, sigma)
+	src, movers := tr.Source(5), tr.Movers(5)
 	if src != 5 || len(movers) != 0 {
 		t.Fatalf("self-move: source=R%d movers=%v", src, movers)
 	}
@@ -105,7 +107,7 @@ func TestSecretiveFanIn(t *testing.T) {
 	if !IsSecretive(plan, sigma) {
 		t.Fatalf("fan-in plan: schedule %v not secretive", sigma)
 	}
-	_, movers := SourceAndMovers(plan, sigma, 7)
+	movers := Eval(plan, sigma).Movers(7)
 	if len(movers) != 1 {
 		t.Fatalf("fan-in destination must have exactly one mover, got %v", movers)
 	}
@@ -215,7 +217,7 @@ func TestPropertyLemma42(t *testing.T) {
 					sub[pid] = true
 				}
 			}
-			if err := CheckLemma42(plan, sigma, reg, sub); err != nil {
+			if err := CheckLemma42(plan, sigma, tr, reg, sub); err != nil {
 				t.Logf("seed %d: %v (schedule %v, plan %v)", seed, err, sigma, plan)
 				return false
 			}
@@ -238,7 +240,7 @@ func TestCheckLemma42RejectsMissingMover(t *testing.T) {
 			break
 		}
 	}
-	if err := CheckLemma42(plan, sigma, reg, map[int]bool{}); err == nil {
+	if err := CheckLemma42(plan, sigma, tr, reg, map[int]bool{}); err == nil {
 		t.Fatal("CheckLemma42 must reject a subset missing the movers")
 	}
 }

@@ -30,13 +30,6 @@ func (t *container) Init(n int) Value {
 	return out
 }
 
-func (t *container) Ops() []string {
-	if t.lifo {
-		return []string{OpPush, OpPop}
-	}
-	return []string{OpEnqueue, OpDequeue}
-}
-
 func (t *container) Apply(state Value, op Op) (Value, Value) {
 	items, ok := state.([]Value)
 	if !ok {
@@ -88,11 +81,6 @@ func NewStack(init func(n int) []Value) Type {
 // NewEmptyQueue returns a queue that starts empty.
 func NewEmptyQueue() Type {
 	return NewQueue(func(int) []Value { return nil })
-}
-
-// NewEmptyStack returns a stack that starts empty.
-func NewEmptyStack() Type {
-	return NewStack(func(int) []Value { return nil })
 }
 
 // NewWakeupQueue returns the queue of Theorem 6.2's wakeup reduction:

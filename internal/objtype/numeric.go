@@ -11,7 +11,6 @@ import (
 // Operation names of the numeric types.
 const (
 	OpFetchIncrement  = "fetch&increment"
-	OpFetchAdd        = "fetch&add"
 	OpFetchAnd        = "fetch&and"
 	OpFetchOr         = "fetch&or"
 	OpFetchComplement = "fetch&complement"
@@ -67,14 +66,6 @@ type numOp struct {
 func (t *numeric) Name() string { return fmt.Sprintf("%s(%d)", t.name, t.k) }
 
 func (t *numeric) Init(n int) Value { return Hex(t.mask(t.init(n, t.k))) }
-
-func (t *numeric) Ops() []string {
-	names := make([]string, 0, len(t.ops))
-	for name := range t.ops {
-		names = append(names, name)
-	}
-	return names
-}
 
 func (t *numeric) mask(v *big.Int) *big.Int {
 	m := new(big.Int).Lsh(big.NewInt(1), uint(t.k))
@@ -206,23 +197,6 @@ func NewFetchIncrement(k int) Type {
 				big:   func(s, _ *big.Int, _ int) *big.Int { return new(big.Int).Add(s, big.NewInt(1)) },
 				word:  func(s, _ uint64, _ int) uint64 { return s + 1 },
 				unary: true,
-			},
-		},
-	}
-}
-
-// NewFetchAdd returns the k-bit fetch&add type: fetch&add(v) adds v mod 2^k
-// and returns the previous state. Initial state 0. (Mentioned in Section 7;
-// fetch&increment is its arity-0 special case.)
-func NewFetchAdd(k int) Type {
-	return &numeric{
-		name: OpFetchAdd,
-		k:    k,
-		init: func(_, _ int) *big.Int { return big.NewInt(0) },
-		ops: map[string]numOp{
-			OpFetchAdd: {
-				big:  func(s, a *big.Int, _ int) *big.Int { return new(big.Int).Add(s, a) },
-				word: func(s, a uint64, _ int) uint64 { return s + a },
 			},
 		},
 	}

@@ -9,8 +9,8 @@
 //
 // The package implements every type named in Theorem 6.2 — k-bit
 // fetch&increment, fetch&and, fetch&or, fetch&complement, fetch&multiply,
-// queue, stack, and the read/increment counter — plus fetch&add,
-// compare&swap and swap objects used in the related-work discussion.
+// queue, stack, and the read/increment counter — plus test&set, the
+// algorithm zoo's object.
 //
 // States and responses are shmem.Values and must be immutable; numeric
 // states are canonical lowercase-hex strings so that structural equality,
@@ -52,8 +52,6 @@ type Type interface {
 	// operation's response. Apply must be pure: it must not modify state
 	// and must return a fresh (or immutable) new state.
 	Apply(state Value, op Op) (newState, response Value)
-	// Ops lists the operation names the type supports.
-	Ops() []string
 }
 
 // Replay applies a log of operations to the type's initial state and
@@ -73,5 +71,3 @@ func Replay(t Type, n int, log []Op) (final Value, responses []Value) {
 func errUnknownOp(t Type, op Op) {
 	panic(fmt.Sprintf("objtype: type %s does not support operation %q", t.Name(), op.Name))
 }
-
-func valuesEqual(a, b Value) bool { return shmem.ValuesEqual(a, b) }

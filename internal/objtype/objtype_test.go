@@ -70,19 +70,6 @@ func TestFetchIncrementWrapsModulo2k(t *testing.T) {
 	}
 }
 
-func TestFetchAdd(t *testing.T) {
-	typ := NewFetchAdd(8)
-	state := typ.Init(1)
-	state, resp := apply(t, typ, state, OpFetchAdd, HexUint(10))
-	if resp != "0" || state != "a" {
-		t.Fatalf("fetch&add(10): resp=%v state=%v", resp, state)
-	}
-	state, resp = apply(t, typ, state, OpFetchAdd, 250) // int arg allowed
-	if resp != "a" || state != "4" {                    // (10+250) mod 256 = 4
-		t.Fatalf("fetch&add(250): resp=%v state=%v", resp, state)
-	}
-}
-
 func TestFetchAndWakeupPattern(t *testing.T) {
 	// Theorem 6.2: init all ones; p_i ANDs a mask with bit i cleared. The
 	// last process's response has exactly its own bit still set among the
@@ -188,7 +175,7 @@ func TestNumericWordMatchesBig(t *testing.T) {
 	args := []Value{nil, 0, 1, 2, 3, 7, 8, 15, 63, 64, 65, -1, -3, 1 << 40, "0", "1", "3", "f",
 		"ff", "F", "0003", "3f", "40", "ffffffffffffffff", "10000000000000000", "-2", "+3", "", "q", 2.5}
 	for _, k := range []int{1, 7, 8, 16, 63, 64} {
-		for _, mk := range []func(int) Type{NewFetchIncrement, NewFetchAdd, NewFetchAnd, NewFetchOr, NewFetchComplement, NewFetchMultiply} {
+		for _, mk := range []func(int) Type{NewFetchIncrement, NewFetchAnd, NewFetchOr, NewFetchComplement, NewFetchMultiply} {
 			typ := mk(k).(*numeric)
 			for name, f := range typ.ops {
 				for _, s := range append(states, typ.Init(1).(string)) {
@@ -272,7 +259,7 @@ func TestQueueFIFO(t *testing.T) {
 }
 
 func TestStackLIFO(t *testing.T) {
-	typ := NewEmptyStack()
+	typ := NewStack(func(int) []Value { return nil })
 	state := typ.Init(3)
 	state, _ = apply(t, typ, state, OpPush, 1)
 	state, _ = apply(t, typ, state, OpPush, 2)
@@ -345,40 +332,6 @@ func TestReadIncrement(t *testing.T) {
 	_ = state
 }
 
-func TestCAS(t *testing.T) {
-	typ := NewCAS("init")
-	state := typ.Init(1)
-	state, resp := apply(t, typ, state, OpCAS, CASArg{Old: "init", New: "a"})
-	if resp != "init" || state != "a" {
-		t.Fatalf("successful cas: resp=%v state=%v", resp, state)
-	}
-	state, resp = apply(t, typ, state, OpCAS, CASArg{Old: "init", New: "b"})
-	if state != "a" || resp != "a" {
-		t.Fatalf("failed cas must not change state: resp=%v state=%v", resp, state)
-	}
-	state, _ = apply(t, typ, state, OpWrite, "w")
-	if state != "w" {
-		t.Fatalf("write: state=%v", state)
-	}
-	_, resp = apply(t, typ, state, OpRead, nil)
-	if resp != "w" {
-		t.Fatalf("read = %v", resp)
-	}
-}
-
-func TestSwapObject(t *testing.T) {
-	typ := NewSwapObject(0)
-	state := typ.Init(1)
-	state, resp := apply(t, typ, state, OpSwapVal, 1)
-	if resp != 0 || state != 1 {
-		t.Fatalf("swap: resp=%v state=%v", resp, state)
-	}
-	_, resp = apply(t, typ, state, OpRead, nil)
-	if resp != 1 {
-		t.Fatalf("read = %v, want 1", resp)
-	}
-}
-
 func TestReplayFetchIncrement(t *testing.T) {
 	typ := NewFetchIncrement(8)
 	log := make([]Op, 5)
@@ -398,8 +351,7 @@ func TestReplayFetchIncrement(t *testing.T) {
 
 func TestUnknownOpPanics(t *testing.T) {
 	for _, typ := range []Type{
-		NewFetchIncrement(4), NewEmptyQueue(), NewReadIncrement(4),
-		NewCAS(nil), NewSwapObject(nil), NewTAS(),
+		NewFetchIncrement(4), NewEmptyQueue(), NewReadIncrement(4), NewTAS(),
 	} {
 		func() {
 			defer func() {
@@ -412,27 +364,27 @@ func TestUnknownOpPanics(t *testing.T) {
 	}
 }
 
+// TestTypeNamesAndOps pins each type's name and checks that it applies
+// every operation it supports.
 func TestTypeNamesAndOps(t *testing.T) {
 	cases := []struct {
 		typ  Type
 		name string
-		ops  int
+		ops  []string
 	}{
-		{NewFetchIncrement(8), "fetch&increment(8)", 1},
-		{NewFetchAnd(16), "fetch&and(16)", 1},
-		{NewWakeupQueue(), "queue", 2},
-		{NewEmptyStack(), "stack", 2},
-		{NewReadIncrement(4), "read/increment(4)", 2},
-		{NewCAS(nil), "compare&swap", 3},
-		{NewSwapObject(nil), "swap-object", 2},
-		{NewTAS(), "test&set", 2},
+		{NewFetchIncrement(8), "fetch&increment(8)", []string{OpFetchIncrement}},
+		{NewFetchAnd(16), "fetch&and(16)", []string{OpFetchAnd}},
+		{NewWakeupQueue(), "queue", []string{OpEnqueue, OpDequeue}},
+		{NewWakeupStack(), "stack", []string{OpPush, OpPop}},
+		{NewReadIncrement(4), "read/increment(4)", []string{OpRead, OpIncrement}},
+		{NewTAS(), "test&set", []string{OpTestAndSet, OpRead}},
 	}
 	for _, c := range cases {
 		if got := c.typ.Name(); got != c.name {
 			t.Errorf("Name() = %q, want %q", got, c.name)
 		}
-		if got := len(c.typ.Ops()); got != c.ops {
-			t.Errorf("%s: len(Ops()) = %d, want %d", c.name, got, c.ops)
+		for _, op := range c.ops {
+			c.typ.Apply(c.typ.Init(2), Op{Name: op, Arg: 1})
 		}
 	}
 }
@@ -485,7 +437,7 @@ func TestPropertyQueueMatchesSliceModel(t *testing.T) {
 func TestPropertyStackMatchesSliceModel(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		typ := NewEmptyStack()
+		typ := NewStack(func(int) []Value { return nil })
 		state := typ.Init(1)
 		var model []Value
 		for i := 0; i < 100; i++ {
@@ -522,7 +474,7 @@ func TestPropertyFetchOpsMatchBigIntModel(t *testing.T) {
 	mod := pow2(k)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		types := []Type{NewFetchIncrement(k), NewFetchAdd(k), NewFetchAnd(k), NewFetchOr(k), NewFetchMultiply(k)}
+		types := []Type{NewFetchIncrement(k), NewFetchAnd(k), NewFetchOr(k), NewFetchMultiply(k)}
 		typ := types[rng.Intn(len(types))]
 		state := typ.Init(4)
 		model := ParseHex(state.(string))
@@ -534,9 +486,6 @@ func TestPropertyFetchOpsMatchBigIntModel(t *testing.T) {
 			case "fetch&increment(12)":
 				opName, arg = OpFetchIncrement, nil
 				next.Add(model, big.NewInt(1))
-			case "fetch&add(12)":
-				opName = OpFetchAdd
-				next.Add(model, arg)
 			case "fetch&and(12)":
 				opName = OpFetchAnd
 				next.And(model, arg)

@@ -6,9 +6,6 @@ import "fmt"
 const (
 	OpRead      = "read"
 	OpIncrement = "increment"
-	OpWrite     = "write"
-	OpSwapVal   = "swap"
-	OpCAS       = "compare&swap"
 )
 
 // readIncrement is the k-bit object of Theorem 6.2 item 4: increment adds 1
@@ -23,7 +20,6 @@ func (t *readIncrement) Name() string { return fmt.Sprintf("read/increment(%d)",
 func (t *readIncrement) Init(int) Value {
 	return HexUint(0)
 }
-func (t *readIncrement) Ops() []string { return []string{OpRead, OpIncrement} }
 
 func (t *readIncrement) Apply(state Value, op Op) (Value, Value) {
 	s, ok := state.(string)
@@ -48,72 +44,3 @@ func (t *readIncrement) Apply(state Value, op Op) (Value, Value) {
 // Wakeup needs k ≥ log₂ n (the paper's statement of k ≥ n is a typo carried
 // from the previous item; the counter only ever reaches n).
 func NewReadIncrement(k int) Type { return &readIncrement{k: k} }
-
-// casObject is a readable compare&swap object: compare&swap(old, new)
-// installs new iff the state equals old and returns the previous state.
-// Constant-time implementations of compare&swap from LL/SC exist (see the
-// related-work discussion); the type is included to instantiate the
-// universal constructions with a non-Theorem-6.2 type.
-type casObject struct {
-	initial Value
-}
-
-// CASArg is the argument of a compare&swap operation.
-type CASArg struct {
-	Old Value
-	New Value
-}
-
-func (t *casObject) Name() string   { return "compare&swap" }
-func (t *casObject) Init(int) Value { return t.initial }
-func (t *casObject) Ops() []string  { return []string{OpRead, OpCAS, OpWrite} }
-
-func (t *casObject) Apply(state Value, op Op) (Value, Value) {
-	switch op.Name {
-	case OpRead:
-		return state, state
-	case OpWrite:
-		return op.Arg, nil
-	case OpCAS:
-		arg, ok := op.Arg.(CASArg)
-		if !ok {
-			panic(fmt.Sprintf("objtype: compare&swap argument must be CASArg, got %T", op.Arg))
-		}
-		if valuesEqual(state, arg.Old) {
-			return arg.New, state
-		}
-		return state, state
-	default:
-		errUnknownOp(t, op)
-		return nil, nil // unreachable
-	}
-}
-
-// NewCAS returns a readable compare&swap object with the given initial value.
-func NewCAS(initial Value) Type { return &casObject{initial: initial} }
-
-// swapObject is a readable swap register: swap(v) stores v and returns the
-// previous state. Cypher's lower bound (related work) shows it has no
-// constant-time implementation from LL/SC.
-type swapObject struct {
-	initial Value
-}
-
-func (t *swapObject) Name() string   { return "swap-object" }
-func (t *swapObject) Init(int) Value { return t.initial }
-func (t *swapObject) Ops() []string  { return []string{OpRead, OpSwapVal} }
-
-func (t *swapObject) Apply(state Value, op Op) (Value, Value) {
-	switch op.Name {
-	case OpRead:
-		return state, state
-	case OpSwapVal:
-		return op.Arg, state
-	default:
-		errUnknownOp(t, op)
-		return nil, nil // unreachable
-	}
-}
-
-// NewSwapObject returns a readable swap object with the given initial value.
-func NewSwapObject(initial Value) Type { return &swapObject{initial: initial} }

@@ -21,7 +21,6 @@ type tasObject struct{}
 
 func (tasObject) Name() string   { return "test&set" }
 func (tasObject) Init(int) Value { return 0 }
-func (tasObject) Ops() []string  { return []string{OpTestAndSet, OpRead} }
 
 func (t tasObject) Apply(state Value, op Op) (Value, Value) {
 	s, ok := state.(int)

@@ -83,9 +83,6 @@ type Gauge struct {
 // Set replaces the value.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
-// Add adds n (which may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
 // Inc adds 1.
 func (g *Gauge) Inc() { g.v.Add(1) }
 
@@ -162,20 +159,6 @@ func (h *Histogram) cumulative() []BucketCount {
 		out[i] = BucketCount{Upper: up, Count: cum}
 	}
 	return out
-}
-
-// Sample is one metric instance in a registry snapshot, JSON-friendly.
-type Sample struct {
-	Name   string            `json:"name"`
-	Type   MetricType        `json:"type"`
-	Labels map[string]string `json:"labels,omitempty"`
-	Help   string            `json:"help,omitempty"`
-	// Value is the counter or gauge reading (unused for histograms).
-	Value float64 `json:"value"`
-	// Count, Sum, and Buckets are the histogram reading.
-	Count   uint64        `json:"count,omitempty"`
-	Sum     float64       `json:"sum,omitempty"`
-	Buckets []BucketCount `json:"buckets,omitempty"`
 }
 
 // metric is one registered instance.
@@ -349,21 +332,17 @@ func (r *Registry) familyOf(name string) family {
 	return family{}
 }
 
-func (m *metric) sample(f family) Sample {
-	s := Sample{Name: m.name, Type: f.typ, Help: f.help, Labels: m.labels}
+// value is a counter's, gauge's or function metric's current reading.
+func (m *metric) value() float64 {
 	switch {
-	case m.hist != nil:
-		s.Count = m.hist.Count()
-		s.Sum = m.hist.Sum()
-		s.Buckets = m.hist.cumulative()
 	case m.fn != nil:
-		s.Value = m.fn()
+		return m.fn()
 	case m.counter != nil:
-		s.Value = float64(m.counter.Value())
+		return float64(m.counter.Value())
 	case m.gauge != nil:
-		s.Value = float64(m.gauge.Value())
+		return float64(m.gauge.Value())
 	}
-	return s
+	return 0
 }
 
 // sortMetrics orders by name first (keeping each family contiguous — a
@@ -376,18 +355,6 @@ func sortMetrics(ms []*metric) {
 		}
 		return ms[i].key < ms[j].key
 	})
-}
-
-// Snapshot returns every metric's current reading, sorted by name then
-// label string — the JSON counterpart of WritePrometheus.
-func (r *Registry) Snapshot() []Sample {
-	ms := r.metricList()
-	sortMetrics(ms)
-	out := make([]Sample, 0, len(ms))
-	for _, m := range ms {
-		out = append(out, m.sample(r.familyOf(m.name)))
-	}
-	return out
 }
 
 // WritePrometheus writes the registry in the Prometheus text exposition
@@ -412,14 +379,14 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			}
 			lastName = m.name
 		}
-		if err := writeSample(w, m, f); err != nil {
+		if err := writeSample(w, m); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func writeSample(w io.Writer, m *metric, f family) error {
+func writeSample(w io.Writer, m *metric) error {
 	labelStr := renderLabels(m.labels)
 	if m.hist != nil {
 		for _, b := range m.hist.cumulative() {
@@ -434,7 +401,7 @@ func writeSample(w io.Writer, m *metric, f family) error {
 		_, err := fmt.Fprintf(w, "%s_count%s %d\n", m.name, labelStr, m.hist.Count())
 		return err
 	}
-	_, err := fmt.Fprintf(w, "%s%s %s\n", m.name, labelStr, formatFloat(m.sample(f).Value))
+	_, err := fmt.Fprintf(w, "%s%s %s\n", m.name, labelStr, formatFloat(m.value()))
 	return err
 }
 

@@ -19,10 +19,10 @@ func TestCounterGaugeBasics(t *testing.T) {
 	g := r.Gauge("g", "a gauge", nil)
 	g.Set(10)
 	g.Dec()
-	g.Add(-4)
+	g.Dec()
 	g.Inc()
-	if got := g.Value(); got != 6 {
-		t.Fatalf("gauge = %d, want 6", got)
+	if got := g.Value(); got != 9 {
+		t.Fatalf("gauge = %d, want 9", got)
 	}
 }
 
@@ -89,23 +89,21 @@ func TestFuncMetrics(t *testing.T) {
 	v := 3.0
 	r.GaugeFunc("depth", "", nil, func() float64 { return v })
 	r.CounterFunc("served_total", "", nil, func() float64 { return 7 })
-	snap := r.Snapshot()
-	byName := map[string]Sample{}
-	for _, s := range snap {
-		byName[s.Name] = s
+	exposition := func() string {
+		var sb strings.Builder
+		if err := r.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
 	}
-	if byName["depth"].Value != 3 || byName["depth"].Type != TypeGauge {
-		t.Fatalf("depth = %+v", byName["depth"])
-	}
-	if byName["served_total"].Value != 7 || byName["served_total"].Type != TypeCounter {
-		t.Fatalf("served_total = %+v", byName["served_total"])
+	want := "# TYPE depth gauge\ndepth 3\n# TYPE served_total counter\nserved_total 7\n"
+	if got := exposition(); got != want {
+		t.Fatalf("exposition = %q, want %q", got, want)
 	}
 	// Re-registration replaces the reader (the expvar-style indirection).
 	r.GaugeFunc("depth", "", nil, func() float64 { return 42 })
-	for _, s := range r.Snapshot() {
-		if s.Name == "depth" && s.Value != 42 {
-			t.Fatalf("replaced func not used: %+v", s)
-		}
+	if got := exposition(); !strings.Contains(got, "\ndepth 42\n") {
+		t.Fatalf("replaced func not used: %q", got)
 	}
 }
 
@@ -125,12 +123,11 @@ func TestConcurrentUpdates(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				c.Inc()
-				g.Add(1)
-				g.Add(-1)
+				g.Inc()
+				g.Dec()
 				h.Observe(float64(i%4) / 4.0)
 				if i%256 == 0 {
-					// Concurrent readers: exposition and snapshot.
-					_ = r.Snapshot()
+					// Concurrent reader: exposition.
 					var sb strings.Builder
 					_ = r.WritePrometheus(&sb)
 				}
@@ -206,18 +203,25 @@ func TestWritePrometheusGolden(t *testing.T) {
 	}
 }
 
+// TestSnapshotSorted: the exposition lists metrics sorted by name, then
+// by label string, whatever their registration order.
 func TestSnapshotSorted(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("b_total", "", nil)
 	r.Counter("a_total", "", Labels{"x": "2"})
 	r.Counter("a_total", "", Labels{"x": "1"})
-	snap := r.Snapshot()
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
 	var keys []string
-	for _, s := range snap {
-		keys = append(keys, s.Name+renderLabels(s.Labels))
+	for _, line := range strings.Split(strings.TrimSpace(sb.String()), "\n") {
+		if !strings.HasPrefix(line, "#") {
+			keys = append(keys, strings.Fields(line)[0])
+		}
 	}
 	want := []string{`a_total{x="1"}`, `a_total{x="2"}`, "b_total"}
 	if strings.Join(keys, ",") != strings.Join(want, ",") {
-		t.Fatalf("snapshot order = %v, want %v", keys, want)
+		t.Fatalf("exposition order = %v, want %v", keys, want)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"regexp"
 	"strings"
 	"time"
 )
@@ -112,20 +111,6 @@ func (t *Table) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// Headers returns a copy of the column headers.
-func (t *Table) Headers() []string {
-	return append([]string(nil), t.headers...)
-}
-
-// Rows returns a copy of the rendered rows.
-func (t *Table) Rows() [][]string {
-	rows := make([][]string, len(t.rows))
-	for i, r := range t.rows {
-		rows[i] = append([]string(nil), r...)
-	}
-	return rows
-}
-
 // Doc is an experiment-section sink that renders markdown exactly like a
 // plain io.Writer would while also recording every table added through
 // Table, so one experiment run can serve both the markdown report
@@ -179,13 +164,4 @@ func Section(w io.Writer, level int, format string, args ...any) {
 // content; StripTimings removes it for byte-for-byte comparisons.
 func Timing(w io.Writer, label string, d time.Duration) {
 	fmt.Fprintf(w, "\n_%s wall-clock: %s_\n", label, d.Round(time.Millisecond))
-}
-
-var timingLine = regexp.MustCompile(`(?m)^\n?_[^_\n]* wall-clock: [^_\n]*_\n`)
-
-// StripTimings removes every Timing line from a rendered report, so
-// reports produced at different parallelism levels (or on different
-// machines) can be compared byte for byte.
-func StripTimings(s string) string {
-	return timingLine.ReplaceAllString(s, "")
 }

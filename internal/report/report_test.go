@@ -62,44 +62,6 @@ func TestSection(t *testing.T) {
 	}
 }
 
-func TestTimingRoundTripsThroughStrip(t *testing.T) {
-	var with, without strings.Builder
-	for _, w := range []*strings.Builder{&with, &without} {
-		Section(w, 2, "E1 — wakeup")
-		tbl := NewTable("n", "steps")
-		tbl.AddRow(8, 12)
-		if _, err := tbl.WriteTo(w); err != nil {
-			t.Fatal(err)
-		}
-	}
-	Timing(&with, "E1", 1234567*time.Microsecond)
-	if !strings.Contains(with.String(), "_E1 wall-clock: 1.235s_") {
-		t.Fatalf("timing line missing or misrendered:\n%s", with.String())
-	}
-	if got := StripTimings(with.String()); got != without.String() {
-		t.Fatalf("StripTimings did not recover the timing-free report:\ngot  %q\nwant %q", got, without.String())
-	}
-	// Reports without timing lines pass through untouched.
-	if got := StripTimings(without.String()); got != without.String() {
-		t.Fatalf("StripTimings mangled a timing-free report: %q", got)
-	}
-}
-
-func TestStripTimingsMiddleOfReport(t *testing.T) {
-	var b strings.Builder
-	Section(&b, 2, "E1")
-	Timing(&b, "E1", 5*time.Millisecond)
-	Section(&b, 2, "E2")
-	Timing(&b, "E2", 7*time.Millisecond)
-	got := StripTimings(b.String())
-	if strings.Contains(got, "wall-clock") {
-		t.Fatalf("timing lines survived: %q", got)
-	}
-	if !strings.Contains(got, "## E1") || !strings.Contains(got, "## E2") {
-		t.Fatalf("section content lost: %q", got)
-	}
-}
-
 // TestTableJSONRoundTrip: marshal → unmarshal must preserve the table, and
 // the rendered markdown must be identical on both sides.
 func TestTableJSONRoundTrip(t *testing.T) {
@@ -132,6 +94,18 @@ func TestTableJSONRoundTrip(t *testing.T) {
 
 // TestTableJSONEmpty: an empty table encodes with [] (never null) and
 // round-trips to an empty table.
+// TestTimingLine pins the wall-clock line Timing appends after a section:
+// its own paragraph, rounded to the millisecond.
+func TestTimingLine(t *testing.T) {
+	var b strings.Builder
+	Section(&b, 2, "E1")
+	before := b.String()
+	Timing(&b, "E1", 1234567*time.Microsecond)
+	if got, want := b.String(), before+"\n_E1 wall-clock: 1.235s_\n"; got != want {
+		t.Fatalf("report with timing = %q, want %q", got, want)
+	}
+}
+
 func TestTableJSONEmpty(t *testing.T) {
 	data, err := json.Marshal(&Table{})
 	if err != nil {
@@ -144,7 +118,7 @@ func TestTableJSONEmpty(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Headers()) != 0 || len(back.Rows()) != 0 {
+	if len(back.headers) != 0 || len(back.rows) != 0 {
 		t.Fatalf("empty table round-trip: %+v", back)
 	}
 
@@ -178,7 +152,7 @@ func TestDocCapturesTablesAndMarkdown(t *testing.T) {
 		t.Fatalf("Doc markdown diverges:\n%q\nvs\n%q", doc.Markdown(), plain.String())
 	}
 	tables := doc.Tables()
-	if len(tables) != 1 || tables[0].Rows()[0][0] != "7" {
+	if len(tables) != 1 || tables[0].rows[0][0] != "7" {
 		t.Fatalf("Doc recorded tables = %+v", tables)
 	}
 }

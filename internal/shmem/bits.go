@@ -66,16 +66,6 @@ func (b PidBits) Clear() {
 	}
 }
 
-// Empty reports whether the set has no elements.
-func (b PidBits) Empty() bool {
-	for _, w := range b {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Count returns the cardinality.
 func (b PidBits) Count() int {
 	n := 0
@@ -146,8 +136,7 @@ func WithBitTracking() Option {
 }
 
 // MaxRegisterBits returns the largest ApproxBits over all values written so
-// far (including initial values of touched registers), or 0 if the memory
-// was created without WithBitTracking.
+// far, or 0 if the memory was created without WithBitTracking.
 func (m *Memory) MaxRegisterBits() int { return m.maxBits }
 
 func (m *Memory) noteBits(v Value) {

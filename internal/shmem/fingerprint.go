@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"strconv"
-	"strings"
 )
 
 // FmtAppender is implemented by register values that render without fmt:
@@ -31,21 +30,6 @@ func AppendFmt(dst []byte, v Value) []byte {
 		return append(dst, x...)
 	}
 	return fmt.Appendf(dst, "%v", v)
-}
-
-// Fingerprint renders the register-file state — every touched register's
-// value and Pset, in register order — as a deterministic string. Two
-// memories with equal fingerprints are in identical states (up to
-// registers that were touched and restored to their initial state, which
-// only ever makes the comparison stricter). It is the readable form of
-// AppendFingerprint, for test failures and debugging.
-func (m *Memory) Fingerprint() string {
-	var b strings.Builder
-	for _, i := range m.touched {
-		r := m.regs[i]
-		fmt.Fprintf(&b, "R%d=%v pset=%v;", i, r.val, r.pset.Sorted())
-	}
-	return b.String()
 }
 
 // AppendFingerprint appends a compact binary rendering of the register-file

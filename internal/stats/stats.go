@@ -18,9 +18,9 @@ type Summary struct {
 	StdDev float64
 	Min    float64
 	Max    float64
-	// Median and P95 are nearest-rank percentiles (see Percentile): the
-	// value at rank ⌈p/100·N⌉ of the sorted sample, always an observed
-	// sample point, never an interpolation.
+	// Median and P95 are nearest-rank percentiles: the value at rank
+	// ⌈p/100·N⌉ of the sorted sample, always an observed sample point,
+	// never an interpolation.
 	Median float64
 	P95    float64
 }
@@ -49,34 +49,20 @@ func Summarize(xs []float64) Summary {
 	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
-	s.Median = nearestRank(sorted, 50)
-	s.P95 = nearestRank(sorted, 95)
+	s.Median = percentile(sorted, 50)
+	s.P95 = percentile(sorted, 95)
 	return s
 }
 
-// Percentile returns the nearest-rank p-th percentile of xs: the element
-// at rank ⌈p/100·N⌉ (1-based) of a sorted copy. xs is not mutated. It
-// panics on an empty sample or p outside (0, 100] — harness bugs, not
-// runtime conditions.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 || p <= 0 || p > 100 {
-		panic(fmt.Sprintf("stats: bad percentile input (N=%d, p=%v)", len(xs), p))
+// percentile returns the nearest-rank p-th percentile of an already-sorted
+// sample: the element at rank ⌈p/100·N⌉ (1-based), which lies in [1, N]
+// for p in (0, 100]. It panics on an empty sample or p outside (0, 100] —
+// harness bugs, not runtime conditions.
+func percentile(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 || p <= 0 || p > 100 {
+		panic(fmt.Sprintf("stats: bad percentile input (N=%d, p=%v)", len(sorted), p))
 	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return nearestRank(sorted, p)
-}
-
-// nearestRank indexes an already-sorted sample at rank ⌈p/100·N⌉.
-func nearestRank(sorted []float64, p float64) float64 {
-	rank := int(math.Ceil(p / 100 * float64(len(sorted))))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
-	return sorted[rank-1]
+	return sorted[int(math.Ceil(p/100*float64(len(sorted))))-1]
 }
 
 // Fit is a least-squares line y ≈ Intercept + Slope·f(x) with its

@@ -13,12 +13,13 @@
 package tenant
 
 import (
-	"encoding/json"
+	"bytes"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 	"sync"
+
+	"jayanti98/internal/obs"
 )
 
 // DefaultName is the tenant anonymous requests map to when the registry
@@ -139,22 +140,20 @@ func New(cfg Config) (*Registry, error) {
 	return r, nil
 }
 
-// Load reads a tenants file (JSON Config) into a closed registry.
+// Load reads a tenants file (JSON Config) into a closed registry. An
+// unknown field or data after the JSON value is an error, so a misspelt
+// or misplaced limit cannot be dropped silently.
 func Load(path string) (*Registry, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("tenant: %w", err)
 	}
 	var cfg Config
-	if err := json.Unmarshal(data, &cfg); err != nil {
+	if err := obs.DecodeJSON(bytes.NewReader(data), &cfg); err != nil {
 		return nil, fmt.Errorf("tenant: parsing %s: %w", path, err)
 	}
 	return New(cfg)
 }
-
-// IsOpen reports whether the registry admits everything as the default
-// tenant (development mode).
-func (r *Registry) IsOpen() bool { return r.open }
 
 // Authenticate resolves a presented key. An empty key resolves to the
 // anonymous tenant when one is admitted. The returned Tenant is a copy;
@@ -190,18 +189,6 @@ func (r *Registry) LimitsFor(name string) Limits {
 		return t.Limits
 	}
 	return Limits{}
-}
-
-// Names lists the configured tenant names, sorted.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.byName))
-	for name := range r.byName {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // KeyFromRequestHeader extracts the API key from the standard places:

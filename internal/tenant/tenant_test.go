@@ -23,7 +23,7 @@ func closedRegistry(t *testing.T, cfg Config) *Registry {
 
 func TestOpenRegistryAdmitsEverything(t *testing.T) {
 	reg := Open()
-	if !reg.IsOpen() {
+	if !reg.open {
 		t.Fatal("Open() registry reports closed")
 	}
 	for _, key := range []string{"", "any-key-at-all"} {
@@ -42,7 +42,7 @@ func TestClosedRegistryAuth(t *testing.T) {
 		{Name: "acme", Key: "k-acme", Limits: Limits{Weight: 3, MaxRunning: 2, MaxQueued: 5}},
 		{Name: "zeta", Key: "k-zeta"},
 	}})
-	if reg.IsOpen() {
+	if reg.open {
 		t.Fatal("closed registry reports open")
 	}
 	if tn, ok := reg.Authenticate("k-acme"); !ok || tn.Name != "acme" {
@@ -123,6 +123,38 @@ func TestLoadTenantsFile(t *testing.T) {
 	}
 	if _, err := Load(path); err == nil {
 		t.Fatal("malformed file accepted")
+	}
+}
+
+// TestLoadRejectsNestedLimits: a tenants file that nests the limits under
+// a "limits" key, as README's example once did, is an error. Decoded
+// leniently it loaded with every limit dropped: acme ran with weight 1
+// and no caps. The corrected example loads its limits.
+func TestLoadRejectsNestedLimits(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tenants.json")
+	for _, bad := range []string{
+		`{"tenants": [{"name": "acme", "key": "k-acme", "ratePerSec": 50,
+			"limits": {"weight": 3, "maxRunning": 4, "maxQueued": 64}}]}`,
+		`{"tenants": [{"name": "acme", "key": "k-acme"}]} {}`,
+	} {
+		if err := os.WriteFile(path, []byte(bad), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if reg, err := Load(path); err == nil {
+			t.Fatalf("Load(%s) accepted it with acme limits %+v", bad, reg.LimitsFor("acme"))
+		}
+	}
+	good := `{"tenants": [{"name": "acme", "key": "k-acme", "ratePerSec": 50,
+		"weight": 3, "maxRunning": 4, "maxQueued": 64}]}`
+	if err := os.WriteFile(path, []byte(good), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reg, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := reg.LimitsFor("acme"), (Limits{Weight: 3, MaxRunning: 4, MaxQueued: 64}); got != want {
+		t.Fatalf("acme limits = %+v, want %+v", got, want)
 	}
 }
 

@@ -34,9 +34,6 @@ func (c *Central) Name() string { return "central" }
 // Type implements Construction.
 func (c *Central) Type() objtype.Type { return c.typ }
 
-// Registers implements Construction.
-func (c *Central) Registers() int { return 1 }
-
 // StepBound implements Construction: 0 means not wait-free.
 func (c *Central) StepBound() int { return 0 }
 

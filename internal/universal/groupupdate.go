@@ -51,7 +51,9 @@ type GroupUpdate struct {
 var _ Construction = (*GroupUpdate)(nil)
 
 // NewGroupUpdate instantiates the construction for an n-process object of
-// the given type, occupying registers [base, base+Registers()).
+// the given type, occupying registers [base, base+2L): the tree is
+// heap-indexed 1..2L−1 (index 0 unused), for L leaves, n rounded up to a
+// power of two.
 func NewGroupUpdate(typ objtype.Type, n, base int) *GroupUpdate {
 	leaves := 1
 	for leaves < n {
@@ -65,10 +67,6 @@ func (g *GroupUpdate) Name() string { return "group-update" }
 
 // Type implements Construction.
 func (g *GroupUpdate) Type() objtype.Type { return g.typ }
-
-// Registers implements Construction: the tree is heap-indexed 1..2L−1, so
-// the object occupies 2L registers (index 0 unused).
-func (g *GroupUpdate) Registers() int { return 2 * g.leaves }
 
 // StepBound implements Construction.
 func (g *GroupUpdate) StepBound() int { return 8*log2Ceil(g.leaves) + 3 }

@@ -31,7 +31,8 @@ type Herlihy struct {
 var _ Construction = (*Herlihy)(nil)
 
 // NewHerlihy instantiates the construction for an n-process object of the
-// given type, occupying registers [base, base+Registers()).
+// given type, occupying registers [base, base+1+n): the main register and
+// n announce registers.
 func NewHerlihy(typ objtype.Type, n, base int) *Herlihy {
 	return &Herlihy{typ: typ, n: n, base: base}
 }
@@ -41,9 +42,6 @@ func (h *Herlihy) Name() string { return "herlihy" }
 
 // Type implements Construction.
 func (h *Herlihy) Type() objtype.Type { return h.typ }
-
-// Registers implements Construction: main register + n announce registers.
-func (h *Herlihy) Registers() int { return 1 + h.n }
 
 // StepBound implements Construction.
 func (h *Herlihy) StepBound() int { return 2*(h.n+2) + 3 }

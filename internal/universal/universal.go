@@ -245,9 +245,6 @@ type Construction interface {
 	Type() objtype.Type
 	// Invoke applies op and returns its response.
 	Invoke(p machine.Port, op objtype.Op) objtype.Value
-	// Registers returns how many consecutive registers, starting at the
-	// construction's base, the object occupies.
-	Registers() int
 	// StepBound returns a worst-case bound on shared accesses per Invoke,
 	// or 0 if the construction is not wait-free.
 	StepBound() int

@@ -351,7 +351,8 @@ func TestTwoObjectsDisjointRegisterLayout(t *testing.T) {
 	// Two objects side by side must not interfere.
 	const n = 4
 	q := NewGroupUpdate(objtype.NewEmptyQueue(), n, 0)
-	ctr := NewHerlihy(objtype.NewFetchIncrement(8), n, q.Registers())
+	// The queue's tree has 4 leaves, so it occupies registers [0, 8).
+	ctr := NewHerlihy(objtype.NewFetchIncrement(8), n, 8)
 	alg := machine.New("two-objects", func(e *machine.Env) shmem.Value {
 		q.Invoke(e, objtype.Op{Name: objtype.OpEnqueue, Arg: e.ID()})
 		v := ctr.Invoke(e, objtype.Op{Name: objtype.OpFetchIncrement})
@@ -367,9 +368,6 @@ func TestTwoObjectsDisjointRegisterLayout(t *testing.T) {
 func TestConstructionMetadata(t *testing.T) {
 	typ := objtype.NewFetchIncrement(8)
 	gu := NewGroupUpdate(typ, 5, 0)
-	if gu.Registers() != 16 { // leaves=8, 2L=16
-		t.Fatalf("GroupUpdate.Registers = %d, want 16", gu.Registers())
-	}
 	if gu.Depth() != 3 {
 		t.Fatalf("Depth = %d, want 3", gu.Depth())
 	}
@@ -377,11 +375,8 @@ func TestConstructionMetadata(t *testing.T) {
 		t.Fatalf("StepBound = %d", gu.StepBound())
 	}
 	he := NewHerlihy(typ, 5, 0)
-	if he.Registers() != 6 {
-		t.Fatalf("Herlihy.Registers = %d, want 6", he.Registers())
-	}
 	ce := NewCentral(typ, 5, 0)
-	if ce.Registers() != 1 || ce.StepBound() != 0 {
+	if ce.StepBound() != 0 {
 		t.Fatal("Central metadata wrong")
 	}
 	if gu.Name() != "group-update" || he.Name() != "herlihy" || ce.Name() != "central" {

@@ -2,7 +2,6 @@ package vmachine
 
 import (
 	"fmt"
-	"strings"
 )
 
 // Opcode identifies one VM instruction.
@@ -177,27 +176,4 @@ func firstErr(errs ...error) error {
 		}
 	}
 	return nil
-}
-
-// Disassemble renders the chunk for debugging and documentation.
-func (c *Chunk) Disassemble() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "chunk %s: %d instrs, %d consts, %d locals\n", c.Name, len(c.Code), len(c.Consts), c.NumLocals)
-	for pc, in := range c.Code {
-		fmt.Fprintf(&b, "%4d  %-9s", pc, in.Op)
-		switch in.Op {
-		case OpConst:
-			fmt.Fprintf(&b, "r%d <- %v", in.A, c.Consts[in.B])
-		case OpCall:
-			fmt.Fprintf(&b, "r%d <- %s(r%d..r%d)", in.A, c.NativeNames[in.B], in.C, in.C+in.D-1)
-		case OpJump:
-			fmt.Fprintf(&b, "-> %d", in.A)
-		case OpJumpIfNot:
-			fmt.Fprintf(&b, "if !r%d -> %d", in.A, in.B)
-		default:
-			fmt.Fprintf(&b, "%d %d %d %d", in.A, in.B, in.C, in.D)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

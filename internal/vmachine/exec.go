@@ -81,17 +81,11 @@ func NewExec(chunk *Chunk, id, n int) *Exec {
 	}
 }
 
-// ID returns the executing process's identifier.
-func (x *Exec) ID() int { return x.id }
-
 // SetHost binds the value HostE evaluates to: the per-run state (an event
 // log, a workload) that the chunk's natives receive as an argument. The
 // chunk stays shared and immutable; only this Exec sees the binding. A
 // forked Exec (Clone) is re-pointed at its own run's state with SetHost.
 func (x *Exec) SetHost(h any) { x.host = h }
-
-// Chunk returns the compiled code this Exec runs.
-func (x *Exec) Chunk() *Chunk { return x.chunk }
 
 // Start runs the chunk from the beginning until its first yield. It must be
 // the first call on a fresh Exec and must not be repeated.
@@ -131,9 +125,6 @@ func (x *Exec) ResumeOp(resp shmem.Response) Yield {
 	x.wait = 0
 	return x.run()
 }
-
-// Terminal reports whether the Exec has returned or crashed.
-func (x *Exec) Terminal() bool { return x.wait == YReturn || x.wait == YCrash }
 
 // run executes instructions until the next yield. A panic anywhere inside —
 // a native function, a type-confused operand, a corrupt-register decode —
@@ -217,53 +208,11 @@ func (x *Exec) yieldOp(in Instr, op shmem.Op) Yield {
 	return Yield{Kind: YOp, Op: op}
 }
 
-// State is a complete, self-contained snapshot of an Exec's resumable state:
-// flat arrays, no goroutine, no channels. Snapshots deep-copy set-kind
-// locals (the only mutable payload a Value can carry), so a restored Exec
-// and its origin never alias working state.
-type State struct {
-	PC     int32
-	Wait   YieldKind
-	WaitOp Opcode
-	WA, WB int32
-	Locals []Value
-}
-
-// Snapshot captures the Exec's state.
-func (x *Exec) Snapshot() State {
-	return State{
-		PC:     x.pc,
-		Wait:   x.wait,
-		WaitOp: x.waitOp,
-		WA:     x.wa,
-		WB:     x.wb,
-		Locals: copyLocals(x.locals),
-	}
-}
-
-// Restore overwrites the Exec's state with a snapshot taken from an Exec of
-// the same chunk. The snapshot remains valid and may be restored again.
-// The zero State restores the state NewExec gives: pc 0, no pending yield
-// and zero locals, ready for Start. The host binding is kept either way.
-func (x *Exec) Restore(s State) {
-	switch {
-	case s.Locals == nil:
-		clear(x.locals)
-	case len(s.Locals) != len(x.locals):
-		panic(fmt.Sprintf("vmachine: restore of %d-local state into %d-local exec", len(s.Locals), len(x.locals)))
-	default:
-		copy(x.locals, s.Locals)
-		for i, v := range x.locals {
-			if v.Kind == KSet {
-				x.locals[i].Set = append(shmem.PidBits(nil), v.Set...)
-			}
-		}
-	}
-	x.pc = s.PC
-	x.wait = s.Wait
-	x.waitOp = s.WaitOp
-	x.wa = s.WA
-	x.wb = s.WB
+// Reset restores the state NewExec gives: pc 0, no pending yield and zero
+// locals, ready for Start. The host binding is kept.
+func (x *Exec) Reset() {
+	clear(x.locals)
+	x.pc, x.wait, x.waitOp, x.wa, x.wb = 0, 0, 0, 0, 0
 }
 
 // Clone returns an independent copy of the Exec, sharing only the immutable

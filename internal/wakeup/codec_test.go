@@ -8,8 +8,8 @@ import (
 	"strings"
 	"testing"
 
-	"jayanti98/internal/core"
 	"jayanti98/internal/machine"
+	"jayanti98/internal/sched"
 	"jayanti98/internal/shmem"
 )
 
@@ -110,6 +110,30 @@ func FuzzPidCodec(f *testing.F) {
 	})
 }
 
+// plantedMemory is a register file whose registers all hold init before
+// their first operation: pid -1 swaps init in when an operation first
+// names a register.
+type plantedMemory struct {
+	mem     *shmem.Memory
+	init    string
+	planted map[int]bool
+}
+
+func (m *plantedMemory) plant(reg int) {
+	if !m.planted[reg] {
+		m.planted[reg] = true
+		m.mem.Apply(-1, shmem.Op{Kind: shmem.OpSwap, Reg: reg, Arg: m.init})
+	}
+}
+
+func (m *plantedMemory) Apply(pid int, op shmem.Op) shmem.Response {
+	m.plant(op.Reg)
+	if op.Kind == shmem.OpMove {
+		m.plant(op.Src)
+	}
+	return m.mem.Apply(pid, op)
+}
+
 // TestPidsDecodeNativeMatchesInterpreter runs the set-register and
 // double-register bodies on both engines over registers holding
 // canonical, non-canonical and corrupt renderings; set-register at n=2
@@ -122,12 +146,12 @@ func TestPidsDecodeNativeMatchesInterpreter(t *testing.T) {
 		for _, n := range []int{2, memoMinN} {
 			for _, init := range []string{"", "1", "+1", "007", "1,", "1,,2", " 1", "9999999999999999999"} {
 				outcome := func(alg machine.Algorithm) string {
-					cfg := core.Config{MemInit: func(int) shmem.Value { return init }}
-					run, err := core.RunAll(alg, n, machine.ZeroTosses, cfg)
+					mem := &plantedMemory{mem: shmem.New(), init: init, planted: map[int]bool{}}
+					res, err := sched.Execute(alg, n, mem, &sched.RoundRobin{}, machine.ZeroTosses, 100*n*n)
 					if err != nil {
 						return err.Error()
 					}
-					return fmt.Sprint(run.Returns, run.Steps)
+					return fmt.Sprint(res.Returns, res.Steps)
 				}
 				ref := mk()
 				if vm, interp := outcome(mk()), outcome(machine.New(ref.Name(), ref.Run)); vm != interp {

@@ -36,21 +36,9 @@ import (
 // setReg is the single shared register used by SetRegister.
 const setReg = 0
 
-// EncodePids encodes a pid set as a canonical comma-separated string —
-// the unbounded register contents of the set-accumulation algorithms.
-func EncodePids(pids map[int]bool) string {
-	var set shmem.PidBits
-	for p, in := range pids {
-		if in {
-			set.Add(p)
-		}
-	}
-	return EncodeBits(set)
-}
-
-// EncodeBits is EncodePids for a bitset: it renders set in the same
-// canonical format (a bitset iterates in increasing order, so no sort is
-// needed). The algorithm bodies use the bitset form on their LL/SC retry
+// EncodeBits encodes a pid set as a canonical comma-separated string —
+// the unbounded register contents of the set-accumulation algorithms (a
+// bitset iterates in increasing order, so no sort is needed). The algorithm bodies use the bitset form on their LL/SC retry
 // loops, where the encoding runs on every SC attempt, so it sizes the
 // rendering exactly up front and writes the digits itself: one
 // allocation, the string.
@@ -126,14 +114,7 @@ func writeDecimal(b *strings.Builder, p int) {
 	}
 }
 
-// DecodePids decodes EncodePids output (nil and "" decode to the empty set).
-func DecodePids(v shmem.Value) map[int]bool {
-	out := make(map[int]bool)
-	DecodeBits(v, nil).Each(func(p int) { out[p] = true })
-	return out
-}
-
-// DecodeBits decodes EncodePids/EncodeBits output into dst (cleared
+// DecodeBits decodes EncodeBits output into dst (cleared
 // first), reusing dst's backing array — the retry loops decode on every
 // LL, so the register hot path stays allocation-light. A value that is not
 // a string decodes to the empty set; a string that is not a comma-separated

@@ -1,6 +1,7 @@
 package wakeup
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -16,15 +17,15 @@ import (
 // updated with an LL/SC retry loop (each failure is caused by another
 // process's success, so total work is bounded in finite workloads).
 type llscClient struct {
-	typ objtype.Type
-	reg int
+	typ    objtype.Type
+	reg, n int
 }
 
 func (c llscClient) Invoke(p machine.Port, op objtype.Op) objtype.Value {
 	for {
 		v := p.LL(c.reg)
 		if v == nil {
-			v = c.typ.Init(p.N())
+			v = c.typ.Init(c.n)
 		}
 		next, resp := c.typ.Apply(v, op)
 		if ok, _ := p.SC(c.reg, next); ok {
@@ -68,16 +69,18 @@ func checkCorrectWakeup(t *testing.T, alg machine.Algorithm, n int) *core.AllRun
 }
 
 func TestEncodeDecodePids(t *testing.T) {
-	set := map[int]bool{3: true, 0: true, 11: true}
-	enc := EncodePids(set)
+	var set shmem.PidBits
+	for _, p := range []int{3, 0, 11} {
+		set.Add(p)
+	}
+	enc := EncodeBits(set)
 	if enc != "0,3,11" {
-		t.Fatalf("EncodePids = %q", enc)
+		t.Fatalf("EncodeBits = %q", enc)
 	}
-	dec := DecodePids(enc)
-	if len(dec) != 3 || !dec[0] || !dec[3] || !dec[11] {
-		t.Fatalf("DecodePids = %v", dec)
+	if dec := DecodeBits(enc, nil).Sorted(); !slices.Equal(dec, []int{0, 3, 11}) {
+		t.Fatalf("DecodeBits = %v", dec)
 	}
-	if len(DecodePids(nil)) != 0 || len(DecodePids("")) != 0 {
+	if DecodeBits(nil, nil).Count() != 0 || DecodeBits("", nil).Count() != 0 {
 		t.Fatal("empty decode broken")
 	}
 }
@@ -88,7 +91,7 @@ func TestDecodePidsCorruptPanics(t *testing.T) {
 			t.Fatal("corrupt register must panic")
 		}
 	}()
-	DecodePids("1,x")
+	DecodeBits("1,x", nil)
 }
 
 func TestSetRegisterUnderAdversary(t *testing.T) {
@@ -248,7 +251,7 @@ func TestAllReductionsUnderAdversary(t *testing.T) {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			for _, n := range []int{1, 2, 4, 8, 16} {
-				client := llscClient{typ: spec.Type(n), reg: 0}
+				client := llscClient{typ: spec.Type(n), reg: 0, n: n}
 				alg := spec.Build(client)
 				run := adversaryRun(t, alg, n)
 				if err := core.CheckWakeupRun(run); err != nil {
@@ -272,7 +275,7 @@ func TestReductionsExactlyOneWinnerSingleOpTypes(t *testing.T) {
 		if spec.OpsPerProcess != 1 {
 			continue
 		}
-		client := llscClient{typ: spec.Type(8), reg: 0}
+		client := llscClient{typ: spec.Type(8), reg: 0, n: 8}
 		run := adversaryRun(t, spec.Build(client), 8)
 		if w := core.WakeupWinners(run.Returns); len(w) != 1 {
 			t.Fatalf("%s: winners = %v, want exactly 1", spec.Name, w)
@@ -285,7 +288,7 @@ func TestReductionsUnderRandomSchedules(t *testing.T) {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			for seed := int64(0); seed < 5; seed++ {
-				client := llscClient{typ: spec.Type(6), reg: 0}
+				client := llscClient{typ: spec.Type(6), reg: 0, n: 6}
 				mem := shmem.New()
 				res, err := sched.Execute(spec.Build(client), 6, mem, sched.NewRandom(seed), machine.ZeroTosses, 100000)
 				if err != nil {
@@ -311,7 +314,7 @@ func TestReductionOpsPerProcessBudget(t *testing.T) {
 	// llscClient's LL steps: each Invoke performs ≥ 1 LL on the object
 	// register and nothing else touches it.
 	for _, spec := range Reductions() {
-		client := countingClient{inner: llscClient{typ: spec.Type(8), reg: 0}, calls: make(map[int]int)}
+		client := countingClient{inner: llscClient{typ: spec.Type(8), reg: 0, n: 8}, calls: make(map[int]int)}
 		run := adversaryRun(t, spec.Build(&client), 8)
 		if !run.Terminated() {
 			t.Fatalf("%s did not terminate", spec.Name)
@@ -381,7 +384,7 @@ func TestCountingNetworkWakeupUnderRandomSchedules(t *testing.T) {
 func TestTASReductionWakeupAtTwo(t *testing.T) {
 	spec := TASReduction()
 	for _, n := range []int{1, 2} {
-		client := llscClient{typ: spec.Type(n), reg: 0}
+		client := llscClient{typ: spec.Type(n), reg: 0, n: n}
 		run := adversaryRun(t, spec.Build(client), n)
 		if err := core.CheckWakeupRun(run); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
@@ -400,7 +403,7 @@ func TestTASReductionWakeupAtTwo(t *testing.T) {
 // object's responses stop carrying information once the state is set).
 func TestTASReductionUnsoundBeyondTwo(t *testing.T) {
 	spec := TASReduction()
-	client := llscClient{typ: spec.Type(3), reg: 0}
+	client := llscClient{typ: spec.Type(3), reg: 0, n: 3}
 	mem := shmem.New()
 	res, err := sched.Execute(spec.Build(client), 3, mem, sched.Sequential{}, machine.ZeroTosses, 100000)
 	if err != nil {

@@ -32,7 +32,7 @@ go build -tags mutation -o "$TMP/explore" ./cmd/explore
 start_server() {
     "$TMP/lbserver" -addr "$ADDR" -workers 2 -cache-dir "$TMP/cache" \
         -lease-ttl 2s -dist-shards 8 \
-        -campaign-findings "$TMP/findings" -campaign-checkpoint-every 1 &
+        -campaign-findings "$TMP/findings" &
     SERVER_PID=$!
 }
 start_server
